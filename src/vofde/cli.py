@@ -30,7 +30,6 @@ from .model import AlphaKind, AlphaSpec, OscillatorProblem, SolutionTrace
 from .reference import Scenario, list_scenarios, scenario
 from .stability import (
     StabilityReport,
-    report_from_rho,
     stability_report,
     stability_report_along_trace,
 )
@@ -294,12 +293,10 @@ def parse_config(data: dict) -> RunConfig:
 
 # execution -------------------------------------------------------------------
 
-def solve_problem(
-    problem: OscillatorProblem, record_spectral_radius: bool = False
-) -> SolutionTrace:
+def solve_problem(problem: OscillatorProblem) -> SolutionTrace:
     """Dispatch to the right solver for the problem's structure."""
     if problem.alpha.kind is AlphaKind.TIME_ONLY and problem.f_nl is None:
-        return explicit_solver.solve(problem, record_spectral_radius=record_spectral_radius)
+        return explicit_solver.solve(problem)
     return implicit_solver.solve(problem)
 
 
@@ -426,27 +423,18 @@ def _execute(cfg: RunConfig) -> int:
                 f"scenario {cfg.scenario_name!r} is a bare derivative benchmark; "
                 "it supports only the convergence output"
             )
-        want_stability = "stability" in cfg.outputs
-        time_only = problem.alpha.kind is AlphaKind.TIME_ONLY
-        if time_only and problem.f_nl is None:
-            trace = explicit_solver.solve(problem, record_spectral_radius=want_stability)
-            if want_stability:
-                report = report_from_rho(trace.rho, tol=cfg.stability_tol)
-        else:
-            trace = implicit_solver.solve(problem)
-            if want_stability:
-                if time_only:
-                    report = stability_report(problem, tol=cfg.stability_tol)
-                else:
-                    report = stability_report_along_trace(
-                        problem, trace, tol=cfg.stability_tol
-                    )
-                    print(
-                        "warning: order depends on the state, so the stability "
-                        "check holds only along the solved trajectory",
-                        file=sys.stderr,
-                    )
-                    exit_code = EXIT_CONDITIONAL_STABILITY
+        trace = solve_problem(problem)
+        if "stability" in cfg.outputs:
+            if problem.alpha.kind is AlphaKind.TIME_ONLY:
+                report = stability_report(problem, tol=cfg.stability_tol)
+            else:
+                report = stability_report_along_trace(problem, trace, tol=cfg.stability_tol)
+                print(
+                    "warning: order depends on the state, so the stability "
+                    "check holds only along the solved trajectory",
+                    file=sys.stderr,
+                )
+                exit_code = EXIT_CONDITIONAL_STABILITY
 
     rows = None
     if "convergence" in cfg.outputs:

@@ -1,25 +1,27 @@
 """Direct step-by-step integrator for linear problems with time-only order.
 
 At node n the governing equation, with the history sum split into its known
-part and the term carrying the unknown current velocity, is coupled to the
-average-acceleration update relations. That yields one 3x3 linear system
+part and the terms carrying the two latest velocities, is coupled to the
+average-acceleration update relations. Those relations give the velocity
+and displacement as affine functions of the new acceleration q_n (see
+implicit_solver.state_from_q), so each step reduces to one division
 
-    L_n x_n = R_n x_{n-1} + (g_n, 0, 0)
+    q_n = num_n / (a1 + a2 c_nn h/4 + a3 h^2/4),
 
-per step in x = (q, udot, u). The weight row of each step is fixed by the
-order value at t_n, which is why the order must not depend on the state
-here; anything else goes through the implicit solver.
+with every coefficient evaluated at t_n and c_nn the weight of the current
+step. The weight row of each step is fixed by the order value at t_n,
+which is why the order must not depend on the state here; anything else
+goes through the implicit solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._linsolve import solve3
 from .errors import OrderDomainError, StepFailureError
+from .implicit_solver import state_from_q
 from .model import (
     AlphaKind,
     OscillatorProblem,
@@ -30,71 +32,14 @@ from .model import (
 from .vo_core import CoefficientRow, VelocityHistory, coefficient_row
 
 __all__ = [
-    "StepMatrices",
-    "step_matrices",
-    "step_matrices_from_weights",
     "load_term",
-    "build_step",
     "solve_step",
     "solve",
 ]
 
+# a step denominator this much smaller than the sum of its terms' sizes is
+# treated as zero: the scalar form of a condition-number bound of 1e14
 _COND_LIMIT = 1e14
-
-
-@dataclass(frozen=True)
-class StepMatrices:
-    """Left and right matrices plus the scalar load of one step system."""
-
-    L: np.ndarray
-    R: np.ndarray
-    g: float
-
-
-def step_matrices_from_weights(
-    a1: float, a2: float, a3: float, h: float, c_nn: float, c_nm1: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step matrices from raw coefficient values.
-
-    c_nn is the weight of the current step, c_nm1 the one before it (zero
-    for the first step). Rows two and three encode the average-acceleration
-    update relations and depend only on h.
-    """
-    half_h2 = 0.25 * h * h
-    half_h = 0.5 * h
-    left = np.array(
-        [
-            [a1, 0.5 * a2 * c_nn, a3],
-            [half_h2, -h, 1.0],
-            [-half_h, 1.0, 0.0],
-        ]
-    )
-    right = np.array(
-        [
-            [0.0, -0.5 * a2 * (c_nm1 + c_nn), 0.0],
-            [-half_h2, 0.0, 1.0],
-            [half_h, 1.0, 0.0],
-        ]
-    )
-    return left, right
-
-
-def step_matrices(
-    problem: OscillatorProblem, n: int, row: CoefficientRow
-) -> tuple[np.ndarray, np.ndarray]:
-    """L and R of step n with coefficients evaluated at t_n."""
-    if row.n != n:
-        raise IndexError(f"weight row built for node {row.n}, requested node {n}")
-    tn = n * problem.grid.h
-    c_nm1 = float(row.c[n - 2]) if n >= 2 else 0.0
-    return step_matrices_from_weights(
-        float(problem.a1(tn)),
-        float(problem.a2(tn)),
-        float(problem.a3(tn)),
-        problem.grid.h,
-        float(row.c[n - 1]),
-        c_nm1,
-    )
 
 
 def load_term(
@@ -104,7 +49,7 @@ def load_term(
 
     The known part covers the means of steps 1 .. n-2 plus the half of step
     n-1's mean contributed by the velocity at node n-2; the halves carrying
-    udot_{n-1} and udot_n live in the R and L matrices. Empty for n <= 1.
+    udot_{n-1} and udot_n are left to the step itself. Empty for n <= 1.
     """
     if len(hist) < n - 1:
         raise IndexError(
@@ -120,24 +65,47 @@ def load_term(
     return g
 
 
-def build_step(
-    n: int, problem: OscillatorProblem, row: CoefficientRow, hist: VelocityHistory
-) -> StepMatrices:
-    left, right = step_matrices(problem, n, row)
-    return StepMatrices(L=left, R=right, g=load_term(problem, n, row, hist))
+def solve_step(
+    problem: OscillatorProblem,
+    n: int,
+    row: CoefficientRow,
+    hist: VelocityHistory,
+    prev: StepState,
+) -> StepState:
+    """Advance to node n by solving the step's equation for q_n.
 
-
-def solve_step(mats: StepMatrices, prev: StepState, step: int | None = None) -> StepState:
-    """Advance one step by solving the 3x3 system."""
-    rhs = mats.R @ np.asarray(prev, dtype=float)
-    rhs[0] += mats.g
-    x, cond = solve3(mats.L, rhs)
-    if not np.all(np.isfinite(x)) or cond > _COND_LIMIT:
+    The equation a1 q_n + a2 (c_{n-1} udot_{n-1} + c_n (udot_{n-1} + udot_n)) / 2
+    + a3 u_n = g_n is affine in q_n once udot_n and u_n are written through
+    state_from_q. A denominator that is zero or lost in rounding, or a
+    non-finite q_n, raises StepFailureError naming step n.
+    """
+    h = problem.grid.h
+    tn = n * h
+    a1 = float(problem.a1(tn))
+    a2 = float(problem.a2(tn))
+    a3 = float(problem.a3(tn))
+    c_nn = float(row.c[n - 1])
+    c_nm1 = float(row.c[n - 2]) if n >= 2 else 0.0
+    # udot_n and u_n at q_n = 0; they grow by h/2 and h^2/4 per unit of q_n
+    udot_0, u_0 = state_from_q(0.0, prev, h)
+    num = (
+        load_term(problem, n, row, hist)
+        - 0.5 * a2 * (c_nm1 * prev.udot + c_nn * (prev.udot + udot_0))
+        - a3 * u_0
+    )
+    damping = 0.25 * h * a2 * c_nn
+    stiffness = 0.25 * h * h * a3
+    den = a1 + damping + stiffness
+    size = abs(a1) + abs(damping) + abs(stiffness)
+    q = num / den if abs(den) * _COND_LIMIT > size else math.nan
+    if not math.isfinite(q):
         raise StepFailureError(
-            f"step system singular or ill-conditioned (estimate {cond:.3e})",
-            step=step,
+            f"step equation singular or ill-conditioned (denominator {den:.3e} "
+            f"against term sizes {size:.3e}, q {q!r})",
+            step=n,
         )
-    return StepState(q=float(x[0]), udot=float(x[1]), u=float(x[2]))
+    udot_n, u_n = state_from_q(q, prev, h)
+    return StepState(q=q, udot=udot_n, u=u_n)
 
 
 def _order_at_nodes(problem: OscillatorProblem) -> np.ndarray:
@@ -174,12 +142,10 @@ def _order_at_nodes(problem: OscillatorProblem) -> np.ndarray:
     return out
 
 
-def solve(problem: OscillatorProblem, record_spectral_radius: bool = False) -> SolutionTrace:
+def solve(problem: OscillatorProblem) -> SolutionTrace:
     """Integrate the problem over its whole grid.
 
-    Only linear problems with a TIME_ONLY order are accepted. With
-    record_spectral_radius the per-step amplification matrix is formed and
-    its spectral radius stored in the trace (None otherwise).
+    Only linear problems with a TIME_ONLY order are accepted.
     """
     if problem.alpha.kind is not AlphaKind.TIME_ONLY:
         raise ValueError(
@@ -203,21 +169,12 @@ def solve(problem: OscillatorProblem, record_spectral_radius: bool = False) -> S
     ud[0] = problem.v0
     u[0] = problem.u0
 
-    rho = np.empty(N) if record_spectral_radius else None
-    if record_spectral_radius:
-        from .stability import amplification_from_matrices, spectral_radius
-
     hist = VelocityHistory(problem.v0, capacity=N)
     prev = StepState(q=float(q[0]), udot=float(ud[0]), u=float(u[0]))
     for n in range(1, N + 1):
         row = coefficient_row(n, h, float(alphas[n]))
-        mats = build_step(n, problem, row, hist)
-        state = solve_step(mats, prev, step=n)
-        if rho is not None:
-            rho[n - 1] = spectral_radius(
-                amplification_from_matrices(mats.L, mats.R, step=n)
-            )
-        q[n], ud[n], u[n] = state.q, state.udot, state.u
+        state = solve_step(problem, n, row, hist, prev)
+        q[n], ud[n], u[n] = state
         hist.append(state.udot)
         prev = state
 
@@ -228,5 +185,4 @@ def solve(problem: OscillatorProblem, record_spectral_radius: bool = False) -> S
         uddot=q,
         alpha_used=alphas,
         udot_mean=hist.udot_mean.copy(),
-        rho=rho,
     )

@@ -142,10 +142,9 @@ class SolutionTrace:
     Arrays t, u, udot, uddot, alpha_used have length N+1; udot_mean has
     length N (entry r-1 is the mean velocity of step r). alpha_used[0] is
     recorded for reference only: the history term vanishes at t = 0, so no
-    weight row is ever built from it and it is not range-checked. rho holds
-    per-step spectral radii when stability recording was requested, and
-    iterations the per-step root-solve evaluation counts of the implicit
-    solver; both are None otherwise.
+    weight row is ever built from it and it is not range-checked.
+    iterations holds the per-step root-solve evaluation counts of the
+    implicit solver and is None for the explicit one.
     """
 
     t: np.ndarray
@@ -154,7 +153,6 @@ class SolutionTrace:
     uddot: np.ndarray
     alpha_used: np.ndarray
     udot_mean: np.ndarray
-    rho: Optional[np.ndarray] = None
     iterations: Optional[np.ndarray] = None
 
     @property

@@ -1,10 +1,16 @@
 """Spectral-radius stability check of the step recursion.
 
 Each step maps the state (q, udot, u) forward through x_n = A_n x_{n-1} + b_n
-with A_n = L_n^{-1} R_n. The scheme is (conditionally) stable when no
+with A_n = L_n^{-1} R_n, where L_n x_n = R_n x_{n-1} + (g_n, 0, 0) is the
+governing equation at t_n coupled to the average-acceleration update
+relations (the explicit solver eliminates the last two rows and solves the
+first for q_n alone). The scheme is (conditionally) stable when no
 amplification matrix magnifies the state, i.e. rho(A_n) <= 1 for every step.
-Eigenvalues of the 3x3 matrices come from the closed-form cubic solution;
-nothing iterative is involved.
+
+The sweep runs over blocks of steps at a time: one stack of L and R
+matrices per block, inverted by cofactors, and eigenvalues of every 3x3
+amplification matrix from the closed-form cubic solution; nothing iterative
+is involved. The block size bounds the sweep's memory on long grids.
 """
 
 from __future__ import annotations
@@ -14,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linsolve import inv3
 from .errors import StepFailureError
-from .explicit_solver import _order_at_nodes, step_matrices, step_matrices_from_weights
+from .explicit_solver import _order_at_nodes
 from .model import OscillatorProblem, SolutionTrace
 from .vo_core import CoefficientRow, coefficient
 
@@ -24,6 +29,8 @@ __all__ = [
     "StabilityReport",
     "spectral_radius",
     "eigenvalues3",
+    "inv3",
+    "step_matrices",
     "amplification_matrix",
     "amplification_from_matrices",
     "stability_report",
@@ -33,34 +40,41 @@ __all__ = [
 
 _COND_LIMIT = 1e14
 
+# steps per block of the sweep
+_BLOCK = 2048
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+def _cbrt(x):
+    return np.copysign(np.abs(x) ** (1.0 / 3.0), x)
 
 
-def eigenvalues3(a_mat) -> tuple[complex, complex, complex]:
-    """Eigenvalues of a real 3x3 matrix from the characteristic cubic.
+def eigenvalues3(a_mat) -> np.ndarray:
+    """Eigenvalues of a real 3x3 matrix, or of each matrix of a stack.
 
     The cubic lambda^3 - tr lambda^2 + m lambda - det (m the sum of the
     principal 2x2 minors) is depressed and solved in closed form: the trig
-    branch for three real roots, the Cardano branch otherwise.
+    branch for three real roots, the Cardano branch otherwise. The result
+    has shape a_mat.shape[:-2] + (3,).
     """
     a = np.asarray(a_mat, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
 
-    tr = a[0, 0] + a[1, 1] + a[2, 2]
+    a00, a01, a02 = a[..., 0, 0], a[..., 0, 1], a[..., 0, 2]
+    a10, a11, a12 = a[..., 1, 0], a[..., 1, 1], a[..., 1, 2]
+    a20, a21, a22 = a[..., 2, 0], a[..., 2, 1], a[..., 2, 2]
+    tr = a00 + a11 + a22
     minors = (
-        a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        a11 * a22 - a12 * a21
+        + a00 * a22 - a02 * a20
+        + a00 * a11 - a01 * a10
     )
     det = (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        a00 * (a11 * a22 - a12 * a21)
+        - a01 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * a21 - a11 * a20)
     )
 
     # depressed cubic y^3 + p y + q, lambda = y + tr/3
@@ -68,48 +82,124 @@ def eigenvalues3(a_mat) -> tuple[complex, complex, complex]:
     p = minors - tr * tr / 3.0
     q = -2.0 * tr ** 3 / 27.0 + tr * minors / 3.0 - det
     disc = 0.25 * q * q + p ** 3 / 27.0
+    cardano = disc > 0.0
 
-    if disc > 0.0:
-        root = math.sqrt(disc)
-        w = _cbrt(-0.5 * q + root)
-        v = _cbrt(-0.5 * q - root)
-        y_real = w + v
-        re = -0.5 * y_real
-        im = 0.5 * math.sqrt(3.0) * (w - v)
-        return (
-            complex(y_real + shift, 0.0),
-            complex(re + shift, im),
-            complex(re + shift, -im),
-        )
+    # Cardano branch: one real root and a complex pair
+    root = np.sqrt(np.where(cardano, disc, 0.0))
+    w = _cbrt(-0.5 * q + root)
+    v = _cbrt(-0.5 * q - root)
+    y_real = w + v
+    im = 0.5 * math.sqrt(3.0) * (w - v)
+    pair = -0.5 * y_real + shift
 
-    # disc <= 0 implies p <= 0; three real roots via the trig form
-    m2 = 2.0 * math.sqrt(max(-p / 3.0, 0.0))
-    if m2 == 0.0:
-        lam = complex(shift, 0.0)
-        return (lam, lam, lam)
-    arg = 3.0 * q / (p * m2)
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg) / 3.0
-    third = 2.0 * math.pi / 3.0
-    return tuple(
-        complex(m2 * math.cos(phi - k * third) + shift, 0.0) for k in range(3)
+    # disc <= 0 implies p <= 0; three real roots via the trig form, all
+    # equal to the shift when m2 vanishes
+    m2 = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0))
+    triple = m2 == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = np.clip(3.0 * q / np.where(triple, 1.0, p * m2), -1.0, 1.0)
+    phi = np.arccos(arg) / 3.0
+    trig = m2[..., None] * np.cos(phi[..., None] - np.arange(3) * (2.0 * math.pi / 3.0))
+    trig = np.where(triple[..., None], 0.0, trig) + shift[..., None]
+
+    lam = np.empty(tr.shape + (3,), dtype=complex)
+    lam.real = np.where(
+        cardano[..., None], np.stack([y_real + shift, pair, pair], axis=-1), trig
     )
+    lam.imag = np.where(
+        cardano[..., None], np.stack([np.zeros_like(im), im, -im], axis=-1), 0.0
+    )
+    return lam
 
 
-def spectral_radius(a_mat) -> float:
-    """Largest eigenvalue modulus of a real 3x3 matrix."""
-    return max(abs(lam) for lam in eigenvalues3(a_mat))
+def spectral_radius(a_mat):
+    """Largest eigenvalue modulus of a real 3x3 matrix, or of each matrix of a stack."""
+    rho = np.max(np.abs(eigenvalues3(a_mat)), axis=-1)
+    return float(rho) if rho.ndim == 0 else rho
+
+
+def _norm_inf(a: np.ndarray) -> np.ndarray:
+    return np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+
+
+def inv3(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of a 3x3 matrix, or of each matrix of a stack, by cofactors.
+
+    Returns the inverse and its infinity-norm condition estimate
+    ||a|| ||a^-1||. A singular matrix yields non-finite inverse entries and
+    an infinite estimate rather than raising, so callers can attach their
+    own step context to the failure.
+    """
+    a = np.asarray(matrix, dtype=float)
+    r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    # the columns of the inverse are the cross products of row pairs over det
+    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+    det = np.sum(r0 * adj[..., 0], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = adj / det[..., None, None]
+    finite = np.isfinite(inv).all(axis=(-2, -1))
+    return inv, np.where(finite, _norm_inf(a) * _norm_inf(inv), math.inf)
 
 
 def amplification_from_matrices(left, right, step: int | None = None) -> np.ndarray:
-    """A = L^{-1} R, failing loudly on a singular or ill-conditioned L."""
+    """A = L^{-1} R, failing loudly on a singular or ill-conditioned L.
+
+    Works on one pair of matrices or on stacks of them. step numbers the
+    first pair; a failure reports the step of the first bad matrix.
+    """
     left_inv, cond = inv3(left)
-    if not np.isfinite(left_inv).all() or cond > _COND_LIMIT:
+    bad = cond > _COND_LIMIT  # infinite for a non-finite inverse
+    if bad.any():
+        first = int(np.argmax(bad))
         raise StepFailureError(
-            f"left step matrix singular or ill-conditioned (estimate {cond:.3e})",
-            step=step,
+            "left step matrix singular or ill-conditioned "
+            f"(estimate {float(np.ravel(cond)[first]):.3e})",
+            step=None if step is None else step + first,
         )
     return left_inv @ np.asarray(right, dtype=float)
+
+
+def _step_stacks(a1, a2, a3, h: float, c_nn, c_nm1) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of step matrices L and R from per-step coefficient arrays.
+
+    c_nn is the weight of the current step, c_nm1 the one before it (zero
+    for the first step). Rows two and three encode the average-acceleration
+    update relations and depend only on h.
+    """
+    k = len(a1)
+    left = np.zeros((k, 3, 3))
+    right = np.zeros((k, 3, 3))
+    left[:, 0, 0] = a1
+    left[:, 0, 1] = 0.5 * a2 * c_nn
+    left[:, 0, 2] = a3
+    left[:, 1] = (0.25 * h * h, -h, 1.0)
+    left[:, 2] = (-0.5 * h, 1.0, 0.0)
+    right[:, 0, 1] = -0.5 * a2 * (c_nm1 + c_nn)
+    right[:, 1] = (-0.25 * h * h, 0.0, 1.0)
+    right[:, 2] = (0.5 * h, 1.0, 0.0)
+    return left, right
+
+
+def _coefficients_at(problem: OscillatorProblem, steps) -> tuple[np.ndarray, ...]:
+    """a1, a2 and a3 evaluated at the nodes of the given steps."""
+    ts = np.asarray(steps) * problem.grid.h
+    return tuple(
+        np.array([float(fn(t)) for t in ts.tolist()])
+        for fn in (problem.a1, problem.a2, problem.a3)
+    )
+
+
+def step_matrices(
+    problem: OscillatorProblem, n: int, row: CoefficientRow
+) -> tuple[np.ndarray, np.ndarray]:
+    """L and R of step n with coefficients evaluated at t_n."""
+    if row.n != n:
+        raise IndexError(f"weight row built for node {row.n}, requested node {n}")
+    c_nm1 = float(row.c[n - 2]) if n >= 2 else 0.0
+    left, right = _step_stacks(
+        *_coefficients_at(problem, [n]), problem.grid.h, float(row.c[n - 1]), c_nm1
+    )
+    return left[0], right[0]
 
 
 def amplification_matrix(
@@ -152,27 +242,23 @@ def report_from_rho(
 def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
     """Spectral radius of every step for the given per-node order values.
 
-    Only the last two weights of each row enter the step matrices, so they
-    are computed directly instead of building full O(n) rows; the sweep is
-    O(N) overall.
+    Only the last two weights of each row enter the step matrices, and they
+    depend on the order alone (c_n^n = c_1^1 and c_{n-1}^n = c_1^2 at the
+    same order), so they come from two array evaluations per block instead
+    of full O(n) rows; the sweep is O(N) overall.
     """
     h = problem.grid.h
     N = problem.grid.N
     rho = np.empty(N)
-    for n in range(1, N + 1):
-        tn = n * h
-        a = float(alphas[n])
-        c_nn = coefficient(n, n, h, a)
-        c_nm1 = coefficient(n, n - 1, h, a) if n >= 2 else 0.0
-        left, right = step_matrices_from_weights(
-            float(problem.a1(tn)),
-            float(problem.a2(tn)),
-            float(problem.a3(tn)),
-            h,
-            c_nn,
-            c_nm1,
-        )
-        rho[n - 1] = spectral_radius(amplification_from_matrices(left, right, step=n))
+    for start in range(1, N + 1, _BLOCK):
+        steps = np.arange(start, min(start + _BLOCK, N + 1))
+        orders = np.asarray(alphas[steps], dtype=float)
+        c_nn = coefficient(1, 1, h, orders)
+        c_nm1 = coefficient(2, 1, h, orders)
+        if start == 1:
+            c_nm1[0] = 0.0
+        left, right = _step_stacks(*_coefficients_at(problem, steps), h, c_nn, c_nm1)
+        rho[steps - 1] = spectral_radius(amplification_from_matrices(left, right, step=start))
     return rho
 
 

@@ -73,15 +73,19 @@ def _validate_order(alpha: float, node: int | None = None) -> float:
     return a
 
 
-def _row_factor(h: float, alpha: float) -> float:
+def _row_factor(h: float, alpha):
     # As alpha -> 1 the 1/Gamma(1-alpha) prefactor vanishes at exactly the
     # rate 1/(alpha-1) blows up; keeping them in one product (it equals
     # -h^(1-alpha)/Gamma(2-alpha)) makes the factor O(1) right up to the
-    # boundary, so no series fallback is needed.
-    return h ** (1.0 - alpha) / (gamma(1.0 - alpha) * (alpha - 1.0))
+    # boundary, so no series fallback is needed. alpha may be an array.
+    if isinstance(alpha, np.ndarray):
+        gam = np.array([gamma(1.0 - a) for a in alpha.tolist()])
+    else:
+        gam = gamma(1.0 - alpha)
+    return h ** (1.0 - alpha) / (gam * (alpha - 1.0))
 
 
-def coefficient(n: int, r: int, h: float, alpha: float) -> float:
+def coefficient(n: int, r: int, h: float, alpha):
     """Quadrature weight c_r^n for history subinterval [(r-1)h, rh].
 
     Closed form of the kernel integral over the subinterval:
@@ -90,23 +94,46 @@ def coefficient(n: int, r: int, h: float, alpha: float) -> float:
                 * ((n-r)^(1-alpha) - (n-r+1)^(1-alpha)),
 
     valid for 0 < alpha < 1, 1 <= r <= n. Weights are positive and grow
-    toward the current time because the kernel concentrates there.
+    toward the current time because the kernel concentrates there. alpha
+    may be an array of orders; the result is then the array of weights,
+    each equal to the scalar call at that order.
     """
-    a = _validate_order(alpha)
+    a = np.asarray(alpha, dtype=float)
+    outside = ~((a > 0.0) & (a < 1.0))  # also catches nan
+    if outside.any():
+        _validate_order(a[outside][0])
     if not isinstance(n, int) or n < 1:
         raise IndexError(f"row index n must be an integer >= 1, got {n!r}")
     if not isinstance(r, int) or not 1 <= r <= n:
         raise IndexError(f"subinterval index r must satisfy 1 <= r <= n={n}, got {r!r}")
     if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
         raise ValueError(f"step size must be positive and finite, got {h!r}")
-    return _row_factor(float(h), a) * (_pow_1ma(n - r, a) - _pow_1ma(n - r + 1, a))
+    # a scalar order goes through the same 1-d array loops as an array one,
+    # so both forms give identical weights
+    orders = a.reshape(-1)
+    c = _row_factor(float(h), orders) * (
+        _pow_1ma(n - r, orders) - _pow_1ma(n - r + 1, orders)
+    )
+    return float(c[0]) if a.ndim == 0 else c.reshape(a.shape)
 
 
-def _pow_1ma(m: int, alpha: float) -> float:
+def _pow_1ma(m: int, alpha):
     # m^(1-alpha) for integer m >= 0 via exp/log; exact zero at m = 0
     if m == 0:
         return 0.0
-    return math.exp((1.0 - alpha) * math.log(m))
+    return np.exp((1.0 - alpha) * math.log(m))
+
+
+# log(1), log(2), ... shared by every weight row; grown geometrically on demand
+_LOGS = np.log(np.arange(1.0, 1025.0))
+
+
+def _logs(n: int) -> np.ndarray:
+    """View of log(1 .. n)."""
+    global _LOGS
+    if _LOGS.size < n:
+        _LOGS = np.log(np.arange(1.0, max(n, 2 * _LOGS.size) + 1.0))
+    return _LOGS[:n]
 
 
 @dataclass(frozen=True)
@@ -133,8 +160,11 @@ def coefficient_row(n: int, h: float, alpha: float) -> CoefficientRow:
         raise ValueError(f"step size must be positive and finite, got {h!r}")
     powers = np.empty(n + 1)
     powers[0] = 0.0
-    powers[1:] = np.exp((1.0 - a) * np.log(np.arange(1, n + 1, dtype=float)))
-    c = _row_factor(float(h), a) * (powers[n - 1::-1] - powers[n:0:-1])
+    tail = powers[1:]
+    np.multiply(_logs(n), 1.0 - a, out=tail)
+    np.exp(tail, out=tail)
+    c = powers[n - 1::-1] - powers[n:0:-1]
+    c *= _row_factor(float(h), a)
     return CoefficientRow(n=n, alpha_n=a, c=c)
 
 

@@ -1,8 +1,9 @@
-"""Step system assembly and the direct stepping loop.
+"""Step system assembly, the scalar step and the direct stepping loop.
 
-The damped and stiffness limit cases double as end-to-end accuracy checks:
-with the order pushed against 1 or 0 the solutions must track the
-closed-form integer-order references.
+The scalar step is checked against a dense solve of the 3x3 step system it
+eliminates. The damped and stiffness limit cases double as end-to-end
+accuracy checks: with the order pushed against 1 or 0 the solutions must
+track the closed-form integer-order references.
 """
 
 import math
@@ -18,16 +19,12 @@ from vofde import (
     coefficient_row,
     discrete_residuals,
     solve_explicit,
+    stability_report,
 )
 from vofde.errors import OrderDomainError, StepFailureError
-from vofde.explicit_solver import (
-    StepMatrices,
-    build_step,
-    load_term,
-    solve_step,
-    step_matrices,
-)
+from vofde.explicit_solver import load_term, solve_step
 from vofde.reference import scenario
+from vofde.stability import step_matrices
 
 
 def linear_problem(alpha, h=0.01, T=1.0, a1=1.0, a2=1.0, a3=25.0, p=0.0, u0=1.0, v0=10.0):
@@ -119,32 +116,90 @@ class TestLoadTerm:
             load_term(prob, 5, row, hist)
 
 
+def dense_step(prob, n, row, hist, prev):
+    """Solution of the 3x3 step system L x = R x_prev + g e1 by LAPACK."""
+    left, right = step_matrices(prob, n, row)
+    rhs = right @ np.array(prev)
+    rhs[0] += load_term(prob, n, row, hist)
+    return np.linalg.solve(left, rhs)
+
+
 class TestSolveStep:
     def test_zero_problem_fixed_point(self):
         prob = linear_problem(AlphaSpec.constant(0.5), u0=0.0, v0=0.0)
         row = coefficient_row(1, prob.grid.h, 0.5)
-        mats = build_step(1, prob, row, VelocityHistory(0.0))
-        state = solve_step(mats, StepState(0.0, 0.0, 0.0), step=1)
+        state = solve_step(prob, 1, row, VelocityHistory(0.0), StepState(0.0, 0.0, 0.0))
         assert state == StepState(0.0, 0.0, 0.0)
 
     def test_residual_of_solution(self):
         prob = linear_problem(AlphaSpec.constant(0.5))
         row = coefficient_row(1, prob.grid.h, 0.5)
         hist = VelocityHistory(prob.v0)
-        mats = build_step(1, prob, row, hist)
         prev = StepState(-25.0, 10.0, 1.0)
-        state = solve_step(mats, prev, step=1)
-        rhs = mats.R @ np.array(prev)
-        rhs[0] += mats.g
-        res = mats.L @ np.array(state) - rhs
-        bound = 1e-12 * (float(np.linalg.norm(mats.R @ np.array(prev))) + abs(mats.g))
+        state = solve_step(prob, 1, row, hist, prev)
+        left, right = step_matrices(prob, 1, row)
+        g = load_term(prob, 1, row, hist)
+        rhs = right @ np.array(prev)
+        rhs[0] += g
+        res = left @ np.array(state) - rhs
+        bound = 1e-12 * (float(np.linalg.norm(right @ np.array(prev))) + abs(g))
         assert float(np.linalg.norm(res)) <= max(bound, 1e-15)
 
+    @pytest.mark.parametrize("name", ["ex2iii_d", "ex5"])
+    def test_matches_dense_solve_of_step_system(self, name):
+        prob = scenario(name, 1e-3, T=0.3).problem
+        h, N = prob.grid.h, prob.grid.N
+        assert N == 300
+        trace = solve_explicit(prob)
+        hist = VelocityHistory(prob.v0, capacity=N)
+        worst = 0.0
+        for n in range(1, N + 1):
+            prev = StepState(trace.uddot[n - 1], trace.udot[n - 1], trace.u[n - 1])
+            row = coefficient_row(n, h, float(trace.alpha_used[n]))
+            state = np.array(solve_step(prob, n, row, hist, prev))
+            dense = dense_step(prob, n, row, hist, prev)
+            worst = max(worst, float(np.max(np.abs(state - dense)) / np.max(np.abs(dense))))
+            assert np.array_equal(state, [trace.uddot[n], trace.udot[n], trace.u[n]])
+            hist.append(trace.udot[n])
+        assert worst <= 1e-12
+
     def test_singular_system_reports_step(self):
-        mats = StepMatrices(L=np.zeros((3, 3)), R=np.eye(3), g=0.0)
+        prob = linear_problem(AlphaSpec.constant(0.5), a1=0.0, a2=0.0, a3=0.0)
+        row = coefficient_row(9, prob.grid.h, 0.5)
+        hist = VelocityHistory(1.0)
+        for _ in range(8):
+            hist.append(1.0)
         with pytest.raises(StepFailureError) as err:
-            solve_step(mats, StepState(1.0, 1.0, 1.0), step=9)
+            solve_step(prob, 9, row, hist, StepState(1.0, 1.0, 1.0))
         assert err.value.step == 9
+
+    def test_vanishing_coefficients_mid_run_report_step(self):
+        # a1 = a2 = a3 = 0 from t = 0.5 on: the step equation loses q_n there
+        def switch(t):
+            return 1.0 if t < 0.5 else 0.0
+
+        prob = linear_problem(
+            AlphaSpec.constant(0.5), a1=switch, a2=lambda t: 0.2 * switch(t), a3=switch
+        )
+        with pytest.raises(StepFailureError) as err:
+            solve_explicit(prob)
+        assert err.value.step == 50
+
+    def test_denominator_lost_in_rounding_raises(self):
+        # a1 cancels a3 h^2/4 up to 1e-15 of the terms: below the 1e-14 guard
+        h = 0.01
+        row = coefficient_row(1, h, 0.5)
+        prev = StepState(1.0, 1.0, 1.0)
+        for gap, fails in ((1e-15, True), (1e-12, False)):
+            prob = linear_problem(
+                AlphaSpec.constant(0.5), a1=-0.25 * h * h * (1.0 + gap), a2=0.0, a3=1.0
+            )
+            if fails:
+                with pytest.raises(StepFailureError) as err:
+                    solve_step(prob, 1, row, VelocityHistory(1.0), prev)
+                assert err.value.step == 1
+            else:
+                assert math.isfinite(solve_step(prob, 1, row, VelocityHistory(1.0), prev).q)
 
 
 class TestSolve:
@@ -217,11 +272,14 @@ class TestSolve:
         assert trace.t.shape == (2,)
 
     def test_spectral_radius_recording(self):
+        # per-step radii come from the stability sweep, not from the solve
         scn = scenario("ex2i", 1e-2, T=1.0)
-        trace = solve_explicit(scn.problem, record_spectral_radius=True)
-        assert trace.rho is not None
-        assert trace.rho.shape == (scn.grid.N,)
-        assert float(np.max(trace.rho)) <= 1.0 + 1e-12
+        trace = solve_explicit(scn.problem)
+        assert not hasattr(trace, "rho")
+        report = stability_report(scn.problem)
+        assert report.rho.shape == (trace.N,)
+        assert np.all(np.isfinite(report.rho))
+        assert report.max_rho <= 1.0 + 1e-12
 
     def test_rejects_state_dependent_order(self):
         prob = linear_problem(

@@ -12,6 +12,7 @@ from vofde import (
     discrete_residuals,
     initial_acceleration,
     solve_explicit,
+    stability_report,
 )
 from vofde.errors import DegenerateProblemError, OrderDomainError
 
@@ -118,7 +119,8 @@ class TestDiscreteResiduals:
         assert trace.uddot.shape == (N + 1,)
         assert trace.alpha_used.shape == (N + 1,)
         assert trace.udot_mean.shape == (N,)
-        assert trace.rho is None and trace.iterations is None
+        assert trace.iterations is None
+        assert stability_report(prob).rho.shape == (N,)
         assert np.allclose(
             trace.udot_mean, 0.5 * (trace.udot[:-1] + trace.udot[1:])
         )

@@ -21,9 +21,8 @@ from vofde import (
     stability_report_along_trace,
 )
 from vofde.errors import StepFailureError
-from vofde.explicit_solver import step_matrices
 from vofde.reference import scenario
-from vofde.stability import eigenvalues3, report_from_rho
+from vofde.stability import eigenvalues3, report_from_rho, step_matrices
 
 
 class TestSpectralRadius:
@@ -67,6 +66,37 @@ class TestSpectralRadius:
         for _ in range(50):
             a = rng.normal(size=(3, 3))
             assert spectral_radius(a) <= np.max(np.sum(np.abs(a), axis=1)) + 1e-12
+
+    def test_stack_matches_numpy_on_every_branch(self):
+        rng = np.random.default_rng(20261018)
+        rot = lambda th: np.array(
+            [[math.cos(th), -math.sin(th), 0.0], [math.sin(th), math.cos(th), 0.0], [0, 0, 1]]
+        )
+        sym = rng.normal(size=(100, 3, 3))
+        stacks = {
+            # symmetric: three real roots, the trig branch
+            "trig": sym + np.swapaxes(sym, -1, -2),
+            # rotation block times a scale plus a real third root: Cardano
+            "cardano": np.array(
+                [s_ * rot(th) @ np.diag([1.0, 1.0, d]) for s_, th, d in
+                 zip(rng.uniform(0.1, 2, 100), rng.uniform(0.1, 3, 100), rng.uniform(-2, 2, 100))]
+            ),
+            # dyadic multiples of the identity: p = q = 0 exactly, the triple root
+            "triple": rng.integers(-8, 9, size=(100, 1, 1)) / 4.0 * np.eye(3),
+            "random": rng.normal(size=(100, 3, 3)),
+        }
+        for branch, stack in stacks.items():
+            ref = np.max(np.abs(np.linalg.eigvals(stack)), axis=-1)
+            got = spectral_radius(stack)
+            assert got.shape == (100,)
+            assert np.allclose(got, ref, rtol=1e-9, atol=1e-12), branch
+            single = np.array([spectral_radius(a) for a in stack])
+            assert np.allclose(got, single, rtol=1e-15, atol=0.0), branch
+        # each stack really takes its branch
+        assert np.all(eigenvalues3(stacks["trig"]).imag == 0.0)
+        assert np.all(np.abs(eigenvalues3(stacks["cardano"]).imag[:, 1]) > 0.0)
+        triple = eigenvalues3(stacks["triple"])
+        assert np.array_equal(triple, np.repeat(triple[:, :1], 3, axis=1))
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -167,6 +197,33 @@ class TestStabilityReport:
         other = scenario("ex3iii", 2e-2)
         with pytest.raises(IndexError):
             stability_report_along_trace(other.problem, trace)
+
+    @pytest.mark.parametrize("N", [2047, 2048, 2049, 4100])
+    def test_blocked_sweep_matches_per_step_loop(self, N):
+        h = 1e-3
+        prob = damped(AlphaSpec.of_time(lambda t: 0.8 * (1.0 - math.exp(-t))), h=h, T=N * h)
+        assert prob.grid.N == N
+        report = stability_report(prob)
+        loop = np.empty(N)
+        for n in range(1, N + 1):
+            row = coefficient_row(n, h, float(prob.alpha.eval(n * h, math.nan, math.nan)))
+            loop[n - 1] = spectral_radius(amplification_matrix(n, prob, row))
+        assert float(np.max(np.abs(report.rho - loop))) <= 1e-14
+
+    def test_singular_step_in_second_block_reports_its_step(self):
+        h = 1e-3
+        bad = 2500
+
+        def coeff(t):
+            return 0.0 if abs(t - bad * h) < 0.5 * h else 1.0
+
+        prob = OscillatorProblem.build(
+            a1=coeff, a2=coeff, a3=coeff, p=0.0,
+            alpha=AlphaSpec.constant(0.5), u0=1.0, v0=0.0, T=3.0, h=h,
+        )
+        with pytest.raises(StepFailureError) as err:
+            stability_report(prob)
+        assert err.value.step == bad
 
     def test_report_from_rho_verdict(self):
         ok = report_from_rho(np.array([0.5, 1.0, 1.0 + 5e-13]))

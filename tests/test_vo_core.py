@@ -22,6 +22,7 @@ from vofde import (
     vo_derivative_at,
     vo_derivative_series,
 )
+from vofde import vo_core
 from vofde.errors import ConvergenceError, OrderDomainError
 
 
@@ -108,6 +109,17 @@ class TestCoefficient:
         with pytest.raises(ValueError):
             coefficient(3, 1, 0.0, 0.5)
 
+    @pytest.mark.parametrize("n,r", [(1, 1), (2, 1), (9, 4)])
+    def test_array_orders_match_scalar_calls(self, n, r):
+        alphas = np.random.default_rng(3).uniform(0.01, 0.99, size=257)
+        batch = coefficient(n, r, 0.02, alphas)
+        assert batch.shape == alphas.shape
+        assert np.array_equal(batch, [coefficient(n, r, 0.02, float(a)) for a in alphas])
+
+    def test_array_order_domain(self):
+        with pytest.raises(OrderDomainError):
+            coefficient(3, 1, 0.1, np.array([0.5, 1.0, 0.2]))
+
 
 class TestCoefficientRow:
     def test_matches_scalar_evaluation(self):
@@ -116,6 +128,19 @@ class TestCoefficientRow:
             assert row.c[r - 1] == pytest.approx(
                 coefficient(7, r, 0.05, 0.37), rel=1e-14
             )
+
+    def test_bitwise_equal_to_direct_formula_across_table_growth(self, monkeypatch):
+        # a log table of 8 entries grows at n = 9, 17 and 40
+        monkeypatch.setattr(vo_core, "_LOGS", np.log(np.arange(1.0, 9.0)))
+        h, alpha = 0.013, 0.61
+        factor = h ** (1.0 - alpha) / (gamma(1.0 - alpha) * (alpha - 1.0))
+        for n in (7, 8, 9, 16, 17, 40, 5):
+            powers = np.concatenate(
+                ([0.0], np.exp((1.0 - alpha) * np.log(np.arange(1, n + 1, dtype=float))))
+            )
+            direct = factor * (powers[n - 1::-1] - powers[n:0:-1])
+            assert np.array_equal(coefficient_row(n, h, alpha).c, direct), n
+        assert vo_core._LOGS.size == 64
 
     def test_single_entry_row(self):
         row = coefficient_row(1, 0.001, 0.8)
