@@ -31,7 +31,6 @@ from .reference import (
     list_scenarios,
     scenario,
 )
-from .special_functions import gamma, lower_incomplete_gamma
 from .stability import (
     StabilityReport,
     amplification_matrix,
@@ -40,13 +39,11 @@ from .stability import (
     stability_report_along_trace,
 )
 from .vo_core import (
-    CoefficientRow,
     Grid,
     VelocityHistory,
     caputo_quadrature_oracle,
     coefficient,
     coefficient_row,
-    vo_derivative_at,
     vo_derivative_series,
 )
 
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaKind",
     "AlphaSpec",
-    "CoefficientRow",
     "ConvergenceError",
     "DegenerateProblemError",
     "Grid",
@@ -74,16 +70,13 @@ __all__ = [
     "coefficient",
     "coefficient_row",
     "discrete_residuals",
-    "gamma",
     "initial_acceleration",
     "list_scenarios",
-    "lower_incomplete_gamma",
     "scenario",
     "solve_explicit",
     "solve_implicit",
     "spectral_radius",
     "stability_report",
     "stability_report_along_trace",
-    "vo_derivative_at",
     "vo_derivative_series",
 ]

@@ -29,7 +29,7 @@ from .model import (
     StepState,
     initial_acceleration,
 )
-from .vo_core import CoefficientRow, VelocityHistory, coefficient_row
+from .vo_core import VelocityHistory, coefficient_row
 
 __all__ = [
     "load_term",
@@ -43,7 +43,7 @@ _COND_LIMIT = 1e14
 
 
 def load_term(
-    problem: OscillatorProblem, n: int, row: CoefficientRow, hist: VelocityHistory
+    problem: OscillatorProblem, n: int, row: np.ndarray, hist: VelocityHistory
 ) -> float:
     """Load g_n: the forcing minus the fully known part of the history sum.
 
@@ -58,9 +58,9 @@ def load_term(
     tn = n * problem.grid.h
     g = float(problem.p(tn))
     if n >= 2:
-        known = 0.5 * float(row.c[n - 2]) * hist.endpoint(n - 2)
+        known = 0.5 * float(row[n - 2]) * hist.endpoint(n - 2)
         if n > 2:
-            known += float(row.c[: n - 2] @ hist.udot_mean[: n - 2])
+            known += float(row[: n - 2] @ hist.udot_mean[: n - 2])
         g -= float(problem.a2(tn)) * known
     return g
 
@@ -68,7 +68,7 @@ def load_term(
 def solve_step(
     problem: OscillatorProblem,
     n: int,
-    row: CoefficientRow,
+    row: np.ndarray,
     hist: VelocityHistory,
     prev: StepState,
 ) -> StepState:
@@ -84,8 +84,8 @@ def solve_step(
     a1 = float(problem.a1(tn))
     a2 = float(problem.a2(tn))
     a3 = float(problem.a3(tn))
-    c_nn = float(row.c[n - 1])
-    c_nm1 = float(row.c[n - 2]) if n >= 2 else 0.0
+    c_nn = float(row[n - 1])
+    c_nm1 = float(row[n - 2]) if n >= 2 else 0.0
     # udot_n and u_n at q_n = 0; they grow by h/2 and h^2/4 per unit of q_n
     udot_0, u_0 = state_from_q(0.0, prev, h)
     num = (

@@ -98,7 +98,7 @@ def _residual_parts(q_n, n, problem, prev, hist, cache):
         c = cache["c"]
         known = cache["known"]
     else:
-        c = coefficient_row(n, h, a_star).c
+        c = coefficient_row(n, h, a_star)
         known = float(c[: n - 1] @ hist.udot_mean[: n - 1]) if n > 1 else 0.0
         if cache is not None:
             cache["alpha"] = a_star

@@ -197,7 +197,7 @@ def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.n
             deriv = 0.0
         else:
             row = coefficient_row(n, h, float(trace.alpha_used[n]))
-            deriv = float(row.c @ trace.udot_mean[:n])
+            deriv = float(row @ trace.udot_mean[:n])
         inertia = float(problem.a1(tn)) * trace.uddot[n]
         damping = float(problem.a2(tn)) * deriv
         restoring = float(problem.a3(tn)) * trace.u[n]

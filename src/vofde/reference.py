@@ -6,19 +6,23 @@ subject to the residual consistency check. limit_u holds the closed-form
 solution of the integer-order equation the scenario approaches when its
 order is pushed against 0 or 1; it is a comparison target, not a solution
 of the fractional equation itself.
+
+Gamma comes from math. The lower incomplete gamma, needed only by the ex5
+forcing, is computed here by series and continued fraction: scipy.special
+would double the import time and the memory of every run that builds ex5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import gamma
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .model import AlphaSpec, OscillatorProblem
-from .special_functions import gamma, lower_incomplete_gamma
 from .vo_core import Grid, caputo_quadrature_oracle
 
 __all__ = [
@@ -30,6 +34,7 @@ __all__ = [
     "example2_exact_limits",
     "example4_forcing",
     "example5_forcing",
+    "lower_incomplete_gamma",
     "ode_limit_oracle",
     "check_scenario_consistency",
 ]
@@ -136,6 +141,73 @@ def example5_forcing(t: float) -> float:
     s = 0.5 * math.exp(-t)  # 1 - alpha(t)
     vofd = et * lower_incomplete_gamma(s, t) / gamma(s) if t > 0.0 else 0.0
     return (1.0 + t * t) * et + 0.1 * math.sqrt(t) * vofd + (10.0 + math.exp(-t)) * et
+
+
+# terms before the incomplete-gamma series or continued fraction gives up
+_MAX_TERMS = 500
+
+
+def lower_incomplete_gamma(s: float, x: float) -> float:
+    """Lower incomplete gamma integral int_0^x v^(s-1) exp(-v) dv.
+
+    Requires finite s > 0 and finite x >= 0. A power series is used for
+    x < s + 1 and a continued fraction for the complementary integral
+    otherwise; both converge rapidly in their regions.
+    """
+    if not (isinstance(s, (int, float)) and math.isfinite(s)) or s <= 0.0:
+        raise ValueError(f"lower_incomplete_gamma requires s > 0, got {s!r}")
+    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0.0:
+        raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x!r}")
+    s = float(s)
+    x = float(x)
+    if x == 0.0:
+        return 0.0
+    if x < s + 1.0:
+        return _gamma_series(s, x)
+    return gamma(s) - _upper_gamma_cf(s, x)
+
+
+def _gamma_series(s: float, x: float) -> float:
+    # gamma_lower(s, x) = x^s exp(-x) sum_k x^k / (s (s+1) ... (s+k))
+    term = 1.0 / s
+    total = term
+    ap = s
+    for _ in range(_MAX_TERMS):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * 1e-16:
+            return total * math.exp(-x + s * math.log(x))
+    raise ConvergenceError(
+        f"incomplete gamma series stalled for s={s}, x={x}"
+    )
+
+
+def _upper_gamma_cf(s: float, x: float) -> float:
+    # Modified Lentz evaluation of the continued fraction for the upper
+    # integral; valid for x >= s + 1 where it converges geometrically.
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, _MAX_TERMS):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return math.exp(-x + s * math.log(x)) * h
+    raise ConvergenceError(
+        f"incomplete gamma continued fraction stalled for s={s}, x={x}"
+    )
 
 
 def ode_limit_oracle(rhs, y0, t_samples, tol: float = 1e-10) -> np.ndarray:

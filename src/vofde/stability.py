@@ -23,7 +23,7 @@ import numpy as np
 from .errors import StepFailureError
 from .explicit_solver import _order_at_nodes
 from .model import OscillatorProblem, SolutionTrace
-from .vo_core import CoefficientRow, coefficient
+from .vo_core import coefficient
 
 __all__ = [
     "StabilityReport",
@@ -51,10 +51,11 @@ def _cbrt(x):
 def eigenvalues3(a_mat) -> np.ndarray:
     """Eigenvalues of a real 3x3 matrix, or of each matrix of a stack.
 
-    The cubic lambda^3 - tr lambda^2 + m lambda - det (m the sum of the
-    principal 2x2 minors) is depressed and solved in closed form: the trig
-    branch for three real roots, the Cardano branch otherwise. The result
-    has shape a_mat.shape[:-2] + (3,).
+    The characteristic cubic of the traceless part A - (tr A / 3) I,
+    y^3 + p y + q with p the sum of its principal 2x2 minors and q minus
+    its determinant, is solved in closed form: the trig branch for three
+    real roots, the Cardano branch otherwise. The result has shape
+    a_mat.shape[:-2] + (3,).
     """
     a = np.asarray(a_mat, dtype=float)
     if a.ndim < 2 or a.shape[-2:] != (3, 3):
@@ -62,25 +63,22 @@ def eigenvalues3(a_mat) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
 
-    a00, a01, a02 = a[..., 0, 0], a[..., 0, 1], a[..., 0, 2]
-    a10, a11, a12 = a[..., 1, 0], a[..., 1, 1], a[..., 1, 2]
-    a20, a21, a22 = a[..., 2, 0], a[..., 2, 1], a[..., 2, 2]
-    tr = a00 + a11 + a22
-    minors = (
-        a11 * a22 - a12 * a21
-        + a00 * a22 - a02 * a20
-        + a00 * a11 - a01 * a10
+    # depressed cubic y^3 + p y + q of the traceless part B = A - shift I,
+    # lambda = y + shift; p and q are taken from B itself, since forming
+    # them from the invariants of A cancels away most digits near a
+    # triple root
+    shift = (a[..., 0, 0] + a[..., 1, 1] + a[..., 2, 2]) / 3.0
+    b = a - shift[..., None, None] * np.eye(3)
+    b00, b01, b02 = b[..., 0, 0], b[..., 0, 1], b[..., 0, 2]
+    b10, b11, b12 = b[..., 1, 0], b[..., 1, 1], b[..., 1, 2]
+    b20, b21, b22 = b[..., 2, 0], b[..., 2, 1], b[..., 2, 2]
+    minor0 = b11 * b22 - b12 * b21
+    p = minor0 + b00 * b22 - b02 * b20 + b00 * b11 - b01 * b10
+    q = -(
+        b00 * minor0
+        - b01 * (b10 * b22 - b12 * b20)
+        + b02 * (b10 * b21 - b11 * b20)
     )
-    det = (
-        a00 * (a11 * a22 - a12 * a21)
-        - a01 * (a10 * a22 - a12 * a20)
-        + a02 * (a10 * a21 - a11 * a20)
-    )
-
-    # depressed cubic y^3 + p y + q, lambda = y + tr/3
-    shift = tr / 3.0
-    p = minors - tr * tr / 3.0
-    q = -2.0 * tr ** 3 / 27.0 + tr * minors / 3.0 - det
     disc = 0.25 * q * q + p ** 3 / 27.0
     cardano = disc > 0.0
 
@@ -102,7 +100,7 @@ def eigenvalues3(a_mat) -> np.ndarray:
     trig = m2[..., None] * np.cos(phi[..., None] - np.arange(3) * (2.0 * math.pi / 3.0))
     trig = np.where(triple[..., None], 0.0, trig) + shift[..., None]
 
-    lam = np.empty(tr.shape + (3,), dtype=complex)
+    lam = np.empty(shift.shape + (3,), dtype=complex)
     lam.real = np.where(
         cardano[..., None], np.stack([y_real + shift, pair, pair], axis=-1), trig
     )
@@ -190,20 +188,20 @@ def _coefficients_at(problem: OscillatorProblem, steps) -> tuple[np.ndarray, ...
 
 
 def step_matrices(
-    problem: OscillatorProblem, n: int, row: CoefficientRow
+    problem: OscillatorProblem, n: int, row: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """L and R of step n with coefficients evaluated at t_n."""
-    if row.n != n:
-        raise IndexError(f"weight row built for node {row.n}, requested node {n}")
-    c_nm1 = float(row.c[n - 2]) if n >= 2 else 0.0
+    if row.shape != (n,):
+        raise IndexError(f"weight row of shape {row.shape} given for node {n}")
+    c_nm1 = float(row[n - 2]) if n >= 2 else 0.0
     left, right = _step_stacks(
-        *_coefficients_at(problem, [n]), problem.grid.h, float(row.c[n - 1]), c_nm1
+        *_coefficients_at(problem, [n]), problem.grid.h, float(row[n - 1]), c_nm1
     )
     return left[0], right[0]
 
 
 def amplification_matrix(
-    n: int, problem: OscillatorProblem, row: CoefficientRow
+    n: int, problem: OscillatorProblem, row: np.ndarray
 ) -> np.ndarray:
     """Amplification matrix of step n under the given weight row."""
     left, right = step_matrices(problem, n, row)

@@ -7,29 +7,28 @@ integral of the velocity,
 
 On the grid t_n = n h the integral over each past step [(r-1)h, rh] is
 approximated by the mean velocity on that step times the exact integral of
-the kernel, which gives the closed-form weights below. The module also
-carries an adaptive-quadrature evaluation of the defining integral, used
-only to cross-check the weights, never inside a solver loop.
+the kernel, which gives the closed-form weights below, with Gamma taken
+from math. The module also carries a QUADPACK evaluation of the defining
+integral (scipy, imported on first use), used only to cross-check the
+weights, never inside a solver loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import gamma
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, OrderDomainError
-from .special_functions import gamma
 
 __all__ = [
     "Grid",
-    "CoefficientRow",
     "VelocityHistory",
     "coefficient",
     "coefficient_row",
-    "vo_derivative_at",
     "vo_derivative_series",
     "caputo_quadrature_oracle",
 ]
@@ -136,23 +135,8 @@ def _logs(n: int) -> np.ndarray:
     return _LOGS[:n]
 
 
-@dataclass(frozen=True)
-class CoefficientRow:
-    """All weights c_r^n of one grid row, c[r-1] holding c_r^n."""
-
-    n: int
-    alpha_n: float
-    c: np.ndarray
-
-    def __post_init__(self):
-        if self.c.shape != (self.n,):
-            raise IndexError(
-                f"row for n={self.n} must hold exactly n weights, got shape {self.c.shape}"
-            )
-
-
-def coefficient_row(n: int, h: float, alpha: float) -> CoefficientRow:
-    """Vectorized evaluation of the full weight row for node n."""
+def coefficient_row(n: int, h: float, alpha: float) -> np.ndarray:
+    """All weights of the row for node n, entry r-1 holding c_r^n."""
     a = _validate_order(alpha)
     if not isinstance(n, int) or n < 1:
         raise IndexError(f"row index n must be an integer >= 1, got {n!r}")
@@ -165,7 +149,7 @@ def coefficient_row(n: int, h: float, alpha: float) -> CoefficientRow:
     np.exp(tail, out=tail)
     c = powers[n - 1::-1] - powers[n:0:-1]
     c *= _row_factor(float(h), a)
-    return CoefficientRow(n=n, alpha_n=a, c=c)
+    return c
 
 
 class VelocityHistory:
@@ -185,17 +169,6 @@ class VelocityHistory:
 
     def __len__(self) -> int:
         return self._steps
-
-    @classmethod
-    def from_endpoints(cls, endpoints) -> "VelocityHistory":
-        """Build a history from a full array of endpoint velocities."""
-        arr = np.asarray(endpoints, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("endpoints must be a 1-d array with at least one entry")
-        hist = cls(arr[0], capacity=max(arr.size - 1, 1))
-        for v in arr[1:]:
-            hist.append(float(v))
-        return hist
 
     def append(self, udot_end: float) -> None:
         """Record the endpoint velocity of the next completed step."""
@@ -224,15 +197,6 @@ class VelocityHistory:
         return self._mean[: self._steps]
 
 
-def vo_derivative_at(n: int, row: CoefficientRow, hist: VelocityHistory) -> float:
-    """Weighted history sum sum_r c_r^n udot_r^m at node n."""
-    if row.n != n:
-        raise IndexError(f"row built for node {row.n}, requested node {n}")
-    if len(hist) < n:
-        raise IndexError(f"history holds {len(hist)} steps, node {n} needs {n}")
-    return float(row.c @ hist.udot_mean[:n])
-
-
 def vo_derivative_series(
     udot_samples, alpha_fn: Callable[[float], float], grid: Grid
 ) -> np.ndarray:
@@ -257,79 +221,8 @@ def vo_derivative_series(
     for n in range(1, grid.N + 1):
         a = _validate_order(alpha_fn(n * grid.h), node=n)
         row = coefficient_row(n, grid.h, a)
-        out[n - 1] = row.c @ means[:n]
+        out[n - 1] = row @ means[:n]
     return out
-
-
-# 15-point Kronrod extension of 7-point Gauss, positive half of the rule.
-# Odd node indices (and the centre) are the embedded Gauss points.
-_KRONROD_NODES = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-    0.0,
-)
-_KRONROD_WEIGHTS = (
-    0.022935322010529224,
-    0.06309209262997855,
-    0.10479001032225018,
-    0.14065325971552592,
-    0.1690047266392679,
-    0.19035057806478542,
-    0.20443294007529889,
-    0.20948214108472782,
-)
-_GAUSS_WEIGHTS = (
-    0.12948496616886969,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
-)
-
-_MAX_DEPTH = 60
-_MAX_PANELS = 200_000
-
-
-def _gauss_kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 and Gauss-7 estimates of the integral over [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(mid)
-    kron = _KRONROD_WEIGHTS[7] * fc
-    gauss = _GAUSS_WEIGHTS[3] * fc
-    for i in range(7):
-        dx = half * _KRONROD_NODES[i]
-        pair = f(mid - dx) + f(mid + dx)
-        kron += _KRONROD_WEIGHTS[i] * pair
-        if i % 2 == 1:
-            gauss += _GAUSS_WEIGHTS[i // 2] * pair
-    return kron * half, gauss * half
-
-
-def _adaptive_quadrature(f, a: float, b: float, tol: float, depth: int, budget: list) -> float:
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise ConvergenceError(
-            f"adaptive quadrature exhausted its panel budget of {_MAX_PANELS}; "
-            "the integrand is too rough for the requested tolerance"
-        )
-    kron, gauss = _gauss_kronrod_panel(f, a, b)
-    err = abs(kron - gauss)
-    if err <= tol or err <= 1e-15 * abs(kron):
-        return kron
-    if depth >= _MAX_DEPTH:
-        raise ConvergenceError(
-            f"adaptive quadrature exceeded depth {_MAX_DEPTH} on [{a}, {b}], "
-            f"panel error {err:.3e} vs tolerance {tol:.3e}"
-        )
-    mid = 0.5 * (a + b)
-    return _adaptive_quadrature(
-        f, a, mid, 0.5 * tol, depth + 1, budget
-    ) + _adaptive_quadrature(f, mid, b, 0.5 * tol, depth + 1, budget)
 
 
 def caputo_quadrature_oracle(
@@ -337,30 +230,28 @@ def caputo_quadrature_oracle(
 ) -> float:
     """Direct evaluation of the defining history integral at fixed order.
 
-    The endpoint singularity of the kernel is removed by substituting
-    s = (t - x)^(1-alpha), after which
-
-        D^alpha u(t) = 1/Gamma(2-alpha) * int_0^{t^(1-alpha)} u'(t - s^(1/(1-alpha))) ds
-
-    has a bounded integrand, integrated by adaptive Gauss-Kronrod to the
-    requested absolute tolerance. Intended as an independent check of the
-    closed-form weights; too slow for use inside stepping loops.
+    QUADPACK's algebraic-weight rule (scipy.integrate.quad with
+    weight="alg") integrates u'(x) against the kernel (t - x)^(-alpha),
+    endpoint singularity included, to the requested absolute tolerance on
+    the derivative. Intended as an independent check of the closed-form
+    weights; too slow for use inside stepping loops. A rule that cannot
+    reach the tolerance raises ConvergenceError.
     """
+    from scipy.integrate import quad
+
     a = _validate_order(alpha)
     if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0.0:
         raise ValueError(f"oracle needs t > 0, got {t!r}")
     if not (tol >= 1e-12):
         raise ValueError(f"tolerance must be at least 1e-12, got {tol!r}")
-    one_m_a = 1.0 - a
-    upper = t ** one_m_a
-    expo = 1.0 / one_m_a
-
-    def integrand(s: float) -> float:
-        x = t - s ** expo
-        if x < 0.0:  # round-off at the upper endpoint
-            x = 0.0
-        return u_dot(x)
-
-    norm = gamma(2.0 - a)
-    raw = _adaptive_quadrature(integrand, 0.0, upper, tol * norm, 0, [_MAX_PANELS])
+    norm = gamma(1.0 - a)
+    raw, err, _info, *message = quad(
+        u_dot, 0.0, t, weight="alg", wvar=(0.0, -a),
+        epsabs=tol * norm, epsrel=0.0, limit=200, full_output=1,
+    )
+    if message:
+        raise ConvergenceError(
+            f"quadrature oracle did not reach tolerance {tol:.3e} "
+            f"(error estimate {err / norm:.3e}): {message[0]}"
+        )
     return raw / norm

@@ -11,6 +11,7 @@ integrator for the limit solutions, and scipy quadrature for the weights.
 """
 
 import math
+from math import gamma
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from vofde import (
     coefficient,
     coefficient_row,
     discrete_residuals,
-    gamma,
     vo_derivative_series,
 )
 from vofde import explicit_solver, implicit_solver
@@ -241,7 +241,7 @@ def test_criterion_11_weight_identities(criterion):
         n = int(rng.integers(1, 41))
         h = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.3))))
         alpha = float(rng.uniform(0.01, 0.99))
-        row = coefficient_row(n, h, alpha).c
+        row = coefficient_row(n, h, alpha)
         positive = positive and bool(np.all(row > 0.0))
 
         total = float(np.sum(row))

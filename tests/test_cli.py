@@ -221,6 +221,26 @@ class TestRunConfig:
         assert main(["run", "--config", str(cfg)]) == 3
 
 
+class TestImportWeight:
+    def test_scenario_runs_do_not_load_scipy(self, tmp_path):
+        # scipy roughly doubles the import time and peak memory of a run, so
+        # only the test oracles may load it, on first use
+        script = (
+            "import sys, vofde, vofde.cli\n"
+            "for name in ('ex4', 'ex5'):\n"
+            "    out = sys.argv[1] + '/' + name + '.csv'\n"
+            "    args = ['scenario', '--name', name, '--h', '0.025', '--stability', '--out', out]\n"
+            "    assert vofde.cli.main(args) == 0, name\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert len(read_rows(tmp_path / "ex5.csv")) == 1 + 41
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         out = tmp_path / "trace.csv"

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import history_of
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
@@ -39,7 +40,7 @@ class TestStepMatrices:
         row = coefficient_row(1, prob.grid.h, 0.5)
         left, right = step_matrices(prob, 1, row)
         # only half of the first mean velocity is known at n = 1
-        assert right[0, 1] == pytest.approx(-0.5 * 1.0 * row.c[0])
+        assert right[0, 1] == pytest.approx(-0.5 * 1.0 * row[0])
         assert right[0, 0] == 0.0 and right[0, 2] == 0.0
 
     def test_update_rows_depend_only_on_h(self):
@@ -67,7 +68,7 @@ class TestStepMatrices:
         row = coefficient_row(n, 0.1, 0.5)
         left, _ = step_matrices(prob, n, row)
         assert left[0, 0] == pytest.approx(1.0 + tn * tn)
-        assert left[0, 1] == pytest.approx(0.5 * 0.1 * math.sqrt(tn) * row.c[-1])
+        assert left[0, 1] == pytest.approx(0.5 * 0.1 * math.sqrt(tn) * row[-1])
         assert left[0, 2] == pytest.approx(10.0 + math.exp(-tn))
 
     def test_without_fractional_term_reduces_to_plain_integrator(self):
@@ -98,20 +99,20 @@ class TestLoadTerm:
         h = prob.grid.h
         rng = np.random.default_rng(42)
         vels = rng.normal(size=8)
-        hist = VelocityHistory.from_endpoints(vels)
+        hist = history_of(vels)
         n = 6
         row = coefficient_row(n, h, 0.4)
         means = hist.udot_mean
-        full = float(row.c[: n] @ means[: n])
-        kept = 0.5 * row.c[n - 1] * (vels[n - 1] + vels[n])
-        kept += 0.5 * row.c[n - 2] * vels[n - 1]
+        full = float(row[: n] @ means[: n])
+        kept = 0.5 * row[n - 1] * (vels[n - 1] + vels[n])
+        kept += 0.5 * row[n - 2] * vels[n - 1]
         g = load_term(prob, n, row, hist)
         assert g == pytest.approx(0.0 - 2.5 * (full - kept), abs=1e-12)
 
     def test_history_too_short(self):
         prob = linear_problem(AlphaSpec.constant(0.5))
         row = coefficient_row(5, prob.grid.h, 0.5)
-        hist = VelocityHistory.from_endpoints(np.ones(3))
+        hist = history_of(np.ones(3))
         with pytest.raises(IndexError):
             load_term(prob, 5, row, hist)
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import history_of
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
@@ -76,7 +77,7 @@ class TestResidual:
         trace = solve_explicit(prob)
         n = 30
         prev = StepState(trace.uddot[n - 1], trace.udot[n - 1], trace.u[n - 1])
-        hist = VelocityHistory.from_endpoints(trace.udot[:n])
+        hist = history_of(trace.udot[:n])
         val = residual(float(trace.uddot[n]), n, prob, prev, hist)
         assert abs(val) < 1e-10
 

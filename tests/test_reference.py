@@ -7,12 +7,13 @@ governing equations.
 """
 
 import math
+from math import gamma
 
 import numpy as np
 import pytest
 from scipy import special
 
-from vofde import caputo_quadrature_oracle, gamma
+from vofde import caputo_quadrature_oracle
 from vofde.reference import (
     SCENARIO_NAMES,
     check_scenario_consistency,

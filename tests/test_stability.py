@@ -98,6 +98,14 @@ class TestSpectralRadius:
         triple = eigenvalues3(stacks["triple"])
         assert np.array_equal(triple, np.repeat(triple[:, :1], 3, axis=1))
 
+    @pytest.mark.parametrize("c", [0.596, 0.7, -0.3, 1.0 / 3.0])
+    def test_non_dyadic_triple_root_keeps_full_precision(self, c):
+        # rounding of the trace leaves the depressed cubic's p and q near 0
+        # rather than at it, and their cube root must not cost digits
+        lam = eigenvalues3(c * np.eye(3))
+        assert np.max(np.abs(lam - c)) <= 1e-15 * abs(c)
+        assert spectral_radius(c * np.eye(3)) == pytest.approx(abs(c), rel=2e-16, abs=0.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             spectral_radius(np.eye(2))
