@@ -2,10 +2,10 @@
 
 The fractional term is the Caputo-type history derivative whose order may
 change with time or with the state itself. vo_core holds the discrete
-derivative machinery, explicit_solver the direct stepping for time-only
-orders, implicit_solver the per-step root solve for state-dependent orders
-and nonlinear restoring forces, stability the spectral-radius check, and
-reference the benchmark scenarios with their closed-form references.
+derivative machinery, explicit_solver the step equation, the time loop and
+the direct stepping for time-only orders, implicit_solver its root solve for
+state-dependent orders and nonlinear restoring forces, stability the
+spectral-radius check, and reference the benchmark scenarios.
 """
 
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     StepFailureError,
 )
 from .explicit_solver import solve as solve_explicit
-from .implicit_solver import RootSolveConfig, solve as solve_implicit
+from .implicit_solver import solve as solve_implicit
 from .model import (
     AlphaKind,
     AlphaSpec,
@@ -57,7 +57,6 @@ __all__ = [
     "Grid",
     "OrderDomainError",
     "OscillatorProblem",
-    "RootSolveConfig",
     "SCENARIO_NAMES",
     "Scenario",
     "SolutionTrace",

@@ -19,7 +19,15 @@ class ConvergenceError(RuntimeError):
 
 
 class DegenerateProblemError(ValueError):
-    """Problem data makes the governing equations singular."""
+    """Problem data makes the governing equations singular.
+
+    ``step`` is the 1-based index of the step whose data is degenerate, or
+    None when the initial data already is.
+    """
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
 
 
 class StepFailureError(RuntimeError):

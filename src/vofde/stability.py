@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import _order_at_nodes
+from .explicit_solver import _order_at_nodes, step_coefficients
 from .model import OscillatorProblem, SolutionTrace
 from .vo_core import coefficient
 
@@ -178,13 +178,9 @@ def _step_stacks(a1, a2, a3, h: float, c_nn, c_nm1) -> tuple[np.ndarray, np.ndar
     return left, right
 
 
-def _coefficients_at(problem: OscillatorProblem, steps) -> tuple[np.ndarray, ...]:
-    """a1, a2 and a3 evaluated at the nodes of the given steps."""
-    ts = np.asarray(steps) * problem.grid.h
-    return tuple(
-        np.array([float(fn(t)) for t in ts.tolist()])
-        for fn in (problem.a1, problem.a2, problem.a3)
-    )
+def _coefficients_at(problem: OscillatorProblem, steps) -> np.ndarray:
+    """Rows of a1, a2 and a3 at the nodes of the given steps."""
+    return np.array([step_coefficients(problem, n) for n in np.asarray(steps).tolist()]).T
 
 
 def step_matrices(
@@ -242,7 +238,7 @@ def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
 
     Only the last two weights of each row enter the step matrices, and they
     depend on the order alone (c_n^n = c_1^1 and c_{n-1}^n = c_1^2 at the
-    same order), so they come from two array evaluations per block instead
+    same order), so they come from one array evaluation per block instead
     of full O(n) rows; the sweep is O(N) overall.
     """
     h = problem.grid.h
@@ -252,7 +248,9 @@ def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
         steps = np.arange(start, min(start + _BLOCK, N + 1))
         orders = np.asarray(alphas[steps], dtype=float)
         c_nn = coefficient(1, 1, h, orders)
-        c_nm1 = coefficient(2, 1, h, orders)
+        # c_1^2 = c_1^1 (2^(1-alpha) - 1): one Gamma per step, and no
+        # cancellation as alpha -> 1
+        c_nm1 = c_nn * np.expm1((1.0 - orders) * math.log(2.0))
         if start == 1:
             c_nm1[0] = 0.0
         left, right = _step_stacks(*_coefficients_at(problem, steps), h, c_nn, c_nm1)

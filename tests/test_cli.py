@@ -210,6 +210,17 @@ class TestRunConfig:
         )
         assert main(["run", "--config", str(cfg)]) == 3
 
+    def test_leading_coefficient_through_zero_is_solver_error(self, tmp_path):
+        body = self.inline_problem()
+        body["a1"] = {"form": "polynomial", "params": {"coeffs": [1.0, -1.0]}}
+        cfg = self.write_config(
+            tmp_path,
+            {"h": 1e-2, "T": 2.0, "outputs": ["trace"],
+             "out_path": str(tmp_path / "x.csv"), "problem": body},
+        )
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert not (tmp_path / "x.csv").exists()
+
     def test_order_outside_domain_is_solver_error(self, tmp_path):
         body = self.inline_problem()
         body["alpha"] = {"form": "polynomial", "params": {"coeffs": [0.5, 2.0]}}

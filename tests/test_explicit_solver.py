@@ -22,7 +22,7 @@ from vofde import (
     solve_explicit,
     stability_report,
 )
-from vofde.errors import OrderDomainError, StepFailureError
+from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
 from vofde.explicit_solver import load_term, solve_step
 from vofde.reference import scenario
 from vofde.stability import step_matrices
@@ -316,3 +316,16 @@ class TestSolve:
         with pytest.raises(OrderDomainError) as err:
             solve_explicit(prob)
         assert err.value.node == 5
+
+    @pytest.mark.parametrize(
+        "a1",
+        [lambda t: 1.0 - t, lambda t: 0.995 - t, lambda t: math.nan if t > 0.995 else 1.0],
+        ids=["zero", "sign", "nan"],
+    )
+    def test_bad_leading_coefficient_names_step(self, a1):
+        # a1 is zero, of the other sign or nan at t = 1; the step equation
+        # keeps its other terms, so only the a1 check can stop the run
+        prob = linear_problem(AlphaSpec.constant(0.5), a1=a1, T=2.0)
+        with pytest.raises(DegenerateProblemError) as err:
+            solve_explicit(prob)
+        assert err.value.step == 100

@@ -14,15 +14,22 @@ from conftest import history_of
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
-    RootSolveConfig,
     StepState,
     VelocityHistory,
+    coefficient_row,
     discrete_residuals,
     solve_explicit,
     solve_implicit,
 )
-from vofde.errors import OrderDomainError, StepFailureError
-from vofde.implicit_solver import residual, solve_step_nonlinear, state_from_q
+from vofde import implicit_solver
+from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
+from vofde.explicit_solver import (
+    load_term,
+    state_from_q,
+    step_coefficients,
+    step_residual,
+)
+from vofde.implicit_solver import solve_step_nonlinear
 from vofde.model import initial_acceleration
 from vofde.reference import scenario
 
@@ -69,6 +76,16 @@ class TestStateFromQ:
         assert u2 - u1 == pytest.approx(0.25 * h * h, abs=1e-13)
 
 
+def residual(q_n, n, problem, prev, hist):
+    """The shared step residual at node n, with the order read at the trial state."""
+    h = problem.grid.h
+    udot_n, u_n = state_from_q(q_n, prev, h)
+    row = coefficient_row(n, h, problem.alpha.value_at(n * h, u_n, udot_n))
+    g = load_term(problem, n, row, hist)
+    trial = (q_n, udot_n, u_n)
+    return step_residual(problem, n, trial, row, g, prev, step_coefficients(problem, n))
+
+
 class TestResidual:
     def test_explicit_step_satisfies_residual(self):
         # the direct stepper's result must be a root of the scalar equation
@@ -98,7 +115,7 @@ class TestSolveStepNonlinear:
         )
         hist = VelocityHistory(0.0)
         state, a_star, evals = solve_step_nonlinear(
-            1, prob, StepState(0.0, 0.0, 0.0), hist, RootSolveConfig()
+            1, prob, StepState(0.0, 0.0, 0.0), hist
         )
         assert state == StepState(0.0, 0.0, 0.0)
         assert evals == 1
@@ -112,11 +129,12 @@ class TestSolveStepNonlinear:
             q0 = initial_acceleration(prob)
             hist = VelocityHistory(prob.v0)
             state, _, _ = solve_step_nonlinear(
-                1, prob, StepState(q0, prob.v0, prob.u0), hist, RootSolveConfig()
+                1, prob, StepState(q0, prob.v0, prob.u0), hist
             )
             assert abs(state.q - 2.0) <= h
 
-    def test_iteration_cap_raises_with_context(self):
+    def test_iteration_cap_raises_with_context(self, monkeypatch):
+        monkeypatch.setattr(implicit_solver, "_MAX_ITERS", 2)
         scn = scenario("ex3iii", 1e-2)
         prob = scn.problem
         q0 = initial_acceleration(prob)
@@ -124,7 +142,6 @@ class TestSolveStepNonlinear:
             solve_step_nonlinear(
                 1, prob, StepState(q0, prob.v0, prob.u0),
                 VelocityHistory(prob.v0),
-                RootSolveConfig(max_iters=2),
             )
         assert err.value.step == 1
         assert err.value.last_q is not None
@@ -142,28 +159,6 @@ class TestSolveStepNonlinear:
             solve_implicit(prob)
         assert err.value.node is not None
         assert err.value.trial_q is not None
-
-
-class TestRootSolveConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"tol_q": 0.0},
-            {"tol_q": -1e-9},
-            {"tol_res": 0.0},
-            {"max_iters": 1},
-            {"max_iters": 2.5},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RootSolveConfig(**kwargs)
-
-    def test_defaults(self):
-        cfg = RootSolveConfig()
-        assert cfg.tol_q == 1e-12
-        assert cfg.tol_res == 1e-11
-        assert cfg.max_iters == 50
 
 
 class TestSolve:
@@ -227,6 +222,22 @@ class TestSolve:
         b = solve_implicit(scn.problem)
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.iterations, b.iterations)
+
+    @pytest.mark.parametrize(
+        "a1",
+        [lambda t: 1.0 - t, lambda t: 0.995 - t, lambda t: math.nan if t > 0.995 else 1.0],
+        ids=["zero", "sign", "nan"],
+    )
+    def test_bad_leading_coefficient_names_step(self, a1):
+        # a1 is zero, of the other sign or nan at t = 1
+        prob = OscillatorProblem.build(
+            a1=a1, a2=1.0, a3=25.0, p=0.0,
+            alpha=AlphaSpec.of_state(lambda t, u, udot: 0.9 - 0.5 * math.tanh(abs(udot))),
+            u0=1.0, v0=10.0, T=2.0, h=1e-2,
+        )
+        with pytest.raises(DegenerateProblemError) as err:
+            solve_implicit(prob)
+        assert err.value.step == 100
 
     def test_recorded_order_tracks_velocity(self):
         scn = scenario("ex3iii", 1e-2, T=1.0)

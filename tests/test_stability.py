@@ -25,6 +25,10 @@ from vofde.reference import scenario
 from vofde.stability import eigenvalues3, report_from_rho, step_matrices
 
 
+def rising_order(t):
+    return 0.8 * (1.0 - math.exp(-t))
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert spectral_radius(np.eye(3)) == pytest.approx(1.0, abs=1e-13)
@@ -206,10 +210,21 @@ class TestStabilityReport:
         with pytest.raises(IndexError):
             stability_report_along_trace(other.problem, trace)
 
-    @pytest.mark.parametrize("N", [2047, 2048, 2049, 4100])
-    def test_blocked_sweep_matches_per_step_loop(self, N):
+    @pytest.mark.parametrize(
+        "N, order",
+        [
+            (2047, rising_order),
+            (2048, rising_order),
+            (2049, rising_order),
+            (4100, rising_order),
+            # an order next to 1, where c_1^2 is about 7e-13 of c_1^1
+            (300, lambda t: 1.0 - 1e-12),
+        ],
+        ids=["2047", "2048", "2049", "4100", "near_one"],
+    )
+    def test_blocked_sweep_matches_per_step_loop(self, N, order):
         h = 1e-3
-        prob = damped(AlphaSpec.of_time(lambda t: 0.8 * (1.0 - math.exp(-t))), h=h, T=N * h)
+        prob = damped(AlphaSpec.of_time(order), h=h, T=N * h)
         assert prob.grid.N == N
         report = stability_report(prob)
         loop = np.empty(N)
