@@ -33,14 +33,12 @@ from .reference import (
 )
 from .stability import (
     StabilityReport,
-    amplification_matrix,
     spectral_radius,
     stability_report,
     stability_report_along_trace,
 )
 from .vo_core import (
     Grid,
-    VelocityHistory,
     caputo_quadrature_oracle,
     coefficient,
     coefficient_row,
@@ -63,8 +61,6 @@ __all__ = [
     "StabilityReport",
     "StepFailureError",
     "StepState",
-    "VelocityHistory",
-    "amplification_matrix",
     "caputo_quadrature_oracle",
     "coefficient",
     "coefficient_row",

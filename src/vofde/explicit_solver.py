@@ -11,7 +11,10 @@ average-acceleration relations make udot_n and u_n affine in the new
 acceleration q_n (state_from_q), so step_residual is one scalar equation in
 q_n. solve_step takes the linear case with a time-only order, where it is
 affine in q_n, by one Newton step from q_n = 0; implicit_solver root-solves
-it for everything else. Both run in the one time loop, march.
+it for everything else. Both run in the one time loop, march, which takes
+a1, a2 and a3 from the problem's coefficients_at_nodes table (the only
+check on a1) and keeps the history in the trace's own velocity and
+step-mean arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateProblemError, OrderDomainError, StepFailureError
+from .errors import StepFailureError
 from .model import (
     AlphaKind,
     OscillatorProblem,
@@ -28,13 +31,11 @@ from .model import (
     StepState,
     initial_acceleration,
 )
-from .vo_core import VelocityHistory, coefficient_row
+from .vo_core import coefficient_row
 
 __all__ = [
     "state_from_q",
     "load_term",
-    "step_coefficients",
-    "check_leading",
     "step_residual",
     "march",
     "solve_step",
@@ -60,48 +61,24 @@ def state_from_q(q_n: float, prev: StepState, h: float) -> tuple[float, float]:
     return udot_n, u_n
 
 
-def load_term(
-    problem: OscillatorProblem, n: int, row: np.ndarray, hist: VelocityHistory
-) -> float:
+def load_term(coeffs, n: int, row: np.ndarray, hist) -> float:
     """Load g_n: the forcing minus the fully known part of the history sum.
 
-    The known part covers the means of steps 1 .. n-2 plus the half of step
-    n-1's mean contributed by the velocity at node n-2; the halves carrying
-    udot_{n-1} and udot_n are left to the step equation. Empty for n <= 1.
+    coeffs is node n's (a1, a2, a3, p) and hist the pair (udot, means) of
+    node velocities and step means so far, means[r-1] holding the mean of
+    step r. The known part covers the means of steps 1 .. n-2 plus the half
+    of step n-1's mean contributed by the velocity at node n-2; the halves
+    carrying udot_{n-1} and udot_n are left to the step equation. Empty for
+    n <= 1.
     """
-    if len(hist) < n - 1:
-        raise IndexError(
-            f"history holds {len(hist)} steps, load term of node {n} needs {n - 1}"
-        )
-    tn = n * problem.grid.h
-    g = float(problem.p(tn))
+    udot, means = hist
+    g = coeffs[3]
     if n >= 2:
-        known = 0.5 * float(row[n - 2]) * hist.endpoint(n - 2)
+        known = 0.5 * float(row[n - 2]) * float(udot[n - 2])
         if n > 2:
-            known += float(row[: n - 2] @ hist.udot_mean[: n - 2])
-        g -= float(problem.a2(tn)) * known
+            known += float(row[: n - 2] @ means[: n - 2])
+        g -= coeffs[1] * known
     return g
-
-
-def step_coefficients(problem: OscillatorProblem, n: int) -> tuple[float, float, float]:
-    """a1, a2 and a3 at t_n; a stepper evaluates them once per step."""
-    tn = n * problem.grid.h
-    return float(problem.a1(tn)), float(problem.a2(tn)), float(problem.a3(tn))
-
-
-def check_leading(problem: OscillatorProblem, n: int, a1: float) -> None:
-    """Fail step n unless a1(t_n) is finite, nonzero and of a1(0)'s sign.
-
-    A stepper run through a zero of a1 goes on without complaint while its
-    solution grows without bound.
-    """
-    a1_0 = float(problem.a1(0.0))
-    if not math.isfinite(a1) or a1 == 0.0 or (a1 > 0.0) != (a1_0 > 0.0):
-        raise DegenerateProblemError(
-            f"leading coefficient a1 = {a1!r} at step {n} (t = {n * problem.grid.h!r}) "
-            f"is not finite, nonzero and of the sign of a1(0) = {a1_0!r}",
-            step=n,
-        )
 
 
 def step_residual(
@@ -111,10 +88,10 @@ def step_residual(
 
     trial is (q_n, udot_n, u_n), a trial acceleration with the velocity and
     displacement that state_from_q gives for it; row is node n's weight
-    row, g its load_term, coeffs its step_coefficients, and prev the state
-    at node n-1.
+    row, g its load_term, coeffs its (a1, a2, a3, p), and prev the state at
+    node n-1.
     """
-    a1, a2, a3 = coeffs
+    a1, a2, a3, _ = coeffs
     q, udot_n, u_n = trial
     c_nm1 = float(row[n - 2]) if n >= 2 else 0.0
     return (
@@ -129,12 +106,19 @@ def step_residual(
 def march(problem: OscillatorProblem, step) -> SolutionTrace:
     """The time loop of both steppers.
 
-    step(n, prev, hist) returns the state at node n and the order used
-    there, given the state at node n-1 and the velocities of nodes 0 .. n-1.
+    step(n, prev, coeffs, hist) returns the state at node n and the order
+    used there, given the state at node n-1, the coefficients
+    (a1, a2, a3, p) at t_n as floats, and the history (udot, means): views
+    of the trace's velocities at nodes 0 .. n-1 and of its step means.
+    a1, a2 and a3 come from one coefficients_at_nodes table, so a bad a1
+    stops the run before its first step.
     """
     grid = problem.grid
+    h = grid.h
     q, ud, u, alphas = np.empty((4, grid.N + 1))
+    means = np.empty(grid.N)
     prev = StepState(initial_acceleration(problem), float(problem.v0), float(problem.u0))
+    table = problem.coefficients_at_nodes()
     q[0], ud[0], u[0] = prev
     try:
         # reference only; never range-checked and never used in a weight row
@@ -142,37 +126,31 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     except Exception:
         alphas[0] = math.nan
 
-    hist = VelocityHistory(problem.v0, capacity=grid.N)
     for n in range(1, grid.N + 1):
-        prev, alphas[n] = step(n, prev, hist)
+        coeffs = (*table[n].tolist(), float(problem.p(n * h)))
+        prev, alphas[n] = step(n, prev, coeffs, (ud[:n], means[: n - 1]))
         q[n], ud[n], u[n] = prev
-        hist.append(prev.udot)
-    return SolutionTrace(
-        t=grid.times(), u=u, udot=ud, uddot=q, alpha_used=alphas, udot_mean=hist.udot_mean.copy()
-    )
+        means[n - 1] = 0.5 * (ud[n - 1] + ud[n])
+    return SolutionTrace(t=grid.times(), u=u, udot=ud, uddot=q, alpha_used=alphas, udot_mean=means)
 
 
 def solve_step(
-    problem: OscillatorProblem, n: int, row: np.ndarray, hist: VelocityHistory, prev: StepState
+    problem: OscillatorProblem, n: int, row: np.ndarray, hist, prev: StepState, coeffs
 ) -> StepState:
     """Advance a linear problem to node n in one Newton step from q_n = 0.
 
     The step residual is then affine in q_n with slope
     den = a1 + a2 c_n h/4 + a3 h^2/4, so q_n = -residual(0) / den exactly.
     A denominator that is zero or lost in rounding, or a non-finite q_n,
-    raises StepFailureError naming step n, and so does an equation with no
-    term left; otherwise a bad a1 raises check_leading's error first.
+    raises StepFailureError naming step n.
     """
     h = problem.grid.h
-    coeffs = step_coefficients(problem, n)
-    a1, a2, a3 = coeffs
+    a1, a2, a3, _ = coeffs
     damping = 0.25 * h * a2 * float(row[n - 1])
     stiffness = 0.25 * h * h * a3
     den = a1 + damping + stiffness
     size = abs(a1) + abs(damping) + abs(stiffness)
-    if size:  # an equation left without any term fails the guard below instead
-        check_leading(problem, n, a1)
-    g = load_term(problem, n, row, hist)
+    g = load_term(coeffs, n, row, hist)
     trial = (0.0, *state_from_q(0.0, prev, h))
     residual = step_residual(problem, n, trial, row, g, prev, coeffs)
     q = -residual / den if abs(den) * _COND_LIMIT > size else math.nan
@@ -183,39 +161,6 @@ def solve_step(
             step=n,
         )
     return StepState(q, *state_from_q(q, prev, h))
-
-
-def _order_at_nodes(problem: OscillatorProblem) -> np.ndarray:
-    """Order values at every node, evaluated without state.
-
-    The state arguments are passed as nan to hold the time-only promise to
-    account: an order function that actually reads them produces nan or
-    raises, and either is reported as an order-domain failure. The node-0
-    value is recorded but not range-checked; no weight row uses it.
-    """
-    N = problem.grid.N
-    h = problem.grid.h
-    out = np.empty(N + 1)
-    for n in range(N + 1):
-        try:
-            a = float(problem.alpha.eval(n * h, math.nan, math.nan))
-        except OrderDomainError:
-            raise
-        except Exception as exc:
-            raise OrderDomainError(
-                f"order function raised at node {n} when evaluated without state; "
-                f"a time-only order must ignore u and udot ({exc!r})",
-                node=n,
-            ) from exc
-        if n >= 1 and not (0.0 < a < 1.0):
-            raise OrderDomainError(
-                f"fractional order {a!r} outside (0, 1) at node {n}; nan here "
-                "usually means the order function reads the state despite being "
-                "declared time-only",
-                node=n,
-            )
-        out[n] = a
-    return out
 
 
 def solve(problem: OscillatorProblem) -> SolutionTrace:
@@ -234,10 +179,10 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             "solver for nonlinear terms"
         )
     h = problem.grid.h
-    alphas = _order_at_nodes(problem)
+    alphas = problem.time_only_orders()
 
-    def step(n, prev, hist):
+    def step(n, prev, coeffs, hist):
         a = float(alphas[n])
-        return solve_step(problem, n, coefficient_row(n, h, a), hist, prev), a
+        return solve_step(problem, n, coefficient_row(n, h, a), hist, prev, coeffs), a
 
     return march(problem, step)

@@ -17,16 +17,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import (
-    check_leading,
-    load_term,
-    march,
-    state_from_q,
-    step_coefficients,
-    step_residual,
-)
+from .explicit_solver import load_term, march, state_from_q, step_residual
 from .model import OscillatorProblem, SolutionTrace, StepState
-from .vo_core import VelocityHistory, coefficient_row
+from .vo_core import coefficient_row
 
 __all__ = [
     "solve_step_nonlinear",
@@ -45,21 +38,19 @@ _MAX_ITERS = 50
 
 
 def solve_step_nonlinear(
-    n: int, problem: OscillatorProblem, prev: StepState, hist: VelocityHistory
+    n: int, problem: OscillatorProblem, prev: StepState, hist, coeffs
 ) -> tuple[StepState, float, int]:
     """Advance one step; returns (new state, order used, residual evaluations).
 
     Secant iteration started from the previous acceleration; once a sign
     change is seen the iterate is kept inside the bracket, falling back to
     bisection whenever the secant step leaves it or degenerates. A residual
-    counts as zero within _TOL_RES of max(1, |p_n|, |a3 u_n|).
+    counts as zero within _TOL_RES of max(1, |p_n|, |a3 u_n|); a non-finite
+    one raises StepFailureError. hist and coeffs are as march hands them.
     """
     h = problem.grid.h
     tn = n * h
-    coeffs = step_coefficients(problem, n)
-    check_leading(problem, n, coeffs[0])
-    a3 = coeffs[2]
-    p_n = float(problem.p(tn))
+    _, _, a3, p_n = coeffs
     cached = (math.nan, None, 0.0)  # order, weight row and load of the last row built
 
     def f(q):
@@ -68,9 +59,16 @@ def solve_step_nonlinear(
         a_star = problem.alpha.value_at(tn, u_n, udot_n, node=n, trial_q=q)
         if not abs(a_star - cached[0]) < _ALPHA_CACHE_TOL:
             row = coefficient_row(n, h, a_star)
-            cached = (a_star, row, load_term(problem, n, row, hist))
+            cached = (a_star, row, load_term(coeffs, n, row, hist))
         _, row, g = cached
         value = step_residual(problem, n, (q, udot_n, u_n), row, g, prev, coeffs)
+        if not math.isfinite(value):
+            raise StepFailureError(
+                f"residual {value!r} at trial q {q!r} in step {n}",
+                step=n,
+                last_q=q,
+                residual=value,
+            )
         return value, max(1.0, abs(p_n), abs(a3 * u_n)), a_star
 
     def done(q, a_star, evals):
@@ -135,8 +133,8 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     """
     iters = np.zeros(problem.grid.N, dtype=int)
 
-    def step(n, prev, hist):
-        state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist)
+    def step(n, prev, coeffs, hist):
+        state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
         return state, a_star
 
     return replace(march(problem, step), iterations=iters)

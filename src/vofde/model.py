@@ -5,7 +5,10 @@ The governing equation is the single-degree-of-freedom oscillator
     a1(t) u'' + a2(t) D^alpha(t,u,u') u + a3(t) u + f_nl(u, u') = p(t)
 
 with initial displacement u0 and velocity v0, where D^alpha is the
-variable-order history derivative from vo_core.
+variable-order history derivative from vo_core. The problem evaluates its
+own data at the grid nodes for the steppers and the stability sweep: a1,
+a2 and a3 in one table that also checks a1 (coefficients_at_nodes), and a
+time-only order without state (time_only_orders).
 """
 
 from __future__ import annotations
@@ -126,6 +129,61 @@ class OscillatorProblem:
     def nonlinear_term(self, u: float, udot: float) -> float:
         return 0.0 if self.f_nl is None else float(self.f_nl(u, udot))
 
+    def coefficients_at_nodes(self) -> np.ndarray:
+        """a1, a2 and a3 at every node t_n = n h, as the rows of an (N+1, 3) array.
+
+        Fails at the first node whose a1 is not finite, zero, or of the other
+        sign to a1(0): a stepper run through a zero of a1 goes on without
+        complaint while its solution grows without bound. The error's step
+        is that node, or None when a1(0) itself is bad.
+        """
+        N, h = self.grid.N, self.grid.h
+        table = np.empty((N + 1, 3))
+        for j, fn in enumerate((self.a1, self.a2, self.a3)):
+            table[:, j] = np.fromiter((fn(n * h) for n in range(N + 1)), float, N + 1)
+        a1 = table[:, 0]
+        bad = ~(np.isfinite(a1) & (a1 != 0.0) & ((a1 > 0.0) == (a1[0] > 0.0)))
+        if bad.any():
+            n = int(np.argmax(bad))
+            raise DegenerateProblemError(
+                f"leading coefficient a1 = {float(a1[n])!r} at step {n} (t = {n * h!r}) "
+                f"is not finite, nonzero and of the sign of a1(0) = {float(a1[0])!r}",
+                step=n or None,
+            )
+        return table
+
+    def time_only_orders(self) -> np.ndarray:
+        """Order values at every node, evaluated without state.
+
+        The state arguments are passed as nan to hold the time-only promise to
+        account: an order function that actually reads them produces nan or
+        raises, and either is reported as an order-domain failure. The node-0
+        value is recorded but not range-checked; no weight row uses it.
+        """
+        N = self.grid.N
+        h = self.grid.h
+        out = np.empty(N + 1)
+        for n in range(N + 1):
+            try:
+                a = float(self.alpha.eval(n * h, math.nan, math.nan))
+            except OrderDomainError:
+                raise
+            except Exception as exc:
+                raise OrderDomainError(
+                    f"order function raised at node {n} when evaluated without state; "
+                    f"a time-only order must ignore u and udot ({exc!r})",
+                    node=n,
+                ) from exc
+            if n >= 1 and not (0.0 < a < 1.0):
+                raise OrderDomainError(
+                    f"fractional order {a!r} outside (0, 1) at node {n}; nan here "
+                    "usually means the order function reads the state despite being "
+                    "declared time-only",
+                    node=n,
+                )
+            out[n] = a
+        return out
+
 
 class StepState(NamedTuple):
     """Unknowns of one node: acceleration, velocity, displacement."""
@@ -140,7 +198,8 @@ class SolutionTrace:
     """Node-wise results of a solve.
 
     Arrays t, u, udot, uddot, alpha_used have length N+1; udot_mean has
-    length N (entry r-1 is the mean velocity of step r). alpha_used[0] is
+    length N (entry r-1 is the mean velocity of step r). udot and
+    udot_mean are the history the steppers read while they run. alpha_used[0] is
     recorded for reference only: the history term vanishes at t = 0, so no
     weight row is ever built from it and it is not range-checked.
     iterations holds the per-step root-solve evaluation counts of the

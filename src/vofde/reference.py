@@ -1,8 +1,8 @@
 """Benchmark scenarios with their closed-form reference solutions.
 
 Two kinds of reference travel with a scenario. exact_* fields hold a
-manufactured or known true solution of the scenario's own equation and are
-subject to the residual consistency check. limit_u holds the closed-form
+manufactured or known true solution of the scenario's own equation; the
+tests plug them into it as a consistency check. limit_u holds the closed-form
 solution of the integer-order equation the scenario approaches when its
 order is pushed against 0 or 1; it is a comparison target, not a solution
 of the fractional equation itself.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .model import AlphaSpec, OscillatorProblem
-from .vo_core import Grid, caputo_quadrature_oracle
+from .vo_core import Grid
 
 __all__ = [
     "Scenario",
@@ -36,7 +36,6 @@ __all__ = [
     "example5_forcing",
     "lower_incomplete_gamma",
     "ode_limit_oracle",
-    "check_scenario_consistency",
 ]
 
 
@@ -240,36 +239,6 @@ def ode_limit_oracle(rhs, y0, t_samples, tol: float = 1e-10) -> np.ndarray:
     if not sol.success:
         raise ConvergenceError(f"limit-equation integration failed: {sol.message}")
     return sol.y[0]
-
-
-def check_scenario_consistency(scn: Scenario, n_samples: int = 8, tol: float = 1e-10) -> float:
-    """Residual of the exact solution in the governing equation.
-
-    Plugs the scenario's exact solution into its own equation at sample
-    times, with the fractional term evaluated by the direct quadrature
-    oracle, and returns the largest absolute residual. Only meaningful for
-    scenarios that carry exact_u (manufactured or known true solutions).
-    """
-    if scn.problem is None or scn.exact_u is None or scn.exact_uddot is None:
-        raise ValueError(f"scenario {scn.name!r} carries no exact solution to check")
-    prob = scn.problem
-    T = scn.grid.T
-    worst = 0.0
-    for t in np.linspace(T / n_samples, T, n_samples):
-        t = float(t)
-        u = float(scn.exact_u(t))
-        ud = float(scn.exact_udot(t))
-        a = prob.alpha.value_at(t, u, ud)
-        deriv = caputo_quadrature_oracle(scn.exact_udot, a, t, tol=tol)
-        res = (
-            float(prob.a1(t)) * float(scn.exact_uddot(t))
-            + float(prob.a2(t)) * deriv
-            + float(prob.a3(t)) * u
-            + prob.nonlinear_term(u, ud)
-            - float(prob.p(t))
-        )
-        worst = max(worst, abs(res))
-    return worst
 
 
 # registry ------------------------------------------------------------------

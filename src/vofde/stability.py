@@ -10,7 +10,10 @@ amplification matrix magnifies the state, i.e. rho(A_n) <= 1 for every step.
 The sweep runs over blocks of steps at a time: one stack of L and R
 matrices per block, inverted by cofactors, and eigenvalues of every 3x3
 amplification matrix from the closed-form cubic solution; nothing iterative
-is involved. The block size bounds the sweep's memory on long grids.
+is involved. The block size bounds the sweep's memory on long grids. a1,
+a2 and a3 come from the problem's coefficients_at_nodes table, as in the
+steppers, so the sweep fails with DegenerateProblemError at the same step
+where they do.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import _order_at_nodes, step_coefficients
 from .model import OscillatorProblem, SolutionTrace
 from .vo_core import coefficient
 
@@ -30,8 +32,6 @@ __all__ = [
     "spectral_radius",
     "eigenvalues3",
     "inv3",
-    "step_matrices",
-    "amplification_matrix",
     "amplification_from_matrices",
     "stability_report",
     "stability_report_along_trace",
@@ -178,32 +178,6 @@ def _step_stacks(a1, a2, a3, h: float, c_nn, c_nm1) -> tuple[np.ndarray, np.ndar
     return left, right
 
 
-def _coefficients_at(problem: OscillatorProblem, steps) -> np.ndarray:
-    """Rows of a1, a2 and a3 at the nodes of the given steps."""
-    return np.array([step_coefficients(problem, n) for n in np.asarray(steps).tolist()]).T
-
-
-def step_matrices(
-    problem: OscillatorProblem, n: int, row: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """L and R of step n with coefficients evaluated at t_n."""
-    if row.shape != (n,):
-        raise IndexError(f"weight row of shape {row.shape} given for node {n}")
-    c_nm1 = float(row[n - 2]) if n >= 2 else 0.0
-    left, right = _step_stacks(
-        *_coefficients_at(problem, [n]), problem.grid.h, float(row[n - 1]), c_nm1
-    )
-    return left[0], right[0]
-
-
-def amplification_matrix(
-    n: int, problem: OscillatorProblem, row: np.ndarray
-) -> np.ndarray:
-    """Amplification matrix of step n under the given weight row."""
-    left, right = step_matrices(problem, n, row)
-    return amplification_from_matrices(left, right, step=n)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Per-step spectral radii and the overall verdict.
@@ -243,6 +217,7 @@ def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
     """
     h = problem.grid.h
     N = problem.grid.N
+    table = problem.coefficients_at_nodes()
     rho = np.empty(N)
     for start in range(1, N + 1, _BLOCK):
         steps = np.arange(start, min(start + _BLOCK, N + 1))
@@ -253,14 +228,14 @@ def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
         c_nm1 = c_nn * np.expm1((1.0 - orders) * math.log(2.0))
         if start == 1:
             c_nm1[0] = 0.0
-        left, right = _step_stacks(*_coefficients_at(problem, steps), h, c_nn, c_nm1)
+        left, right = _step_stacks(*table[steps].T, h, c_nn, c_nm1)
         rho[steps - 1] = spectral_radius(amplification_from_matrices(left, right, step=start))
     return rho
 
 
 def stability_report(problem: OscillatorProblem, tol: float = 1e-12) -> StabilityReport:
     """Check rho(A_n) <= 1 + tol over the whole grid of a time-only problem."""
-    alphas = _order_at_nodes(problem)
+    alphas = problem.time_only_orders()
     return report_from_rho(_rho_sweep(problem, alphas), tol=tol)
 
 

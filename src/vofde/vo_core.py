@@ -26,7 +26,6 @@ from .errors import ConvergenceError, OrderDomainError
 
 __all__ = [
     "Grid",
-    "VelocityHistory",
     "coefficient",
     "coefficient_row",
     "vo_derivative_series",
@@ -150,51 +149,6 @@ def coefficient_row(n: int, h: float, alpha: float) -> np.ndarray:
     c = powers[n - 1::-1] - powers[n:0:-1]
     c *= _row_factor(float(h), a)
     return c
-
-
-class VelocityHistory:
-    """Endpoint velocities of completed steps and their per-step means.
-
-    Means are always derived from the stored endpoints, never set on their
-    own, so entry r is (udot_{r-1} + udot_r) / 2 by construction. len() is
-    the number of completed steps.
-    """
-
-    def __init__(self, v0: float, capacity: int = 64):
-        cap = max(int(capacity), 1)
-        self._end = np.empty(cap + 1)
-        self._mean = np.empty(cap)
-        self._end[0] = float(v0)
-        self._steps = 0
-
-    def __len__(self) -> int:
-        return self._steps
-
-    def append(self, udot_end: float) -> None:
-        """Record the endpoint velocity of the next completed step."""
-        n = self._steps
-        if n + 1 >= self._end.size:
-            self._end = np.concatenate([self._end, np.empty(self._end.size)])
-            self._mean = np.concatenate([self._mean, np.empty(self._mean.size)])
-        v = float(udot_end)
-        self._end[n + 1] = v
-        self._mean[n] = 0.5 * (self._end[n] + v)
-        self._steps = n + 1
-
-    def endpoint(self, r: int) -> float:
-        """Velocity at node r, 0 <= r <= len(self)."""
-        if not 0 <= r <= self._steps:
-            raise IndexError(f"node {r} outside recorded history 0..{self._steps}")
-        return float(self._end[r])
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        return self._end[: self._steps + 1]
-
-    @property
-    def udot_mean(self) -> np.ndarray:
-        """View of the step means, entry r-1 holding the mean of step r."""
-        return self._mean[: self._steps]
 
 
 def vo_derivative_series(

@@ -5,7 +5,7 @@ replayed after the run summary so they stay visible even though pytest
 captures stdout during the tests themselves.
 """
 
-from vofde import VelocityHistory
+import numpy as np
 
 _acceptance_lines: list[str] = []
 
@@ -14,12 +14,16 @@ def record_acceptance(line: str) -> None:
     _acceptance_lines.append(line)
 
 
-def history_of(endpoints) -> VelocityHistory:
-    """Velocity history holding the given endpoint velocities, node 0 first."""
-    hist = VelocityHistory(endpoints[0])
-    for v in endpoints[1:]:
-        hist.append(v)
-    return hist
+def node_coeffs(problem, n):
+    """(a1, a2, a3, p) at t_n, evaluated one by one, as march hands them to a step."""
+    tn = n * problem.grid.h
+    return tuple(float(fn(tn)) for fn in (problem.a1, problem.a2, problem.a3, problem.p))
+
+
+def history_of(endpoints):
+    """The (udot, means) history of the given node velocities, node 0 first."""
+    udot = np.array(endpoints, dtype=float)
+    return udot, 0.5 * (udot[:-1] + udot[1:])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

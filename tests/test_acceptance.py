@@ -18,6 +18,7 @@ import pytest
 from scipy import integrate
 
 from conftest import record_acceptance
+from oracles import check_scenario_consistency
 from vofde import (
     caputo_quadrature_oracle,
     coefficient,
@@ -27,7 +28,6 @@ from vofde import (
 )
 from vofde import explicit_solver, implicit_solver
 from vofde.reference import (
-    check_scenario_consistency,
     example1_exact_vofd,
     ode_limit_oracle,
     scenario,

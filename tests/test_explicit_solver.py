@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import history_of
+from conftest import history_of, node_coeffs
+from oracles import step_matrices
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
     StepState,
-    VelocityHistory,
     coefficient_row,
     discrete_residuals,
     solve_explicit,
@@ -25,7 +25,6 @@ from vofde import (
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
 from vofde.explicit_solver import load_term, solve_step
 from vofde.reference import scenario
-from vofde.stability import step_matrices
 
 
 def linear_problem(alpha, h=0.01, T=1.0, a1=1.0, a2=1.0, a3=25.0, p=0.0, u0=1.0, v0=10.0):
@@ -89,8 +88,8 @@ class TestLoadTerm:
     def test_first_step_load_is_the_forcing(self):
         prob = linear_problem(AlphaSpec.constant(0.5), p=lambda t: 7.0 + t)
         row = coefficient_row(1, prob.grid.h, 0.5)
-        hist = VelocityHistory(prob.v0)
-        assert load_term(prob, 1, row, hist) == pytest.approx(7.0 + prob.grid.h)
+        hist = history_of([prob.v0])
+        assert load_term(node_coeffs(prob, 1), 1, row, hist) == pytest.approx(7.0 + prob.grid.h)
 
     def test_history_split_matches_direct_sum(self):
         # g_n must equal p_n - a2 * (full history sum minus the two terms
@@ -102,11 +101,11 @@ class TestLoadTerm:
         hist = history_of(vels)
         n = 6
         row = coefficient_row(n, h, 0.4)
-        means = hist.udot_mean
+        means = hist[1]
         full = float(row[: n] @ means[: n])
         kept = 0.5 * row[n - 1] * (vels[n - 1] + vels[n])
         kept += 0.5 * row[n - 2] * vels[n - 1]
-        g = load_term(prob, n, row, hist)
+        g = load_term(node_coeffs(prob, n), n, row, hist)
         assert g == pytest.approx(0.0 - 2.5 * (full - kept), abs=1e-12)
 
     def test_history_too_short(self):
@@ -114,14 +113,14 @@ class TestLoadTerm:
         row = coefficient_row(5, prob.grid.h, 0.5)
         hist = history_of(np.ones(3))
         with pytest.raises(IndexError):
-            load_term(prob, 5, row, hist)
+            load_term(node_coeffs(prob, 5), 5, row, hist)
 
 
 def dense_step(prob, n, row, hist, prev):
     """Solution of the 3x3 step system L x = R x_prev + g e1 by LAPACK."""
     left, right = step_matrices(prob, n, row)
     rhs = right @ np.array(prev)
-    rhs[0] += load_term(prob, n, row, hist)
+    rhs[0] += load_term(node_coeffs(prob, n), n, row, hist)
     return np.linalg.solve(left, rhs)
 
 
@@ -129,17 +128,19 @@ class TestSolveStep:
     def test_zero_problem_fixed_point(self):
         prob = linear_problem(AlphaSpec.constant(0.5), u0=0.0, v0=0.0)
         row = coefficient_row(1, prob.grid.h, 0.5)
-        state = solve_step(prob, 1, row, VelocityHistory(0.0), StepState(0.0, 0.0, 0.0))
+        state = solve_step(
+            prob, 1, row, history_of([0.0]), StepState(0.0, 0.0, 0.0), node_coeffs(prob, 1)
+        )
         assert state == StepState(0.0, 0.0, 0.0)
 
     def test_residual_of_solution(self):
         prob = linear_problem(AlphaSpec.constant(0.5))
         row = coefficient_row(1, prob.grid.h, 0.5)
-        hist = VelocityHistory(prob.v0)
+        hist = history_of([prob.v0])
         prev = StepState(-25.0, 10.0, 1.0)
-        state = solve_step(prob, 1, row, hist, prev)
+        state = solve_step(prob, 1, row, hist, prev, node_coeffs(prob, 1))
         left, right = step_matrices(prob, 1, row)
-        g = load_term(prob, 1, row, hist)
+        g = load_term(node_coeffs(prob, 1), 1, row, hist)
         rhs = right @ np.array(prev)
         rhs[0] += g
         res = left @ np.array(state) - rhs
@@ -152,35 +153,43 @@ class TestSolveStep:
         h, N = prob.grid.h, prob.grid.N
         assert N == 300
         trace = solve_explicit(prob)
-        hist = VelocityHistory(prob.v0, capacity=N)
         worst = 0.0
         for n in range(1, N + 1):
             prev = StepState(trace.uddot[n - 1], trace.udot[n - 1], trace.u[n - 1])
             row = coefficient_row(n, h, float(trace.alpha_used[n]))
-            state = np.array(solve_step(prob, n, row, hist, prev))
+            hist = history_of(trace.udot[:n])
+            state = np.array(solve_step(prob, n, row, hist, prev, node_coeffs(prob, n)))
             dense = dense_step(prob, n, row, hist, prev)
             worst = max(worst, float(np.max(np.abs(state - dense)) / np.max(np.abs(dense))))
             assert np.array_equal(state, [trace.uddot[n], trace.udot[n], trace.u[n]])
-            hist.append(trace.udot[n])
         assert worst <= 1e-12
 
     def test_singular_system_reports_step(self):
         prob = linear_problem(AlphaSpec.constant(0.5), a1=0.0, a2=0.0, a3=0.0)
         row = coefficient_row(9, prob.grid.h, 0.5)
-        hist = VelocityHistory(1.0)
-        for _ in range(8):
-            hist.append(1.0)
+        hist = history_of(np.ones(9))
         with pytest.raises(StepFailureError) as err:
-            solve_step(prob, 9, row, hist, StepState(1.0, 1.0, 1.0))
+            solve_step(prob, 9, row, hist, StepState(1.0, 1.0, 1.0), node_coeffs(prob, 9))
         assert err.value.step == 9
 
     def test_vanishing_coefficients_mid_run_report_step(self):
-        # a1 = a2 = a3 = 0 from t = 0.5 on: the step equation loses q_n there
+        # a1 = a2 = a3 = 0 from t = 0.5 on: the a1 check stops the run there
         def switch(t):
             return 1.0 if t < 0.5 else 0.0
 
         prob = linear_problem(
             AlphaSpec.constant(0.5), a1=switch, a2=lambda t: 0.2 * switch(t), a3=switch
+        )
+        with pytest.raises(DegenerateProblemError) as err:
+            solve_explicit(prob)
+        assert err.value.step == 50
+        # a1 = 1, a2 = 0, a3 = -4/h^2 from t = 0.5 on: a1 is fine, but the
+        # step equation loses q_n, since its denominator a1 + a3 h^2/4 is 0
+        h = 0.01
+        prob = linear_problem(
+            AlphaSpec.constant(0.5),
+            a2=lambda t: 0.2 * switch(t),
+            a3=lambda t: 25.0 if t < 0.5 else -4.0 / h ** 2,
         )
         with pytest.raises(StepFailureError) as err:
             solve_explicit(prob)
@@ -197,10 +206,11 @@ class TestSolveStep:
             )
             if fails:
                 with pytest.raises(StepFailureError) as err:
-                    solve_step(prob, 1, row, VelocityHistory(1.0), prev)
+                    solve_step(prob, 1, row, history_of([1.0]), prev, node_coeffs(prob, 1))
                 assert err.value.step == 1
             else:
-                assert math.isfinite(solve_step(prob, 1, row, VelocityHistory(1.0), prev).q)
+                state = solve_step(prob, 1, row, history_of([1.0]), prev, node_coeffs(prob, 1))
+                assert math.isfinite(state.q)
 
 
 class TestSolve:

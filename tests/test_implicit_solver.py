@@ -10,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import history_of
+from conftest import history_of, node_coeffs
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
     StepState,
-    VelocityHistory,
     coefficient_row,
     discrete_residuals,
     solve_explicit,
@@ -23,12 +22,7 @@ from vofde import (
 )
 from vofde import implicit_solver
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
-from vofde.explicit_solver import (
-    load_term,
-    state_from_q,
-    step_coefficients,
-    step_residual,
-)
+from vofde.explicit_solver import load_term, state_from_q, step_residual
 from vofde.implicit_solver import solve_step_nonlinear
 from vofde.model import initial_acceleration
 from vofde.reference import scenario
@@ -81,9 +75,9 @@ def residual(q_n, n, problem, prev, hist):
     h = problem.grid.h
     udot_n, u_n = state_from_q(q_n, prev, h)
     row = coefficient_row(n, h, problem.alpha.value_at(n * h, u_n, udot_n))
-    g = load_term(problem, n, row, hist)
-    trial = (q_n, udot_n, u_n)
-    return step_residual(problem, n, trial, row, g, prev, step_coefficients(problem, n))
+    coeffs = node_coeffs(problem, n)
+    g = load_term(coeffs, n, row, hist)
+    return step_residual(problem, n, (q_n, udot_n, u_n), row, g, prev, coeffs)
 
 
 class TestResidual:
@@ -103,7 +97,7 @@ class TestResidual:
             a1=1.0, a2=1.0, a3=25.0, p=0.0,
             alpha=AlphaSpec.constant(0.5), u0=0.0, v0=0.0, T=1.0, h=0.1,
         )
-        hist = VelocityHistory(0.0)
+        hist = history_of([0.0])
         assert residual(0.0, 1, prob, StepState(0.0, 0.0, 0.0), hist) == 0.0
 
 
@@ -113,9 +107,8 @@ class TestSolveStepNonlinear:
             a1=1.0, a2=1.0, a3=25.0, p=0.0,
             alpha=AlphaSpec.constant(0.5), u0=0.0, v0=0.0, T=1.0, h=0.1,
         )
-        hist = VelocityHistory(0.0)
         state, a_star, evals = solve_step_nonlinear(
-            1, prob, StepState(0.0, 0.0, 0.0), hist
+            1, prob, StepState(0.0, 0.0, 0.0), history_of([0.0]), node_coeffs(prob, 1)
         )
         assert state == StepState(0.0, 0.0, 0.0)
         assert evals == 1
@@ -127,9 +120,9 @@ class TestSolveStepNonlinear:
             scn = scenario("ex4", h)
             prob = scn.problem
             q0 = initial_acceleration(prob)
-            hist = VelocityHistory(prob.v0)
             state, _, _ = solve_step_nonlinear(
-                1, prob, StepState(q0, prob.v0, prob.u0), hist
+                1, prob, StepState(q0, prob.v0, prob.u0), history_of([prob.v0]),
+                node_coeffs(prob, 1),
             )
             assert abs(state.q - 2.0) <= h
 
@@ -140,8 +133,8 @@ class TestSolveStepNonlinear:
         q0 = initial_acceleration(prob)
         with pytest.raises(StepFailureError) as err:
             solve_step_nonlinear(
-                1, prob, StepState(q0, prob.v0, prob.u0),
-                VelocityHistory(prob.v0),
+                1, prob, StepState(q0, prob.v0, prob.u0), history_of([prob.v0]),
+                node_coeffs(prob, 1),
             )
         assert err.value.step == 1
         assert err.value.last_q is not None
@@ -238,6 +231,22 @@ class TestSolve:
         with pytest.raises(DegenerateProblemError) as err:
             solve_implicit(prob)
         assert err.value.step == 100
+
+    def test_nan_residual_fails_its_step(self):
+        # p is nan from step 51 on: a nan residual is not below any
+        # tolerance, and it must not pass for converged either
+        prob = OscillatorProblem.build(
+            a1=1.0, a2=1.0, a3=25.0, p=lambda t: math.nan if t > 0.5 else 0.0,
+            alpha=AlphaSpec.constant(0.5), u0=1.0, v0=10.0, T=1.0, h=1e-2,
+        )
+        with pytest.raises(StepFailureError) as err:
+            solve_implicit(prob)
+        assert err.value.step == 51
+        assert math.isfinite(err.value.last_q)
+        assert math.isnan(err.value.residual)
+        with pytest.raises(StepFailureError) as err:
+            solve_explicit(prob)
+        assert err.value.step == 51
 
     def test_recorded_order_tracks_velocity(self):
         scn = scenario("ex3iii", 1e-2, T=1.0)

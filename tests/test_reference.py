@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from scipy import special
 
+from oracles import check_scenario_consistency
 from vofde import caputo_quadrature_oracle
 from vofde.reference import (
     SCENARIO_NAMES,
-    check_scenario_consistency,
     example1_exact_vofd,
     example2_exact_limits,
     example4_forcing,

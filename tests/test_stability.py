@@ -10,19 +10,20 @@ import math
 import numpy as np
 import pytest
 
+from oracles import amplification_matrix, step_matrices
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
-    amplification_matrix,
     coefficient_row,
+    solve_explicit,
     solve_implicit,
     spectral_radius,
     stability_report,
     stability_report_along_trace,
 )
-from vofde.errors import StepFailureError
+from vofde.errors import DegenerateProblemError, StepFailureError
 from vofde.reference import scenario
-from vofde.stability import eigenvalues3, report_from_rho, step_matrices
+from vofde.stability import eigenvalues3, report_from_rho
 
 
 def rising_order(t):
@@ -237,16 +238,41 @@ class TestStabilityReport:
         h = 1e-3
         bad = 2500
 
-        def coeff(t):
-            return 0.0 if abs(t - bad * h) < 0.5 * h else 1.0
+        def at_bad(t):
+            return abs(t - bad * h) < 0.5 * h
 
+        def coeff(t):
+            return 0.0 if at_bad(t) else 1.0
+
+        # a1 = a2 = a3 = 0 at the bad step: the a1 check names it
         prob = OscillatorProblem.build(
             a1=coeff, a2=coeff, a3=coeff, p=0.0,
+            alpha=AlphaSpec.constant(0.5), u0=1.0, v0=0.0, T=3.0, h=h,
+        )
+        with pytest.raises(DegenerateProblemError) as err:
+            stability_report(prob)
+        assert err.value.step == bad
+        # a1 = 1, a2 = 0, a3 = -4/h^2 there: a1 is fine, L is singular
+        prob = OscillatorProblem.build(
+            a1=1.0, a2=coeff, a3=lambda t: -4.0 / h ** 2 if at_bad(t) else 1.0, p=0.0,
             alpha=AlphaSpec.constant(0.5), u0=1.0, v0=0.0, T=3.0, h=h,
         )
         with pytest.raises(StepFailureError) as err:
             stability_report(prob)
         assert err.value.step == bad
+        with pytest.raises(StepFailureError) as err:
+            solve_explicit(prob)
+        assert err.value.step == bad
+
+    def test_leading_coefficient_through_zero_stops_the_sweep(self):
+        # the steppers stop at step 100 on this problem; so must the sweep
+        prob = OscillatorProblem.build(
+            a1=lambda t: 1.0 - t, a2=1.0, a3=25.0, p=0.0,
+            alpha=AlphaSpec.constant(0.5), u0=1.0, v0=10.0, T=2.0, h=1e-2,
+        )
+        with pytest.raises(DegenerateProblemError) as err:
+            stability_report(prob)
+        assert err.value.step == 100
 
     def test_report_from_rho_verdict(self):
         ok = report_from_rho(np.array([0.5, 1.0, 1.0 + 5e-13]))

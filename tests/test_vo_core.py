@@ -16,7 +16,6 @@ from scipy import integrate
 from conftest import history_of
 from vofde import (
     Grid,
-    VelocityHistory,
     caputo_quadrature_oracle,
     coefficient,
     coefficient_row,
@@ -173,36 +172,20 @@ class TestCoefficientRow:
         assert coefficient_row(13, 0.01, 0.6).shape == (13,)
 
 
-class TestVelocityHistory:
-    def test_means_derived_from_endpoints(self):
-        hist = VelocityHistory(1.0, capacity=2)  # forces growth
-        for v in [3.0, -1.0, 0.5, 2.0]:
-            hist.append(v)
-        assert len(hist) == 4
-        assert np.allclose(hist.endpoints, [1.0, 3.0, -1.0, 0.5, 2.0])
-        assert np.allclose(hist.udot_mean, [2.0, 1.0, -0.25, 1.25])
-
-    def test_endpoint_bounds(self):
-        hist = VelocityHistory(0.0)
-        hist.append(1.0)
-        with pytest.raises(IndexError):
-            hist.endpoint(2)
-
-
 class TestDerivativeAt:
     def test_zero_velocity_gives_zero(self):
-        hist = history_of(np.zeros(6))
+        _, means = history_of(np.zeros(6))
         row = coefficient_row(5, 0.1, 0.4)
-        assert row @ hist.udot_mean[:5] == 0.0
+        assert row @ means[:5] == 0.0
 
     def test_order_to_zero_recovers_increment(self):
         # D^alpha u -> u(t) - u(0) as alpha -> 0; for u = t this is t_n
         h, N = 0.01, 100
         ts = np.arange(N + 1) * h
-        hist = history_of(np.ones(N + 1))
+        _, means = history_of(np.ones(N + 1))
         for n in (1, 37, 100):
             row = coefficient_row(n, h, 1e-12)
-            assert row @ hist.udot_mean[:n] == pytest.approx(ts[n], rel=1e-6)
+            assert row @ means[:n] == pytest.approx(ts[n], rel=1e-6)
 
 
 class TestDerivativeSeries:
