@@ -42,6 +42,7 @@ from .vo_core import (
     caputo_quadrature_oracle,
     coefficient,
     coefficient_row,
+    history_sums,
     vo_derivative_series,
 )
 
@@ -65,6 +66,7 @@ __all__ = [
     "coefficient",
     "coefficient_row",
     "discrete_residuals",
+    "history_sums",
     "initial_acceleration",
     "list_scenarios",
     "scenario",

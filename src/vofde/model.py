@@ -8,7 +8,9 @@ with initial displacement u0 and velocity v0, where D^alpha is the
 variable-order history derivative from vo_core. The problem evaluates its
 own data at the grid nodes for the steppers and the stability sweep: a1,
 a2 and a3 in one table that also checks a1 (coefficients_at_nodes), and a
-time-only order without state (time_only_orders).
+time-only order without state (time_only_orders). discrete_residuals
+re-verifies a finished trace, with its history sums from
+vo_core.history_sums rather than from weight rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateProblemError, OrderDomainError
-from .vo_core import Grid, coefficient_row
+from .vo_core import Grid, history_sums
 
 __all__ = [
     "AlphaKind",
@@ -242,21 +244,20 @@ def initial_acceleration(problem: OscillatorProblem) -> float:
 def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.ndarray:
     """Re-verify the discrete equation at every node from the stored trace.
 
-    The history sum is rebuilt from the trace's mean velocities and recorded
-    order values, independently of whichever solver produced the trace. Each
-    residual is scaled by max(1, |largest term|), so the result is a
-    relative measure wherever the equation has size.
+    The history sums come from vo_core.history_sums, applied to the trace's
+    mean velocities and recorded order values, independently of whichever
+    solver produced the trace and of its weight rows. An order outside
+    (0, 1) raises OrderDomainError naming its node; a non-finite step mean
+    makes the residuals nan from its node on. Each residual is scaled by
+    max(1, |largest term|), so the result is a relative measure wherever
+    the equation has size.
     """
-    h = problem.grid.h
     N = trace.N
+    history = history_sums(trace.udot_mean, trace.alpha_used[1:], problem.grid.h)
     out = np.empty(N + 1)
     for n in range(N + 1):
         tn = trace.t[n]
-        if n == 0:
-            deriv = 0.0
-        else:
-            row = coefficient_row(n, h, float(trace.alpha_used[n]))
-            deriv = float(row @ trace.udot_mean[:n])
+        deriv = float(history[n - 1]) if n else 0.0
         inertia = float(problem.a1(tn)) * trace.uddot[n]
         damping = float(problem.a2(tn)) * deriv
         restoring = float(problem.a3(tn)) * trace.u[n]

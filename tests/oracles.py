@@ -5,12 +5,14 @@ of one step with a1, a2 and a3 evaluated here, not taken from the
 problem's coefficient table; the explicit step and the stability sweep
 are checked against it. check_scenario_consistency plugs a scenario's
 exact solution into its own equation with the fractional term from the
-quadrature oracle.
+quadrature oracle. direct_history_sums builds the history sums from one
+full weight row per node, the direct O(N^2) route that history_sums is
+checked against.
 """
 
 import numpy as np
 
-from vofde import caputo_quadrature_oracle
+from vofde import caputo_quadrature_oracle, coefficient_row
 from vofde.stability import amplification_from_matrices
 
 
@@ -68,3 +70,21 @@ def check_scenario_consistency(scn, n_samples=8, tol=1e-10):
         )
         worst = max(worst, abs(res))
     return worst
+
+
+def direct_history_sums(means, orders, h):
+    """S_n = sum_r c_r^n m_r for n = 1 .. N, one coefficient_row per node.
+
+    Returns the sums and the scale of the largest history,
+    max(1, max_n sum_r |c_r^n m_r|), against which the fast route's error is
+    measured: per node, the error is relative to that global scale, not to
+    the node's own sum, which can be tiny.
+    """
+    means = np.asarray(means, dtype=float)
+    sums = np.empty(means.size)
+    scale = 1.0
+    for n in range(1, means.size + 1):
+        row = coefficient_row(n, h, float(orders[n - 1]))
+        sums[n - 1] = row @ means[:n]
+        scale = max(scale, float(np.abs(row) @ np.abs(means[:n])))
+    return sums, scale
