@@ -39,7 +39,6 @@ from .stability import (
 )
 from .vo_core import (
     Grid,
-    caputo_quadrature_oracle,
     coefficient,
     coefficient_row,
     history_sums,
@@ -62,7 +61,6 @@ __all__ = [
     "StabilityReport",
     "StepFailureError",
     "StepState",
-    "caputo_quadrature_oracle",
     "coefficient",
     "coefficient_row",
     "discrete_residuals",

@@ -78,7 +78,10 @@ class RunConfig:
 def _require_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer too large for a float
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return v
@@ -159,25 +162,19 @@ def _time_function(spec, what: str) -> Callable[[float], float]:
 
 
 def _alpha_from_spec(spec, what: str = "alpha") -> AlphaSpec:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = _require_number(spec, what)
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"{what} constant must lie in (0, 1), got {value}")
-        return AlphaSpec.constant(value)
-    form, params = _form_and_params(spec, what)
-    if form == "tanh_abs_velocity":
-        p = _check_params(params, {"d": None, "k": None}, what)
+    """A time form, or tanh_abs_velocity; only a constant is range-checked here."""
+    if isinstance(spec, dict) and spec.get("form") == "tanh_abs_velocity":
+        p = _check_params(_form_and_params(spec, what)[1], {"d": None, "k": None}, what)
         d = _require_number(p["d"], f"{what}.d")
         k = _require_number(p["k"], f"{what}.k")
         return AlphaSpec.of_state(lambda t, u, udot: d - k * math.tanh(abs(udot)))
-    if form == "constant":
-        p = _check_params(params, {"value": None}, what)
-        value = _require_number(p["value"], f"{what}.value")
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"{what} constant must lie in (0, 1), got {value}")
-        return AlphaSpec.constant(value)
     fn = _time_function(spec, what)
-    return AlphaSpec.of_time(fn)
+    if isinstance(spec, dict) and spec["form"] != "constant":
+        return AlphaSpec.of_time(fn)
+    value = fn(0.0)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{what} constant must lie in (0, 1), got {value}")
+    return AlphaSpec.constant(value)
 
 
 def _nonlinear_from_spec(spec, what: str = "nonlinear"):
@@ -268,10 +265,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("convergence_steps given but 'convergence' is not in outputs")
 
     out_path = data.get("out_path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ConfigError(f"out_path must be a string, got {out_path!r}")
-    if out_path is None:
-        raise ConfigError("configuration is missing out_path")
+    if not isinstance(out_path, str):
+        raise ConfigError(f"out_path must be a path string, got {out_path!r}")
 
     tol = 1e-12
     if "stability_tol" in data:
@@ -349,46 +344,24 @@ def _load_scenario(name: str, h: float, T: Optional[float]) -> Scenario:
 def _plan_paths(outputs: tuple[str, ...], out_path: str) -> dict[str, str]:
     if len(outputs) == 1:
         return {outputs[0]: out_path}
-    plan = {}
-    for kind in outputs:
-        if kind == "trace":
-            plan[kind] = out_path
-        elif kind == "stability":
-            plan[kind] = out_path + ".stability.json"
-        else:
-            plan[kind] = out_path + ".convergence.csv"
-    return plan
-
-
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    return format(float(v), ".17g")
+    suffix = {"trace": "", "stability": ".stability.json", "convergence": ".convergence.csv"}
+    return {kind: out_path + suffix[kind] for kind in outputs}
 
 
 def write_trace_csv(path: str, trace: SolutionTrace, rho=None) -> None:
     """Node-wise trace as CSV; rho, when given, holds per-step radii (node 0 nan)."""
-    cols = "t,u,udot,uddot,alpha" + (",rho" if rho is not None else "")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(cols + "\n")
-        for n in range(trace.t.size):
-            row = [
-                _fmt(trace.t[n]),
-                _fmt(trace.u[n]),
-                _fmt(trace.udot[n]),
-                _fmt(trace.uddot[n]),
-                _fmt(trace.alpha_used[n]),
-            ]
-            if rho is not None:
-                row.append(_fmt(math.nan) if n == 0 else _fmt(rho[n - 1]))
-            f.write(",".join(row) + "\n")
+    columns = [trace.t, trace.u, trace.udot, trace.uddot, trace.alpha_used]
+    header = "t,u,udot,uddot,alpha"
+    if rho is not None:
+        columns.append(np.concatenate(([math.nan], rho)))
+        header += ",rho"
+    table = np.column_stack(columns)
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def write_convergence_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("h,N,max_abs_error,ratio\n")
-        for h, N, err, ratio in rows:
-            f.write(f"{_fmt(h)},{N},{_fmt(err)},{_fmt(ratio)}\n")
+    header = "h,N,max_abs_error,ratio"
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def write_stability_json(path: str, report: StabilityReport) -> None:
@@ -491,37 +464,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_args_to_config(args) -> RunConfig:
-    outputs: list[str] = []
-    steps: tuple[float, ...] = ()
-    if args.convergence is not None:
-        parts = [p for p in args.convergence.split(",") if p.strip()]
-        try:
-            steps = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad --convergence list {args.convergence!r}") from exc
-        if len(steps) < 2:
-            raise ConfigError("--convergence needs at least two comma-separated step sizes")
-        if any(s <= 0.0 for s in steps):
-            raise ConfigError("--convergence step sizes must be positive")
-        outputs.append("convergence")
-    else:
-        outputs.append("trace")
-        if args.stability:
-            outputs.append("stability")
+    """The scenario flags as the run configuration they stand for."""
     if args.convergence is not None and args.stability:
         raise ConfigError("--stability cannot be combined with --convergence")
-    if not (args.h > 0.0 and math.isfinite(args.h)):
-        raise ConfigError(f"--h must be positive, got {args.h}")
-    if args.T is not None and not (args.T > 0.0 and math.isfinite(args.T)):
-        raise ConfigError(f"--T must be positive, got {args.T}")
-    return RunConfig(
-        h=args.h,
-        outputs=tuple(outputs),
-        out_path=args.out,
-        scenario_name=args.name,
-        T=args.T,
-        convergence_steps=steps,
-    )
+    data = {"scenario": args.name, "h": args.h, "out_path": args.out}
+    if args.T is not None:
+        data["T"] = args.T
+    if args.convergence is None:
+        data["outputs"] = ["trace", "stability"] if args.stability else ["trace"]
+    else:
+        try:
+            steps = [float(p) for p in args.convergence.split(",") if p.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad --convergence list {args.convergence!r}") from exc
+        data["outputs"] = ["convergence"]
+        data["convergence_steps"] = steps
+    return parse_config(data)
 
 
 def _cmd_list() -> int:
@@ -559,6 +517,9 @@ def main(argv=None) -> int:
         ConvergenceError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OverflowError as exc:
+        print(f"error: overflow in the problem data or the solution: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -254,16 +254,31 @@ def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.n
     """
     N = trace.N
     history = history_sums(trace.udot_mean, trace.alpha_used[1:], problem.grid.h)
-    out = np.empty(N + 1)
-    for n in range(N + 1):
-        tn = trace.t[n]
-        deriv = float(history[n - 1]) if n else 0.0
-        inertia = float(problem.a1(tn)) * trace.uddot[n]
-        damping = float(problem.a2(tn)) * deriv
-        restoring = float(problem.a3(tn)) * trace.u[n]
-        extra = problem.nonlinear_term(float(trace.u[n]), float(trace.udot[n]))
-        load = float(problem.p(tn))
-        res = inertia + damping + restoring + extra - load
-        scale = max(1.0, abs(inertia), abs(damping), abs(restoring), abs(extra), abs(load))
-        out[n] = res / scale
-    return out
+    # a1, a2, a3 and p at the trace's own times, so a trace read back from a
+    # file is checked on its nodes; each buffer then becomes its term in place
+    inertia, damping, restoring, load = (
+        np.fromiter(map(fn, trace.t), float, N + 1)
+        for fn in (problem.a1, problem.a2, problem.a3, problem.p)
+    )
+    inertia *= trace.uddot
+    damping[0] *= 0.0  # no history at node 0; a non-finite a2 there still shows
+    damping[1:] *= history
+    restoring *= trace.u
+    extra = 0.0
+    if problem.f_nl is not None:
+        extra = np.fromiter(
+            (problem.nonlinear_term(float(u), float(v)) for u, v in zip(trace.u, trace.udot)),
+            float,
+            N + 1,
+        )
+    res = inertia + damping
+    res += restoring
+    res += extra
+    res -= load
+    # max(1, |each term|); fmax skips nan the way the builtin max does
+    scale = np.abs(inertia, out=inertia)
+    for term in (damping, restoring, extra, load):
+        np.fmax(scale, np.abs(term), out=scale)
+    np.fmax(scale, 1.0, out=scale)
+    res /= scale
+    return res

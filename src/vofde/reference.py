@@ -8,8 +8,9 @@ order is pushed against 0 or 1; it is a comparison target, not a solution
 of the fractional equation itself.
 
 Gamma comes from math. The lower incomplete gamma, needed only by the ex5
-forcing, is computed here by series and continued fraction: scipy.special
-would double the import time and the memory of every run that builds ex5.
+forcing, is computed here by series and continued fraction, so the package
+runs on numpy alone. The high-order ODE integration that checks limit_u
+uses scipy and lives with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "example4_forcing",
     "example5_forcing",
     "lower_incomplete_gamma",
-    "ode_limit_oracle",
 ]
 
 
@@ -207,38 +207,6 @@ def _upper_gamma_cf(s: float, x: float) -> float:
     raise ConvergenceError(
         f"incomplete gamma continued fraction stalled for s={s}, x={x}"
     )
-
-
-def ode_limit_oracle(rhs, y0, t_samples, tol: float = 1e-10) -> np.ndarray:
-    """High-accuracy displacement reference for an integer-order limit ODE.
-
-    Integrates y' = rhs(t, y) from t = 0 with an adaptive high-order
-    Runge-Kutta method at tight tolerance and returns the first state
-    component at the requested sample times (which must be nondecreasing).
-    """
-    from scipy.integrate import solve_ivp
-
-    samples = np.asarray(t_samples, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("t_samples must be a nonempty 1-d array")
-    if np.any(np.diff(samples) < 0.0) or samples[0] < 0.0:
-        raise ValueError("t_samples must be nondecreasing and nonnegative")
-    y0 = np.asarray(y0, dtype=float)
-    t_end = float(samples[-1])
-    if t_end == 0.0:
-        return np.full(samples.size, y0[0])
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        y0,
-        method="DOP853",
-        t_eval=samples,
-        rtol=max(tol, 1e-13),
-        atol=tol,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"limit-equation integration failed: {sol.message}")
-    return sol.y[0]
 
 
 # registry ------------------------------------------------------------------

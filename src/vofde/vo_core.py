@@ -10,9 +10,9 @@ approximated by the mean velocity on that step times the exact integral of
 the kernel, which gives the closed-form weights below, with Gamma taken
 from math. The steppers build one weight row per node (coefficient_row);
 history_sums gives every node's history sum at once by FFT convolution,
-for re-verification and vo_derivative_series. The module also carries a
-QUADPACK evaluation of the defining integral (scipy, imported on first
-use), used only to cross-check the weights, never inside a solver loop.
+for re-verification and vo_derivative_series. The module needs numpy and
+math only; the quadrature oracle that cross-checks the weights lives with
+the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, OrderDomainError
+from .errors import OrderDomainError
 
 __all__ = [
     "Grid",
@@ -32,7 +32,6 @@ __all__ = [
     "coefficient_row",
     "history_sums",
     "vo_derivative_series",
-    "caputo_quadrature_oracle",
 ]
 
 
@@ -301,35 +300,3 @@ def vo_derivative_series(
     h = grid.h
     orders = np.fromiter((alpha_fn(n * h) for n in range(1, grid.N + 1)), float, grid.N)
     return history_sums(0.5 * (u[:-1] + u[1:]), orders, h)
-
-
-def caputo_quadrature_oracle(
-    u_dot: Callable[[float], float], alpha: float, t: float, tol: float = 1e-10
-) -> float:
-    """Direct evaluation of the defining history integral at fixed order.
-
-    QUADPACK's algebraic-weight rule (scipy.integrate.quad with
-    weight="alg") integrates u'(x) against the kernel (t - x)^(-alpha),
-    endpoint singularity included, to the requested absolute tolerance on
-    the derivative. Intended as an independent check of the closed-form
-    weights; too slow for use inside stepping loops. A rule that cannot
-    reach the tolerance raises ConvergenceError.
-    """
-    from scipy.integrate import quad
-
-    a = _validate_order(alpha)
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0.0:
-        raise ValueError(f"oracle needs t > 0, got {t!r}")
-    if not (tol >= 1e-12):
-        raise ValueError(f"tolerance must be at least 1e-12, got {tol!r}")
-    norm = gamma(1.0 - a)
-    raw, err, _info, *message = quad(
-        u_dot, 0.0, t, weight="alg", wvar=(0.0, -a),
-        epsabs=tol * norm, epsrel=0.0, limit=200, full_output=1,
-    )
-    if message:
-        raise ConvergenceError(
-            f"quadrature oracle did not reach tolerance {tol:.3e} "
-            f"(error estimate {err / norm:.3e}): {message[0]}"
-        )
-    return raw / norm

@@ -1,5 +1,11 @@
 """Test oracles: independent forms of what the package computes.
 
+The package runs on numpy alone; scipy is a test dependency and is
+imported only here and by the tests themselves.
+caputo_quadrature_oracle evaluates the defining history integral at a
+fixed order by QUADPACK's algebraic-weight rule; ode_limit_oracle
+integrates an integer-order limit equation with DOP853 at tight tolerance.
+
 step_matrices writes the 3x3 step system L x_n = R x_{n-1} + (g_n, 0, 0)
 of one step with a1, a2 and a3 evaluated here, not taken from the
 problem's coefficient table; the explicit step and the stability sweep
@@ -7,12 +13,19 @@ are checked against it. check_scenario_consistency plugs a scenario's
 exact solution into its own equation with the fractional term from the
 quadrature oracle. direct_history_sums builds the history sums from one
 full weight row per node, the direct O(N^2) route that history_sums is
-checked against.
+checked against. node_residuals is discrete_residuals written as one
+loop over the nodes, the form the array version must match bit for bit.
 """
 
-import numpy as np
+import math
+from math import gamma
+from typing import Callable
 
-from vofde import caputo_quadrature_oracle, coefficient_row
+import numpy as np
+from scipy.integrate import quad, solve_ivp
+
+from vofde import coefficient_row, history_sums
+from vofde.errors import ConvergenceError, OrderDomainError
 from vofde.stability import amplification_from_matrices
 
 
@@ -88,3 +101,83 @@ def direct_history_sums(means, orders, h):
         sums[n - 1] = row @ means[:n]
         scale = max(scale, float(np.abs(row) @ np.abs(means[:n])))
     return sums, scale
+
+
+def node_residuals(problem, trace):
+    """Scaled residual of the discrete equation, evaluated node by node."""
+    history = history_sums(trace.udot_mean, trace.alpha_used[1:], problem.grid.h)
+    out = np.empty(trace.N + 1)
+    for n in range(trace.N + 1):
+        tn = trace.t[n]
+        deriv = float(history[n - 1]) if n else 0.0
+        inertia = float(problem.a1(tn)) * trace.uddot[n]
+        damping = float(problem.a2(tn)) * deriv
+        restoring = float(problem.a3(tn)) * trace.u[n]
+        extra = problem.nonlinear_term(float(trace.u[n]), float(trace.udot[n]))
+        load = float(problem.p(tn))
+        res = inertia + damping + restoring + extra - load
+        scale = max(1.0, abs(inertia), abs(damping), abs(restoring), abs(extra), abs(load))
+        out[n] = res / scale
+    return out
+
+
+def caputo_quadrature_oracle(
+    u_dot: Callable[[float], float], alpha: float, t: float, tol: float = 1e-10
+) -> float:
+    """Direct evaluation of the defining history integral at fixed order.
+
+    QUADPACK's algebraic-weight rule (scipy.integrate.quad with
+    weight="alg") integrates u'(x) against the kernel (t - x)^(-alpha),
+    endpoint singularity included, to the requested absolute tolerance on
+    the derivative. Intended as an independent check of the closed-form
+    weights; too slow for use inside stepping loops. A rule that cannot
+    reach the tolerance raises ConvergenceError.
+    """
+    a = float(alpha)
+    if not (0.0 < a < 1.0):  # also rejects nan
+        raise OrderDomainError(f"fractional order must lie in (0, 1), got {alpha!r}")
+    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0.0:
+        raise ValueError(f"oracle needs t > 0, got {t!r}")
+    if not (tol >= 1e-12):
+        raise ValueError(f"tolerance must be at least 1e-12, got {tol!r}")
+    norm = gamma(1.0 - a)
+    raw, err, _info, *message = quad(
+        u_dot, 0.0, t, weight="alg", wvar=(0.0, -a),
+        epsabs=tol * norm, epsrel=0.0, limit=200, full_output=1,
+    )
+    if message:
+        raise ConvergenceError(
+            f"quadrature oracle did not reach tolerance {tol:.3e} "
+            f"(error estimate {err / norm:.3e}): {message[0]}"
+        )
+    return raw / norm
+
+
+def ode_limit_oracle(rhs, y0, t_samples, tol: float = 1e-10) -> np.ndarray:
+    """High-accuracy displacement reference for an integer-order limit ODE.
+
+    Integrates y' = rhs(t, y) from t = 0 with an adaptive high-order
+    Runge-Kutta method at tight tolerance and returns the first state
+    component at the requested sample times (which must be nondecreasing).
+    """
+    samples = np.asarray(t_samples, dtype=float)
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValueError("t_samples must be a nonempty 1-d array")
+    if np.any(np.diff(samples) < 0.0) or samples[0] < 0.0:
+        raise ValueError("t_samples must be nondecreasing and nonnegative")
+    y0 = np.asarray(y0, dtype=float)
+    t_end = float(samples[-1])
+    if t_end == 0.0:
+        return np.full(samples.size, y0[0])
+    sol = solve_ivp(
+        rhs,
+        (0.0, t_end),
+        y0,
+        method="DOP853",
+        t_eval=samples,
+        rtol=max(tol, 1e-13),
+        atol=tol,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"limit-equation integration failed: {sol.message}")
+    return sol.y[0]

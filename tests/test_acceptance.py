@@ -18,9 +18,8 @@ import pytest
 from scipy import integrate
 
 from conftest import record_acceptance
-from oracles import check_scenario_consistency
+from oracles import caputo_quadrature_oracle, check_scenario_consistency, ode_limit_oracle
 from vofde import (
-    caputo_quadrature_oracle,
     coefficient,
     coefficient_row,
     discrete_residuals,
@@ -29,7 +28,6 @@ from vofde import (
 from vofde import explicit_solver, implicit_solver
 from vofde.reference import (
     example1_exact_vofd,
-    ode_limit_oracle,
     scenario,
 )
 from vofde.stability import stability_report

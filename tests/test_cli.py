@@ -5,13 +5,16 @@ files; one test runs the installed console script in a subprocess to cover
 the packaging entry point.
 """
 
+import ast
 import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vofde.cli
 from vofde.cli import main
 from vofde.reference import SCENARIO_NAMES
 
@@ -66,6 +69,8 @@ class TestStability:
         assert rows[0] == ["t", "u", "udot", "uddot", "alpha", "rho"]
         assert rows[1][5] == "nan"  # no step reaches node 0
         assert all(float(r[5]) <= 1.0 + 1e-12 for r in rows[2:])
+        head = out.read_text().splitlines()[:2]
+        assert head == ["t,u,udot,uddot,alpha,rho", "0,1,10,-25,0,nan"]
         report = json.loads((tmp_path / "trace.csv.stability.json").read_text())
         assert report["satisfied"] is True
         assert report["trace_conditional"] is False
@@ -113,6 +118,47 @@ class TestConvergence:
              "--convergence", "0.01,0.005", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+
+class TestScenarioFlags:
+    """The scenario flags are read as the run configuration they stand for."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--h", "0.01", "--convergence", "nan,0.01"],
+            ["--h", "0.01", "--convergence", "inf,0.01"],
+            ["--h", "nan"],
+        ],
+    )
+    def test_non_finite_step_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "c.csv"
+        assert main(["scenario", "--name", "ex1ii", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,body",
+        [
+            (["--name", "ex2ii", "--h", "0.01"],
+             {"scenario": "ex2ii", "h": 0.01, "outputs": ["trace"]}),
+            (["--name", "ex3iii", "--h", "0.02", "--stability"],
+             {"scenario": "ex3iii", "h": 0.02, "outputs": ["trace", "stability"]}),
+            (["--name", "ex1ii", "--h", "0.004", "--T", "0.5", "--convergence", "0.004,0.002"],
+             {"scenario": "ex1ii", "h": 0.004, "T": 0.5, "outputs": ["convergence"],
+              "convergence_steps": [0.004, 0.002]}),
+        ],
+    )
+    def test_flags_and_run_config_agree(self, tmp_path, monkeypatch, flags, body):
+        seen = []
+        monkeypatch.setattr(vofde.cli, "_execute", lambda cfg: seen.append(cfg) or 0)
+        out = str(tmp_path / "x.csv")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**body, "out_path": out}))
+        assert main(["scenario", *flags, "--out", out]) == 0
+        assert main(["run", "--config", str(config)]) == 0
+        assert len(seen) == 2 and seen[0] == seen[1]
 
 
 class TestRunConfig:
@@ -197,6 +243,13 @@ class TestRunConfig:
         )
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, {"scenario": "ex4", "h": 10**400, "out_path": str(tmp_path / "x.csv")}
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "h must be finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -220,6 +273,31 @@ class TestRunConfig:
         )
         assert main(["run", "--config", str(cfg)]) == 3
         assert not (tmp_path / "x.csv").exists()
+
+    def test_overflow_in_forcing_is_solver_error(self, tmp_path, capsys):
+        body = self.inline_problem()
+        body["p"] = {"form": "exp_decay", "params": {"offset": 0, "scale": 1, "rate": -1000}}
+        cfg = self.write_config(
+            tmp_path,
+            {"h": 1e-2, "T": 1.0, "outputs": ["trace"],
+             "out_path": str(tmp_path / "x.csv"), "problem": body},
+        )
+        assert main(["run", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_overflow_in_nonlinear_term_is_solver_error(self, tmp_path, capsys):
+        body = self.inline_problem()
+        body.update(u0=1e300, v0=1e300, nonlinear={"form": "cubic"})
+        cfg = self.write_config(
+            tmp_path,
+            {"h": 1e-2, "T": 1.0, "outputs": ["trace"],
+             "out_path": str(tmp_path / "x.csv"), "problem": body},
+        )
+        assert main(["run", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_order_outside_domain_is_solver_error(self, tmp_path):
         body = self.inline_problem()
@@ -250,6 +328,20 @@ class TestImportWeight:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert len(read_rows(tmp_path / "ex5.csv")) == 1 + 41
+
+
+    def test_package_source_imports_no_scipy(self):
+        # scipy is a test dependency only; the package must run on numpy alone
+        src = Path(vofde.cli.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert all(n.split(".")[0] != "scipy" for n in names), (path.name, names)
 
 
 class TestConsoleScript:

@@ -14,7 +14,11 @@ from vofde import (
     solve_explicit,
     stability_report,
 )
+from vofde.cli import solve_problem
 from vofde.errors import DegenerateProblemError, OrderDomainError
+from vofde.reference import SCENARIO_NAMES, scenario
+
+from oracles import node_residuals
 
 
 def damped_problem(h=0.01, T=1.0):
@@ -108,6 +112,29 @@ class TestDiscreteResiduals:
         trace.u[7] += 1e-3
         res = discrete_residuals(prob, trace)
         assert abs(res[7]) > 1e-6
+
+    # ex1i and ex1ii are derivative benchmarks with no oscillator
+    @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if not n.startswith("ex1")])
+    def test_bitwise_equal_to_node_loop(self, name):
+        prob = scenario(name, 0.05).problem
+        trace = solve_problem(prob)
+        assert discrete_residuals(prob, trace).tobytes() == node_residuals(prob, trace).tobytes()
+
+    def test_nan_and_off_grid_times_match_node_loop(self):
+        # a trace read back from a file carries its own times; a nan step
+        # mean poisons the residuals from its node on
+        prob = OscillatorProblem.build(
+            a1=1.0, a2=1.0, a3=25.0, p=lambda t: 10.0 * t,
+            alpha=AlphaSpec.constant(0.5), u0=1.0, v0=10.0, T=0.5, h=0.01,
+        )
+        trace = solve_explicit(prob)
+        trace.t[5] += 1e-3
+        trace.udot_mean[20] = math.nan
+        trace.u[30] = math.inf
+        res = discrete_residuals(prob, trace)
+        np.testing.assert_array_equal(res, node_residuals(prob, trace))
+        assert np.isnan(res[21:]).all() and np.isfinite(res[:21]).all()
+        assert abs(res[5]) > 1e-6
 
     def test_trace_shapes(self):
         prob = damped_problem(h=0.01, T=0.5)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from oracles import check_scenario_consistency
-from vofde import caputo_quadrature_oracle
+from oracles import caputo_quadrature_oracle, check_scenario_consistency, ode_limit_oracle
 from vofde.reference import (
     SCENARIO_NAMES,
     example1_exact_vofd,
@@ -22,7 +21,6 @@ from vofde.reference import (
     example4_forcing,
     example5_forcing,
     list_scenarios,
-    ode_limit_oracle,
     scenario,
 )
 

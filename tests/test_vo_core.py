@@ -2,8 +2,8 @@
 
 The closed-form weights are cross-checked two independent ways: a scipy
 adaptive quadrature of the kernel integral (with the algebraic-singularity
-rule on the final subinterval) and the package's QUADPACK oracle of the
-full derivative. Neither route shares code with the weights.
+rule on the final subinterval) and the QUADPACK oracle of the full
+derivative in tests/oracles.py. Neither route shares code with the weights.
 """
 
 import math
@@ -14,9 +14,9 @@ import pytest
 from scipy import integrate
 
 from conftest import history_of
+from oracles import caputo_quadrature_oracle
 from vofde import (
     Grid,
-    caputo_quadrature_oracle,
     coefficient,
     coefficient_row,
     vo_derivative_series,
