@@ -3,7 +3,7 @@
 The fractional term is the Caputo-type history derivative whose order may
 change with time or with the state itself. vo_core holds the discrete
 derivative machinery, explicit_solver the step equation, the time loop and
-the direct stepping for time-only orders, implicit_solver its root solve for
+the explicit stepping for time-only orders, implicit_solver its root solve for
 state-dependent orders and nonlinear restoring forces, stability the
 spectral-radius check, and reference the benchmark scenarios.
 """

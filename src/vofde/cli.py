@@ -377,13 +377,24 @@ def write_stability_json(path: str, report: StabilityReport) -> None:
         f.write("\n")
 
 
+def _check_steps_fit(cfg: RunConfig, horizon: float) -> None:
+    """Reject a step longer than the horizon: its one-step grid would end past T."""
+    named = [("h", cfg.h)]
+    named += [(f"convergence_steps[{i}]", s) for i, s in enumerate(cfg.convergence_steps)]
+    for what, step in named:
+        if step > horizon:
+            raise ConfigError(f"{what} = {step!r} exceeds the horizon T = {horizon!r}")
+
+
 def _execute(cfg: RunConfig) -> int:
     scn: Optional[Scenario] = None
     if cfg.scenario_name is not None:
         scn = _load_scenario(cfg.scenario_name, cfg.h, cfg.T)
         problem = scn.problem
+        _check_steps_fit(cfg, scn.grid.T)
     else:
         problem = _build_problem(cfg.problem_spec, cfg.h, cfg.T)
+        _check_steps_fit(cfg, problem.grid.T)
 
     exit_code = EXIT_OK
     trace: Optional[SolutionTrace] = None

@@ -1,4 +1,4 @@
-"""The step equation, the time loop, and the direct stepper built on them.
+"""The step equation, the time loop, and the explicit stepper built on them.
 
 At node n the governing equation, with the history sum split into the load
 g_n (load_term) and the terms carrying the two latest velocities, reads
@@ -6,15 +6,20 @@ g_n (load_term) and the terms carrying the two latest velocities, reads
     a1 q_n + a2 (c_{n-1} udot_{n-1} + c_n (udot_{n-1} + udot_n)) / 2
         + a3 u_n + f_nl(u_n, udot_n) = g_n
 
-with every coefficient at t_n and c_r the weights of node n's row. The
-average-acceleration relations make udot_n and u_n affine in the new
-acceleration q_n (state_from_q), so step_residual is one scalar equation in
-q_n. solve_step takes the linear case with a time-only order, where it is
-affine in q_n, by one Newton step from q_n = 0; implicit_solver root-solves
-it for everything else. Both run in the one time loop, march, which takes
-a1, a2 and a3 from the problem's coefficients_at_nodes table (the only
-check on a1) and keeps the history in the trace's own velocity and
-step-mean arrays.
+with every coefficient at t_n and c_{n-1}, c_n the two near weights of
+node n (c_{n-1} = 0 at n = 1). The average-acceleration relations make
+udot_n and u_n affine in the new acceleration q_n (state_from_q), so
+step_residual is one scalar equation in q_n. solve_step takes the linear
+case with a time-only order, where it is affine in q_n, by one Newton step
+from q_n = 0; implicit_solver root-solves it for everything else. Both run
+in the one time loop, march, which takes a1, a2 and a3 from the problem's
+coefficients_at_nodes table (the only check on a1), keeps the velocities
+and step means in the trace's own arrays, and advances one
+vo_core.ExpSumHistory per step. The load reads the known history from it
+in O(L) for L ~ 200 exponential modes, so a solve costs O(N L), not the
+O(N^2) of one weight row per node. Since a time-only order is known in
+advance, the explicit stepper builds its far weights for blocks of nodes
+at once.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .model import (
     StepState,
     initial_acceleration,
 )
-from .vo_core import coefficient_row
+from .vo_core import ExpSumHistory, coefficient
 
 __all__ = [
     "state_from_q",
@@ -40,11 +45,18 @@ __all__ = [
     "march",
     "solve_step",
     "solve",
+    "time_only_weights",
 ]
 
 # a step denominator this much smaller than the sum of its terms' sizes is
 # treated as zero: the scalar form of a condition-number bound of 1e14
 _COND_LIMIT = 1e14
+
+# nodes per block of far weights for a time-only order: a block's array of
+# 64 x ~200 weights stays near 100 kB, where 256 nodes raised the peak RSS of
+# a run of N = 500 solves by 0.7 MB, and the block's fixed cost is already
+# below 1 us per node
+_BLOCK = 64
 
 
 def state_from_q(q_n: float, prev: StepState, h: float) -> tuple[float, float]:
@@ -61,42 +73,44 @@ def state_from_q(q_n: float, prev: StepState, h: float) -> tuple[float, float]:
     return udot_n, u_n
 
 
-def load_term(coeffs, n: int, row: np.ndarray, hist) -> float:
+def load_term(coeffs, n: int, weights, hist) -> float:
     """Load g_n: the forcing minus the fully known part of the history sum.
 
-    coeffs is node n's (a1, a2, a3, p) and hist the pair (udot, means) of
-    node velocities and step means so far, means[r-1] holding the mean of
-    step r. The known part covers the means of steps 1 .. n-2 plus the half
-    of step n-1's mean contributed by the velocity at node n-2; the halves
-    carrying udot_{n-1} and udot_n are left to the step equation. Empty for
-    n <= 1.
+    coeffs is node n's (a1, a2, a3, p), weights its (c_{n-1}, c_n, far) at
+    the order used, and hist the pair (udot, history) of the node
+    velocities so far and the history of step means 1 .. n-2 (an
+    ExpSumHistory, whose far weights these are). The known part is
+    far @ history.state, the sum over steps 1 .. n-2, plus the half of step
+    n-1's mean contributed by the velocity at node n-2; the halves carrying
+    udot_{n-1} and udot_n are left to the step equation. Empty for n <= 1.
+    A history of another length raises IndexError.
     """
-    udot, means = hist
+    udot, history = hist
+    if history.size != max(n - 2, 0):
+        raise IndexError(f"node {n} needs the means of {max(n - 2, 0)} steps, got {history.size}")
     g = coeffs[3]
     if n >= 2:
-        known = 0.5 * float(row[n - 2]) * float(udot[n - 2])
-        if n > 2:
-            known += float(row[: n - 2] @ means[: n - 2])
+        known = float(np.dot(weights[2], history.state)) + 0.5 * weights[0] * float(udot[n - 2])
         g -= coeffs[1] * known
     return g
 
 
 def step_residual(
-    problem: OscillatorProblem, n: int, trial, row: np.ndarray, g: float, prev: StepState, coeffs
+    problem: OscillatorProblem, n: int, trial, weights, g: float, prev: StepState, coeffs
 ) -> float:
     """Residual of node n's step equation at a trial state.
 
     trial is (q_n, udot_n, u_n), a trial acceleration with the velocity and
-    displacement that state_from_q gives for it; row is node n's weight
-    row, g its load_term, coeffs its (a1, a2, a3, p), and prev the state at
-    node n-1.
+    displacement that state_from_q gives for it; weights is node n's
+    (c_{n-1}, c_n, far), g its load_term, coeffs its (a1, a2, a3, p), and
+    prev the state at node n-1.
     """
     a1, a2, a3, _ = coeffs
     q, udot_n, u_n = trial
-    c_nm1 = float(row[n - 2]) if n >= 2 else 0.0
+    c_nm1, c_n, _ = weights
     return (
         a1 * q
-        + 0.5 * a2 * (c_nm1 * prev.udot + float(row[n - 1]) * (prev.udot + udot_n))
+        + 0.5 * a2 * (c_nm1 * prev.udot + c_n * (prev.udot + udot_n))
         + a3 * u_n
         + problem.nonlinear_term(u_n, udot_n)
         - g
@@ -108,10 +122,11 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
 
     step(n, prev, coeffs, hist) returns the state at node n and the order
     used there, given the state at node n-1, the coefficients
-    (a1, a2, a3, p) at t_n as floats, and the history (udot, means): views
-    of the trace's velocities at nodes 0 .. n-1 and of its step means.
-    a1, a2 and a3 come from one coefficients_at_nodes table, so a bad a1
-    stops the run before its first step.
+    (a1, a2, a3, p) at t_n as floats, and the history (udot, history): a
+    view of the trace's velocities at nodes 0 .. n-1 and the run's
+    ExpSumHistory, advanced to hold the step means 1 .. n-2. a1, a2 and a3
+    come from one coefficients_at_nodes table, so a bad a1 stops the run
+    before its first step.
     """
     grid = problem.grid
     h = grid.h
@@ -119,23 +134,26 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     means = np.empty(grid.N)
     prev = StepState(initial_acceleration(problem), float(problem.v0), float(problem.u0))
     table = problem.coefficients_at_nodes()
+    history = ExpSumHistory(grid.N)
     q[0], ud[0], u[0] = prev
     try:
-        # reference only; never range-checked and never used in a weight row
+        # reference only; never range-checked and never used in a weight
         alphas[0] = float(problem.alpha.eval(0.0, problem.u0, problem.v0))
     except Exception:
         alphas[0] = math.nan
 
     for n in range(1, grid.N + 1):
+        if n >= 3:
+            history.push(means[n - 3])
         coeffs = (*table[n].tolist(), float(problem.p(n * h)))
-        prev, alphas[n] = step(n, prev, coeffs, (ud[:n], means[: n - 1]))
+        prev, alphas[n] = step(n, prev, coeffs, (ud[:n], history))
         q[n], ud[n], u[n] = prev
         means[n - 1] = 0.5 * (ud[n - 1] + ud[n])
     return SolutionTrace(t=grid.times(), u=u, udot=ud, uddot=q, alpha_used=alphas, udot_mean=means)
 
 
 def solve_step(
-    problem: OscillatorProblem, n: int, row: np.ndarray, hist, prev: StepState, coeffs
+    problem: OscillatorProblem, n: int, weights, hist, prev: StepState, coeffs
 ) -> StepState:
     """Advance a linear problem to node n in one Newton step from q_n = 0.
 
@@ -146,13 +164,13 @@ def solve_step(
     """
     h = problem.grid.h
     a1, a2, a3, _ = coeffs
-    damping = 0.25 * h * a2 * float(row[n - 1])
+    damping = 0.25 * h * a2 * weights[1]
     stiffness = 0.25 * h * h * a3
     den = a1 + damping + stiffness
     size = abs(a1) + abs(damping) + abs(stiffness)
-    g = load_term(coeffs, n, row, hist)
+    g = load_term(coeffs, n, weights, hist)
     trial = (0.0, *state_from_q(0.0, prev, h))
-    residual = step_residual(problem, n, trial, row, g, prev, coeffs)
+    residual = step_residual(problem, n, trial, weights, g, prev, coeffs)
     q = -residual / den if abs(den) * _COND_LIMIT > size else math.nan
     if not math.isfinite(q):
         raise StepFailureError(
@@ -178,11 +196,42 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             "explicit stepping handles linear restoring only; use the implicit "
             "solver for nonlinear terms"
         )
-    h = problem.grid.h
-    alphas = problem.time_only_orders()
+    weights_at = time_only_weights(problem)
 
     def step(n, prev, coeffs, hist):
-        a = float(alphas[n])
-        return solve_step(problem, n, coefficient_row(n, h, a), hist, prev, coeffs), a
+        a, weights = weights_at(n, hist[1])
+        return solve_step(problem, n, weights, hist, prev, coeffs), a
 
     return march(problem, step)
+
+
+def time_only_weights(problem: OscillatorProblem):
+    """weights_at(n, history): the order at node n and its (c_{n-1}, c_n, far).
+
+    A time-only order is known before its step, so weights_at builds the
+    weights of _BLOCK nodes at a time, when n opens a block.
+    """
+    h = problem.grid.h
+    alphas = problem.time_only_orders()
+    block = []
+
+    def weights_at(n, history):
+        j = (n - 1) % _BLOCK
+        if j == 0:
+            block[:] = _block_weights(h, alphas[n : n + _BLOCK], n, history)
+        return float(alphas[n]), block[j]
+
+    return weights_at
+
+
+def _block_weights(h: float, orders: np.ndarray, first: int, history: ExpSumHistory) -> list:
+    """(c_{n-1}, c_n, far) of the nodes n = first, first+1, ... at the given orders.
+
+    The near weights are c_1^2 and c_1^1 at each order, by the closed form
+    that the stability sweep uses; the far ones come from one exp per block.
+    """
+    c_n = coefficient(1, 1, h, orders)
+    c_nm1 = c_n * np.expm1((1.0 - orders) * math.log(2.0))
+    if first == 1:
+        c_nm1[0] = 0.0
+    return list(zip(c_nm1.tolist(), c_n.tolist(), history.weights(h, orders)))

@@ -5,8 +5,12 @@ equation at t_n with velocity and displacement written as affine functions
 of the new acceleration q_n) by a secant iteration with bisection fallback
 on explicit_solver.step_residual, inside explicit_solver.march's time
 loop. Each residual evaluation re-reads the order at the trial state, so
-the weight row tracks the state exactly rather than being frozen at the
-previous step.
+the weights track the state exactly rather than being frozen at the
+previous step. The history is order-free (vo_core.ExpSumHistory), so a new
+trial order costs its far weights and one O(L) load, and its two near
+weights come from the closed form coefficient_row(min(n, 2), h, order). A
+time-only order is the same at every trial state and known in advance, so
+its weights come in blocks, as in the explicit stepper.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import load_term, march, state_from_q, step_residual
-from .model import OscillatorProblem, SolutionTrace, StepState
+from .explicit_solver import load_term, march, state_from_q, step_residual, time_only_weights
+from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
 from .vo_core import coefficient_row
 
 __all__ = [
@@ -26,8 +30,8 @@ __all__ = [
     "solve",
 ]
 
-# order change below which a cached weight row is reused between residual
-# evaluations of one step; at double precision the rows are identical
+# order change below which cached weights are reused between residual
+# evaluations of one step; at double precision they are identical
 _ALPHA_CACHE_TOL = 1e-14
 
 # stopping rules of the root solve: bracket width on q (absolute plus
@@ -38,7 +42,7 @@ _MAX_ITERS = 50
 
 
 def solve_step_nonlinear(
-    n: int, problem: OscillatorProblem, prev: StepState, hist, coeffs
+    n: int, problem: OscillatorProblem, prev: StepState, hist, coeffs, known=None
 ) -> tuple[StepState, float, int]:
     """Advance one step; returns (new state, order used, residual evaluations).
 
@@ -46,22 +50,30 @@ def solve_step_nonlinear(
     change is seen the iterate is kept inside the bracket, falling back to
     bisection whenever the secant step leaves it or degenerates. A residual
     counts as zero within _TOL_RES of max(1, |p_n|, |a3 u_n|); a non-finite
-    one raises StepFailureError. hist and coeffs are as march hands them.
+    one raises StepFailureError. hist and coeffs are as march hands them;
+    known, when given, is the order of a time-only problem at node n and its
+    weights, which the trial states then all read.
     """
     h = problem.grid.h
     tn = n * h
     _, _, a3, p_n = coeffs
-    cached = (math.nan, None, 0.0)  # order, weight row and load of the last row built
+    history = hist[1]
+    # order, weights and load of the last order seen
+    if known is None:
+        cached = (math.nan, None, 0.0)
+    else:
+        cached = (*known, load_term(coeffs, n, known[1], hist))
 
     def f(q):
         nonlocal cached
         udot_n, u_n = state_from_q(q, prev, h)
         a_star = problem.alpha.value_at(tn, u_n, udot_n, node=n, trial_q=q)
         if not abs(a_star - cached[0]) < _ALPHA_CACHE_TOL:
-            row = coefficient_row(n, h, a_star)
-            cached = (a_star, row, load_term(coeffs, n, row, hist))
-        _, row, g = cached
-        value = step_residual(problem, n, (q, udot_n, u_n), row, g, prev, coeffs)
+            near = coefficient_row(min(n, 2), h, a_star).tolist()
+            weights = (near[0] if n >= 2 else 0.0, near[-1], history.weights(h, a_star))
+            cached = (a_star, weights, load_term(coeffs, n, weights, hist))
+        _, weights, g = cached
+        value = step_residual(problem, n, (q, udot_n, u_n), weights, g, prev, coeffs)
         if not math.isfinite(value):
             raise StepFailureError(
                 f"residual {value!r} at trial q {q!r} in step {n}",
@@ -127,14 +139,17 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     """Integrate the problem over its grid with the per-step root solve.
 
     Handles every admissible problem, including time-only orders (for which
-    it reproduces the direct stepper up to the root-solve tolerance) and
+    it reproduces the explicit stepper up to the root-solve tolerance) and
     nonlinear restoring terms. The trace's iterations array holds the
     residual evaluation count of each step.
     """
     iters = np.zeros(problem.grid.N, dtype=int)
+    time_only = problem.alpha.kind is AlphaKind.TIME_ONLY
+    weights_at = time_only_weights(problem) if time_only else None
 
     def step(n, prev, coeffs, hist):
-        state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
+        known = weights_at(n, hist[1]) if time_only else None
+        state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs, known)
         return state, a_star
 
     return replace(march(problem, step), iterations=iters)

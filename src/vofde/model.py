@@ -47,7 +47,7 @@ class AlphaSpec:
     """Order function alpha(t, u, udot) with a declared dependence kind.
 
     TIME_ONLY promises that eval ignores the state arguments; the explicit
-    solver relies on this to fix the weight row of each step up front,
+    solver relies on this to build the weights of its steps up front,
     while STATE_DEPENDENT orders force the per-step root solve.
     """
 
@@ -160,7 +160,7 @@ class OscillatorProblem:
         The state arguments are passed as nan to hold the time-only promise to
         account: an order function that actually reads them produces nan or
         raises, and either is reported as an order-domain failure. The node-0
-        value is recorded but not range-checked; no weight row uses it.
+        value is recorded but not range-checked; no weight uses it.
         """
         N = self.grid.N
         h = self.grid.h
@@ -200,10 +200,10 @@ class SolutionTrace:
     """Node-wise results of a solve.
 
     Arrays t, u, udot, uddot, alpha_used have length N+1; udot_mean has
-    length N (entry r-1 is the mean velocity of step r). udot and
-    udot_mean are the history the steppers read while they run. alpha_used[0] is
+    length N (entry r-1 is the mean velocity of step r); the steppers fill
+    them as they run and fold each step mean into their history. alpha_used[0] is
     recorded for reference only: the history term vanishes at t = 0, so no
-    weight row is ever built from it and it is not range-checked.
+    weight is ever built from it and it is not range-checked.
     iterations holds the per-step root-solve evaluation counts of the
     implicit solver and is None for the explicit one.
     """
@@ -246,7 +246,7 @@ def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.n
 
     The history sums come from vo_core.history_sums, applied to the trace's
     mean velocities and recorded order values, independently of whichever
-    solver produced the trace and of its weight rows. An order outside
+    solver produced the trace and of the history it kept. An order outside
     (0, 1) raises OrderDomainError naming its node; a non-finite step mean
     makes the residuals nan from its node on. Each residual is scaled by
     max(1, |largest term|), so the result is a relative measure wherever

@@ -7,8 +7,11 @@ integral of the velocity,
 
 On the grid t_n = n h the integral over each past step [(r-1)h, rh] is
 approximated by the mean velocity on that step times the exact integral of
-the kernel, which gives the closed-form weights below, with Gamma taken
-from math. The steppers build one weight row per node (coefficient_row);
+the kernel, which gives the closed-form weights below (coefficient,
+coefficient_row), with Gamma taken from math. The steppers read the
+history online from an ExpSumHistory, an order-free sum of exponentials
+that one step mean at a time updates in O(L) work, with L about 200 modes;
+they take only the two latest weights of a node in closed form.
 history_sums gives every node's history sum at once by FFT convolution,
 for re-verification and vo_derivative_series. The module needs numpy and
 math only; the quadrature oracle that cross-checks the weights lives with
@@ -30,6 +33,7 @@ __all__ = [
     "Grid",
     "coefficient",
     "coefficient_row",
+    "ExpSumHistory",
     "history_sums",
     "vo_derivative_series",
 ]
@@ -153,6 +157,97 @@ def coefficient_row(n: int, h: float, alpha: float) -> np.ndarray:
     return c
 
 
+# Trapezoid step in y and target accuracy of the steppers' sum of exponentials
+_SOE_STEP = 0.25
+_SOE_EPS = 1e-16
+
+
+class ExpSumHistory:
+    """The known part of the history sums, kept online as a sum of exponentials.
+
+    For x > 0, x^(-alpha) = Gamma(alpha)^(-1) int e^(alpha y) exp(-e^y x) dy;
+    integrating over [k-1, k] and applying the trapezoid rule with step
+    Delta = 0.25 at y_l = log(eps/N) + l Delta, up to log(log(1/eps)) + 1,
+    gives for 3 <= k <= N
+
+        d_k(alpha) = sum_l w_l(alpha) e^(-s_l (k-1)) + w_c(alpha),
+        w_l = (1-alpha) Delta e^(alpha y_l) (1 - e^(-s_l)) / (s_l Gamma(alpha)),
+
+    with s_l = e^(y_l) the same for every order (Beylkin & Monzon, Appl.
+    Comput. Harmon. Anal. 28 (2010) 131-149; Jiang, Zhang, Zhang & Zhang,
+    Commun. Comput. Phys. 21 (2017) 650-678). The nodes below y_0 have
+    s (k-1) <= eps, so exp(-s (k-1)) = 1 there; their geometric sum is the
+    constant mode w_c = (1-alpha) Delta e^(alpha (y_0 - Delta)) /
+    (-expm1(-alpha Delta) Gamma(alpha)). L is about 190 to 210 modes for
+    N <= 1e5, and d_k comes out to relative round-off for any order in
+    (0, 1): the weights are positive, so nothing cancels.
+
+    state holds G_l = sum_{r<=size} e^(-s_l (size-r)) m_r for every mode,
+    the constant mode last (its decay is 1, so it is the plain sum of the
+    means). push folds in one step mean in O(L). With size = n - 2 the
+    known part of node n's history sum, sum_{r<=n-2} c_r^n m_r, is
+    weights(h, alpha_n) @ state: the e^(-2 s_l) that takes G_l from node
+    n-2 to node n is folded into the weights, and so is
+    -f(alpha) (1-alpha) / Gamma(alpha) = h^(1-alpha) sin(pi alpha) / pi,
+    so the weights need no Gamma.
+    """
+
+    def __init__(self, n_steps: int):
+        y0 = math.log(_SOE_EPS / max(n_steps, 1))
+        top = math.log(math.log(1.0 / _SOE_EPS)) + 1.0
+        # the nodes y_0 .. top, then the constant mode at its first node
+        y = y0 + _SOE_STEP * np.arange(math.floor((top - y0) / _SOE_STEP) + 2)
+        y[-1] = y0 - _SOE_STEP
+        s = np.exp(y[:-1])
+        self.y = y
+        self.decay = np.append(np.exp(-s), 1.0)
+        self.factor = np.append(_SOE_STEP * -np.expm1(-s) / s * np.exp(-2.0 * s), _SOE_STEP)
+        self.state = np.zeros(y.size)
+        self.size = 0
+
+    def push(self, mean: float) -> None:
+        """Fold the next step mean into the state."""
+        state = self.state
+        state *= self.decay
+        state += mean
+        self.size += 1
+
+    def weights(self, h: float, alpha) -> np.ndarray:
+        """Far weights at one order, or one row per order of a 1-d array.
+
+        Dotted with the state, the weights at alpha_n give the known history
+        sum of node n without its two near steps. An array of orders takes
+        one exp for all of them, so a stepper that knows its orders in
+        advance builds their weights in blocks; each row equals the weights
+        of its order alone, bit for bit.
+        """
+        if isinstance(alpha, np.ndarray):
+            w = np.multiply.outer(alpha, self.y)
+            np.exp(w, out=w)
+            w *= self.factor
+            scale, geometric = np.array([_far_factors(h, a) for a in alpha.tolist()]).T
+            w[:, -1] /= geometric
+            w *= scale[:, None]
+        else:
+            w = self.y * alpha
+            np.exp(w, out=w)
+            w *= self.factor
+            scale, geometric = _far_factors(h, alpha)
+            w[-1] /= geometric
+            w *= scale
+        return w
+
+
+def _far_factors(h: float, a: float) -> tuple[float, float]:
+    # h^(1-a) sin(pi a) / pi, with sin(pi a) taken as sin(pi (1-a)) above
+    # 1/2, where it would lose digits as a -> 1, and the denominator
+    # 1 - e^(-a Delta) of the constant mode's geometric sum
+    return (
+        h ** (1.0 - a) * math.sin(math.pi * min(a, 1.0 - a)) / math.pi,
+        -math.expm1(-_SOE_STEP * a),
+    )
+
+
 # Interpolation of d_k(alpha) = k^(1-alpha) - (k-1)^(1-alpha) in alpha:
 # Chebyshev points of the first kind on each of _PANELS equal panels of
 # (0, 1), with their barycentric weights
@@ -196,9 +291,11 @@ def _interpolated_convolutions(means: np.ndarray, orders: np.ndarray, out: np.nd
     buf[:N] = means
     mspec = fft.rfft(buf)
     spec = np.empty_like(mspec)
-    powers = np.empty(N + 1)
-    powers[0] = 0.0
-    logs = _logs(N)
+    # d_1 = 1 and d_k = (k-1)^(1-alpha) expm1((1-alpha) log1p(1/(k-1))) for
+    # k >= 2, which keeps every sample to relative round-off where the
+    # difference of two powers of size ~k would lose digits
+    logs = _logs(N - 1)
+    log1ps = np.log1p(1.0 / np.arange(1.0, N))
     for p in range(_PANELS):
         mask = panel == p
         size = int(np.count_nonzero(mask))
@@ -210,10 +307,13 @@ def _interpolated_convolutions(means: np.ndarray, orders: np.ndarray, out: np.nd
         conv = np.empty(size)
         exact = []
         for node, lam in zip(((p + 0.5 + 0.5 * _CHEB) / _PANELS).tolist(), _BARY.tolist()):
-            np.multiply(logs, 1.0 - node, out=powers[1:])
-            np.exp(powers[1:], out=powers[1:])
-            buf[N:] = 0.0  # the last irfft filled the zero padding
-            np.subtract(powers[1:], powers[:-1], out=buf[:N])
+            buf[0] = 1.0
+            d, tail = buf[1:N], buf[N : 2 * N - 1]  # the padding doubles as work space
+            np.multiply(logs, 1.0 - node, out=d)
+            np.exp(d, out=d)
+            np.multiply(log1ps, 1.0 - node, out=tail)
+            d *= np.expm1(tail, out=tail)
+            buf[N:] = 0.0
             fft.rfft(buf, out=spec)
             spec *= mspec
             fft.irfft(spec, nfft, out=buf)

@@ -7,6 +7,9 @@ captures stdout during the tests themselves.
 
 import numpy as np
 
+from vofde import coefficient_row
+from vofde.vo_core import ExpSumHistory
+
 _acceptance_lines: list[str] = []
 
 
@@ -20,10 +23,30 @@ def node_coeffs(problem, n):
     return tuple(float(fn(tn)) for fn in (problem.a1, problem.a2, problem.a3, problem.p))
 
 
-def history_of(endpoints):
-    """The (udot, means) history of the given node velocities, node 0 first."""
+def step_means(endpoints):
+    """Mean velocity of each step from the node velocities, node 0 first."""
+    udot = np.asarray(endpoints, dtype=float)
+    return 0.5 * (udot[:-1] + udot[1:])
+
+
+def history_of(endpoints, n_steps=None):
+    """The (udot, history) of the given node velocities, node 0 first.
+
+    As march hands it to the step at the node after the last velocity: the
+    history holds every step mean but the last. n_steps sizes its kernel
+    (default: one step per velocity).
+    """
     udot = np.array(endpoints, dtype=float)
-    return udot, 0.5 * (udot[:-1] + udot[1:])
+    history = ExpSumHistory(n_steps or udot.size)
+    for mean in step_means(udot)[:-1]:
+        history.push(mean)
+    return udot, history
+
+
+def node_weights(n, h, alpha, hist):
+    """(c_{n-1}, c_n, far) of node n at one order, as the implicit steps build them."""
+    near = coefficient_row(min(n, 2), h, alpha)
+    return float(near[0]) if n >= 2 else 0.0, float(near[-1]), hist[1].weights(h, alpha)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -13,8 +13,11 @@ are checked against it. check_scenario_consistency plugs a scenario's
 exact solution into its own equation with the fractional term from the
 quadrature oracle. direct_history_sums builds the history sums from one
 full weight row per node, the direct O(N^2) route that history_sums is
-checked against. node_residuals is discrete_residuals written as one
-loop over the nodes, the form the array version must match bit for bit.
+checked against. direct_solve is the direct row stepper: the package's
+own steps and time loop, with the known history read from full weight rows
+(DirectHistory) instead of the sum of exponentials, O(N^2) in all.
+node_residuals is discrete_residuals written as one loop over the nodes,
+the form the array version must match bit for bit.
 """
 
 import math
@@ -26,6 +29,8 @@ from scipy.integrate import quad, solve_ivp
 
 from vofde import coefficient_row, history_sums
 from vofde.errors import ConvergenceError, OrderDomainError
+from vofde.explicit_solver import march, solve_step
+from vofde.implicit_solver import solve_step_nonlinear
 from vofde.stability import amplification_from_matrices
 
 
@@ -101,6 +106,51 @@ def direct_history_sums(means, orders, h):
         sums[n - 1] = row @ means[:n]
         scale = max(scale, float(np.abs(row) @ np.abs(means[:n])))
     return sums, scale
+
+
+class DirectHistory:
+    """The step means 1 .. size in full, with far weights from weight rows.
+
+    It stands in for vo_core.ExpSumHistory in the implicit steps: the far
+    weights at an order are the first size entries of node size + 2's row,
+    and the state is the means themselves, so far @ state is the direct
+    known history sum.
+    """
+
+    def __init__(self, means):
+        self.state = np.asarray(means, dtype=float)
+        self.size = self.state.size
+
+    def weights(self, h, alpha):
+        return coefficient_row(self.size + 2, h, alpha)[: self.size]
+
+
+def direct_solve(problem, implicit=False):
+    """Trace of the explicit (or implicit) stepper with direct history sums.
+
+    Each step gets a DirectHistory of the trace's own step means; the
+    explicit steps take all their weights from node n's full row. The
+    implicit trace carries its evaluation counts.
+    """
+    h = problem.grid.h
+    alphas = None if implicit else problem.time_only_orders()
+    iters = np.zeros(problem.grid.N, dtype=int)
+
+    def step(n, prev, coeffs, hist):
+        udot = hist[0]
+        hist = (udot, DirectHistory(0.5 * (udot[: n - 2] + udot[1 : n - 1])))
+        if implicit:
+            state, a, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
+            return state, a
+        a = float(alphas[n])
+        row = coefficient_row(n, h, a)
+        weights = (float(row[-2]) if n >= 2 else 0.0, float(row[-1]), row[: n - 2])
+        return solve_step(problem, n, weights, hist, prev, coeffs), a
+
+    trace = march(problem, step)
+    if implicit:
+        trace.iterations = iters
+    return trace
 
 
 def node_residuals(problem, trace):

@@ -51,6 +51,26 @@ class TestScenarioTrace:
             assert main(["scenario", "--name", "ex2i", "--h", "1e-2", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("config", [False, True])
+    def test_step_longer_than_horizon_is_usage_error(self, tmp_path, capsys, config):
+        # one step of 0.5 on a horizon of 0.1 would end the trace at t = 0.5
+        out = tmp_path / "trace.csv"
+        if config:
+            body = {"scenario": "ex4", "h": 0.5, "T": 0.1, "out_path": str(out)}
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(body))
+            code = main(["run", "--config", str(path)])
+        else:
+            code = main(["scenario", "--name", "ex4", "--h", "0.5", "--T", "0.1", "--out", str(out)])
+        assert code == 2
+        assert "error: h = 0.5 exceeds the horizon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_equal_to_horizon_runs(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["scenario", "--name", "ex4", "--h", "0.1", "--T", "0.1", "--out", str(out)]) == 0
+        assert [float(r[0]) for r in read_rows(out)[1:]] == [0.0, 0.1]
+
     def test_derivative_benchmark_has_no_trace(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = main(["scenario", "--name", "ex1i", "--h", "1e-2", "--out", str(out)])
@@ -103,6 +123,17 @@ class TestConvergence:
         assert errs[0] > errs[1] > errs[2]
         assert rows[1][3] == "nan"
         assert float(rows[2][3]) > 1.5
+
+    def test_step_longer_than_horizon_is_usage_error(self, tmp_path, capsys):
+        # ex1ii runs to T = 1: a step of 5 would measure its error at t = 5
+        out = tmp_path / "conv.csv"
+        code = main(
+            ["scenario", "--name", "ex1ii", "--h", "0.01",
+             "--convergence", "0.01,0.02,5", "--out", str(out)]
+        )
+        assert code == 2
+        assert "convergence_steps[2]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_reference_solution(self, tmp_path):
         out = tmp_path / "conv.csv"
@@ -215,6 +246,17 @@ class TestRunConfig:
         # order column must reflect the velocity feedback, not a constant
         alphas = {r[4] for r in rows[2:]}
         assert len(alphas) > 1
+
+    def test_inline_step_longer_than_horizon_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        cfg = self.write_config(
+            tmp_path,
+            {"h": 0.5, "T": 0.1, "outputs": ["trace"], "out_path": str(out),
+             "problem": self.inline_problem()},
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "h = 0.5 exceeds the horizon T = 0.1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "run.json"

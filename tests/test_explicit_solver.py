@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import history_of, node_coeffs
+from conftest import history_of, node_coeffs, node_weights, step_means
 from oracles import step_matrices
 from vofde import (
     AlphaSpec,
@@ -23,7 +23,7 @@ from vofde import (
     stability_report,
 )
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
-from vofde.explicit_solver import load_term, solve_step
+from vofde.explicit_solver import _block_weights, load_term, solve_step
 from vofde.reference import scenario
 
 
@@ -87,9 +87,9 @@ class TestStepMatrices:
 class TestLoadTerm:
     def test_first_step_load_is_the_forcing(self):
         prob = linear_problem(AlphaSpec.constant(0.5), p=lambda t: 7.0 + t)
-        row = coefficient_row(1, prob.grid.h, 0.5)
         hist = history_of([prob.v0])
-        assert load_term(node_coeffs(prob, 1), 1, row, hist) == pytest.approx(7.0 + prob.grid.h)
+        weights = node_weights(1, prob.grid.h, 0.5, hist)
+        assert load_term(node_coeffs(prob, 1), 1, weights, hist) == pytest.approx(7.0 + prob.grid.h)
 
     def test_history_split_matches_direct_sum(self):
         # g_n must equal p_n - a2 * (full history sum minus the two terms
@@ -98,38 +98,48 @@ class TestLoadTerm:
         h = prob.grid.h
         rng = np.random.default_rng(42)
         vels = rng.normal(size=8)
-        hist = history_of(vels)
         n = 6
+        hist = history_of(vels[:n])
         row = coefficient_row(n, h, 0.4)
-        means = hist[1]
+        means = step_means(vels)
         full = float(row[: n] @ means[: n])
         kept = 0.5 * row[n - 1] * (vels[n - 1] + vels[n])
         kept += 0.5 * row[n - 2] * vels[n - 1]
-        g = load_term(node_coeffs(prob, n), n, row, hist)
+        g = load_term(node_coeffs(prob, n), n, node_weights(n, h, 0.4, hist), hist)
         assert g == pytest.approx(0.0 - 2.5 * (full - kept), abs=1e-12)
 
     def test_history_too_short(self):
         prob = linear_problem(AlphaSpec.constant(0.5))
-        row = coefficient_row(5, prob.grid.h, 0.5)
         hist = history_of(np.ones(3))
+        weights = node_weights(5, prob.grid.h, 0.5, hist)
         with pytest.raises(IndexError):
-            load_term(node_coeffs(prob, 5), 5, row, hist)
+            load_term(node_coeffs(prob, 5), 5, weights, hist)
 
 
-def dense_step(prob, n, row, hist, prev):
+def near_row(n, weights):
+    """A row of node n that holds the given near weights last, for step_matrices."""
+    row = np.zeros(n)
+    row[-1] = weights[1]
+    if n >= 2:
+        row[-2] = weights[0]
+    return row
+
+
+def dense_step(prob, n, weights, hist, prev):
     """Solution of the 3x3 step system L x = R x_prev + g e1 by LAPACK."""
-    left, right = step_matrices(prob, n, row)
+    left, right = step_matrices(prob, n, near_row(n, weights))
     rhs = right @ np.array(prev)
-    rhs[0] += load_term(node_coeffs(prob, n), n, row, hist)
+    rhs[0] += load_term(node_coeffs(prob, n), n, weights, hist)
     return np.linalg.solve(left, rhs)
 
 
 class TestSolveStep:
     def test_zero_problem_fixed_point(self):
         prob = linear_problem(AlphaSpec.constant(0.5), u0=0.0, v0=0.0)
-        row = coefficient_row(1, prob.grid.h, 0.5)
+        hist = history_of([0.0])
         state = solve_step(
-            prob, 1, row, history_of([0.0]), StepState(0.0, 0.0, 0.0), node_coeffs(prob, 1)
+            prob, 1, node_weights(1, prob.grid.h, 0.5, hist), hist, StepState(0.0, 0.0, 0.0),
+            node_coeffs(prob, 1),
         )
         assert state == StepState(0.0, 0.0, 0.0)
 
@@ -137,10 +147,11 @@ class TestSolveStep:
         prob = linear_problem(AlphaSpec.constant(0.5))
         row = coefficient_row(1, prob.grid.h, 0.5)
         hist = history_of([prob.v0])
+        weights = node_weights(1, prob.grid.h, 0.5, hist)
         prev = StepState(-25.0, 10.0, 1.0)
-        state = solve_step(prob, 1, row, hist, prev, node_coeffs(prob, 1))
+        state = solve_step(prob, 1, weights, hist, prev, node_coeffs(prob, 1))
         left, right = step_matrices(prob, 1, row)
-        g = load_term(node_coeffs(prob, 1), 1, row, hist)
+        g = load_term(node_coeffs(prob, 1), 1, weights, hist)
         rhs = right @ np.array(prev)
         rhs[0] += g
         res = left @ np.array(state) - rhs
@@ -156,20 +167,20 @@ class TestSolveStep:
         worst = 0.0
         for n in range(1, N + 1):
             prev = StepState(trace.uddot[n - 1], trace.udot[n - 1], trace.u[n - 1])
-            row = coefficient_row(n, h, float(trace.alpha_used[n]))
-            hist = history_of(trace.udot[:n])
-            state = np.array(solve_step(prob, n, row, hist, prev, node_coeffs(prob, n)))
-            dense = dense_step(prob, n, row, hist, prev)
+            hist = history_of(trace.udot[:n], N)
+            weights = _block_weights(h, trace.alpha_used[n : n + 1], n, hist[1])[0]
+            state = np.array(solve_step(prob, n, weights, hist, prev, node_coeffs(prob, n)))
+            dense = dense_step(prob, n, weights, hist, prev)
             worst = max(worst, float(np.max(np.abs(state - dense)) / np.max(np.abs(dense))))
             assert np.array_equal(state, [trace.uddot[n], trace.udot[n], trace.u[n]])
         assert worst <= 1e-12
 
     def test_singular_system_reports_step(self):
         prob = linear_problem(AlphaSpec.constant(0.5), a1=0.0, a2=0.0, a3=0.0)
-        row = coefficient_row(9, prob.grid.h, 0.5)
         hist = history_of(np.ones(9))
+        weights = node_weights(9, prob.grid.h, 0.5, hist)
         with pytest.raises(StepFailureError) as err:
-            solve_step(prob, 9, row, hist, StepState(1.0, 1.0, 1.0), node_coeffs(prob, 9))
+            solve_step(prob, 9, weights, hist, StepState(1.0, 1.0, 1.0), node_coeffs(prob, 9))
         assert err.value.step == 9
 
     def test_vanishing_coefficients_mid_run_report_step(self):
@@ -198,7 +209,8 @@ class TestSolveStep:
     def test_denominator_lost_in_rounding_raises(self):
         # a1 cancels a3 h^2/4 up to 1e-15 of the terms: below the 1e-14 guard
         h = 0.01
-        row = coefficient_row(1, h, 0.5)
+        hist = history_of([1.0])
+        weights = node_weights(1, h, 0.5, hist)
         prev = StepState(1.0, 1.0, 1.0)
         for gap, fails in ((1e-15, True), (1e-12, False)):
             prob = linear_problem(
@@ -206,10 +218,10 @@ class TestSolveStep:
             )
             if fails:
                 with pytest.raises(StepFailureError) as err:
-                    solve_step(prob, 1, row, history_of([1.0]), prev, node_coeffs(prob, 1))
+                    solve_step(prob, 1, weights, hist, prev, node_coeffs(prob, 1))
                 assert err.value.step == 1
             else:
-                state = solve_step(prob, 1, row, history_of([1.0]), prev, node_coeffs(prob, 1))
+                state = solve_step(prob, 1, weights, hist, prev, node_coeffs(prob, 1))
                 assert math.isfinite(state.q)
 
 

@@ -185,3 +185,19 @@ def test_reverification_locates_the_first_non_finite_mean():
     assert np.all(np.abs(res[:31]) < 1e-12)
     assert np.all(np.isnan(res[31:]))
     assert int(np.argmax(~np.isfinite(res))) == 31
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 0.1])
+def test_small_orders_match_a_long_double_sum(alpha):
+    # random-sign means, where subtracting two powers of size ~k to form
+    # d_k would leave errors of about one ulp of k in every weight
+    N, h = 5000, 1e-3
+    rng = np.random.default_rng(5)
+    means = rng.choice([-1.0, 1.0], N) * rng.uniform(0.5, 1.5, N)
+    one, a = np.longdouble(1), np.longdouble(alpha)
+    k = np.arange(2, N + 1, dtype=np.longdouble)
+    d = np.concatenate(([one], (k - 1) ** (one - a) * np.expm1((one - a) * np.log1p(one / (k - 1)))))
+    factor = np.longdouble(h ** (1.0 - alpha) / (math.gamma(1.0 - alpha) * (1.0 - alpha)))
+    exact = factor * np.convolve(d, means.astype(np.longdouble))[:N]
+    gap = np.max(np.abs(history_sums(means, np.full(N, alpha), h) - exact))
+    assert float(gap / np.max(np.abs(exact))) <= 1e-14

@@ -10,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import history_of, node_coeffs
+from conftest import history_of, node_coeffs, node_weights
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
     StepState,
-    coefficient_row,
     discrete_residuals,
     solve_explicit,
     solve_implicit,
@@ -74,10 +73,10 @@ def residual(q_n, n, problem, prev, hist):
     """The shared step residual at node n, with the order read at the trial state."""
     h = problem.grid.h
     udot_n, u_n = state_from_q(q_n, prev, h)
-    row = coefficient_row(n, h, problem.alpha.value_at(n * h, u_n, udot_n))
+    weights = node_weights(n, h, problem.alpha.value_at(n * h, u_n, udot_n), hist)
     coeffs = node_coeffs(problem, n)
-    g = load_term(coeffs, n, row, hist)
-    return step_residual(problem, n, (q_n, udot_n, u_n), row, g, prev, coeffs)
+    g = load_term(coeffs, n, weights, hist)
+    return step_residual(problem, n, (q_n, udot_n, u_n), weights, g, prev, coeffs)
 
 
 class TestResidual:

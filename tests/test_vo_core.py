@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import history_of
+from conftest import step_means
 from oracles import caputo_quadrature_oracle
 from vofde import (
     Grid,
@@ -174,7 +174,7 @@ class TestCoefficientRow:
 
 class TestDerivativeAt:
     def test_zero_velocity_gives_zero(self):
-        _, means = history_of(np.zeros(6))
+        means = step_means(np.zeros(6))
         row = coefficient_row(5, 0.1, 0.4)
         assert row @ means[:5] == 0.0
 
@@ -182,7 +182,7 @@ class TestDerivativeAt:
         # D^alpha u -> u(t) - u(0) as alpha -> 0; for u = t this is t_n
         h, N = 0.01, 100
         ts = np.arange(N + 1) * h
-        _, means = history_of(np.ones(N + 1))
+        means = step_means(np.ones(N + 1))
         for n in (1, 37, 100):
             row = coefficient_row(n, h, 1e-12)
             assert row @ means[:n] == pytest.approx(ts[n], rel=1e-6)
