@@ -215,6 +215,19 @@ def _build_problem(spec: dict, h: float, T: Optional[float]) -> OscillatorProble
 
 # config parsing --------------------------------------------------------------
 
+def _check_steps_fit(h: float, steps, horizon: float) -> None:
+    """Reject a step longer than the horizon: its one-step grid would end past T.
+
+    parse_config applies it when the configuration gives T. A scenario run
+    on its own default T is checked in _execute instead, because that T is
+    known only once the scenario is loaded.
+    """
+    named = [("h", h)] + [(f"convergence_steps[{i}]", s) for i, s in enumerate(steps)]
+    for what, step in named:
+        if step > horizon:
+            raise ConfigError(f"{what} = {step!r} exceeds the horizon T = {horizon!r}")
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("run configuration must be a JSON object")
@@ -263,6 +276,8 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError("convergence_steps must all be positive")
     elif "convergence_steps" in data:
         raise ConfigError("convergence_steps given but 'convergence' is not in outputs")
+    if T is not None:
+        _check_steps_fit(h, steps, T)
 
     out_path = data.get("out_path")
     if not isinstance(out_path, str):
@@ -377,24 +392,15 @@ def write_stability_json(path: str, report: StabilityReport) -> None:
         f.write("\n")
 
 
-def _check_steps_fit(cfg: RunConfig, horizon: float) -> None:
-    """Reject a step longer than the horizon: its one-step grid would end past T."""
-    named = [("h", cfg.h)]
-    named += [(f"convergence_steps[{i}]", s) for i, s in enumerate(cfg.convergence_steps)]
-    for what, step in named:
-        if step > horizon:
-            raise ConfigError(f"{what} = {step!r} exceeds the horizon T = {horizon!r}")
-
-
 def _execute(cfg: RunConfig) -> int:
     scn: Optional[Scenario] = None
     if cfg.scenario_name is not None:
         scn = _load_scenario(cfg.scenario_name, cfg.h, cfg.T)
         problem = scn.problem
-        _check_steps_fit(cfg, scn.grid.T)
+        if cfg.T is None:
+            _check_steps_fit(cfg.h, cfg.convergence_steps, scn.grid.T)
     else:
         problem = _build_problem(cfg.problem_spec, cfg.h, cfg.T)
-        _check_steps_fit(cfg, problem.grid.T)
 
     exit_code = EXIT_OK
     trace: Optional[SolutionTrace] = None

@@ -18,7 +18,7 @@ and step means in the trace's own arrays, and advances one
 vo_core.ExpSumHistory per step. The load reads the known history from it
 in O(L) for L ~ 200 exponential modes, so a solve costs O(N L), not the
 O(N^2) of one weight row per node. Since a time-only order is known in
-advance, the explicit stepper builds its far weights for blocks of nodes
+advance, the explicit stepper builds its weights for blocks of nodes
 at once.
 """
 
@@ -36,7 +36,7 @@ from .model import (
     StepState,
     initial_acceleration,
 )
-from .vo_core import ExpSumHistory, coefficient
+from .vo_core import ExpSumHistory, coefficient_row
 
 __all__ = [
     "state_from_q",
@@ -45,14 +45,13 @@ __all__ = [
     "march",
     "solve_step",
     "solve",
-    "time_only_weights",
 ]
 
 # a step denominator this much smaller than the sum of its terms' sizes is
 # treated as zero: the scalar form of a condition-number bound of 1e14
 _COND_LIMIT = 1e14
 
-# nodes per block of far weights for a time-only order: a block's array of
+# nodes per block of the explicit stepper's weights: a block's array of
 # 64 x ~200 weights stays near 100 kB, where 256 nodes raised the peak RSS of
 # a run of N = 500 solves by 0.7 MB, and the block's fixed cost is already
 # below 1 us per node
@@ -196,42 +195,29 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             "explicit stepping handles linear restoring only; use the implicit "
             "solver for nonlinear terms"
         )
-    weights_at = time_only_weights(problem)
-
-    def step(n, prev, coeffs, hist):
-        a, weights = weights_at(n, hist[1])
-        return solve_step(problem, n, weights, hist, prev, coeffs), a
-
-    return march(problem, step)
-
-
-def time_only_weights(problem: OscillatorProblem):
-    """weights_at(n, history): the order at node n and its (c_{n-1}, c_n, far).
-
-    A time-only order is known before its step, so weights_at builds the
-    weights of _BLOCK nodes at a time, when n opens a block.
-    """
     h = problem.grid.h
     alphas = problem.time_only_orders()
     block = []
 
-    def weights_at(n, history):
+    def step(n, prev, coeffs, hist):
+        # a time-only order is known before its step, so the weights of
+        # _BLOCK nodes are built at once, when n opens a block
         j = (n - 1) % _BLOCK
         if j == 0:
-            block[:] = _block_weights(h, alphas[n : n + _BLOCK], n, history)
-        return float(alphas[n]), block[j]
+            block[:] = _block_weights(h, alphas[n : n + _BLOCK], n, hist[1])
+        return solve_step(problem, n, block[j], hist, prev, coeffs), float(alphas[n])
 
-    return weights_at
+    return march(problem, step)
 
 
 def _block_weights(h: float, orders: np.ndarray, first: int, history: ExpSumHistory) -> list:
     """(c_{n-1}, c_n, far) of the nodes n = first, first+1, ... at the given orders.
 
-    The near weights are c_1^2 and c_1^1 at each order, by the closed form
-    that the stability sweep uses; the far ones come from one exp per block.
+    The near weights are the row coefficient_row(2, h, alpha_n), as in the
+    implicit stepper (c_{n-1} = 0 at n = 1); the far ones come from one exp
+    per block.
     """
-    c_n = coefficient(1, 1, h, orders)
-    c_nm1 = c_n * np.expm1((1.0 - orders) * math.log(2.0))
+    near = coefficient_row(2, h, orders)
     if first == 1:
-        c_nm1[0] = 0.0
-    return list(zip(c_nm1.tolist(), c_n.tolist(), history.weights(h, orders)))
+        near[0, 0] = 0.0
+    return list(zip(*near.T.tolist(), history.weights(h, orders)))

@@ -8,9 +8,8 @@ loop. Each residual evaluation re-reads the order at the trial state, so
 the weights track the state exactly rather than being frozen at the
 previous step. The history is order-free (vo_core.ExpSumHistory), so a new
 trial order costs its far weights and one O(L) load, and its two near
-weights come from the closed form coefficient_row(min(n, 2), h, order). A
-time-only order is the same at every trial state and known in advance, so
-its weights come in blocks, as in the explicit stepper.
+weights come from the closed-form row coefficient_row(2, h, order), as in
+the explicit stepper.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import load_term, march, state_from_q, step_residual, time_only_weights
-from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
+from .explicit_solver import load_term, march, state_from_q, step_residual
+from .model import OscillatorProblem, SolutionTrace, StepState
 from .vo_core import coefficient_row
 
 __all__ = [
@@ -42,7 +41,7 @@ _MAX_ITERS = 50
 
 
 def solve_step_nonlinear(
-    n: int, problem: OscillatorProblem, prev: StepState, hist, coeffs, known=None
+    n: int, problem: OscillatorProblem, prev: StepState, hist, coeffs
 ) -> tuple[StepState, float, int]:
     """Advance one step; returns (new state, order used, residual evaluations).
 
@@ -50,27 +49,22 @@ def solve_step_nonlinear(
     change is seen the iterate is kept inside the bracket, falling back to
     bisection whenever the secant step leaves it or degenerates. A residual
     counts as zero within _TOL_RES of max(1, |p_n|, |a3 u_n|); a non-finite
-    one raises StepFailureError. hist and coeffs are as march hands them;
-    known, when given, is the order of a time-only problem at node n and its
-    weights, which the trial states then all read.
+    one raises StepFailureError. hist and coeffs are as march hands them.
     """
     h = problem.grid.h
     tn = n * h
     _, _, a3, p_n = coeffs
     history = hist[1]
     # order, weights and load of the last order seen
-    if known is None:
-        cached = (math.nan, None, 0.0)
-    else:
-        cached = (*known, load_term(coeffs, n, known[1], hist))
+    cached = (math.nan, None, 0.0)
 
     def f(q):
         nonlocal cached
         udot_n, u_n = state_from_q(q, prev, h)
         a_star = problem.alpha.value_at(tn, u_n, udot_n, node=n, trial_q=q)
         if not abs(a_star - cached[0]) < _ALPHA_CACHE_TOL:
-            near = coefficient_row(min(n, 2), h, a_star).tolist()
-            weights = (near[0] if n >= 2 else 0.0, near[-1], history.weights(h, a_star))
+            c_nm1, c_n = coefficient_row(2, h, a_star).tolist()
+            weights = (c_nm1 if n >= 2 else 0.0, c_n, history.weights(h, a_star))
             cached = (a_star, weights, load_term(coeffs, n, weights, hist))
         _, weights, g = cached
         value = step_residual(problem, n, (q, udot_n, u_n), weights, g, prev, coeffs)
@@ -144,12 +138,9 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     residual evaluation count of each step.
     """
     iters = np.zeros(problem.grid.N, dtype=int)
-    time_only = problem.alpha.kind is AlphaKind.TIME_ONLY
-    weights_at = time_only_weights(problem) if time_only else None
 
     def step(n, prev, coeffs, hist):
-        known = weights_at(n, hist[1]) if time_only else None
-        state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs, known)
+        state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
         return state, a_star
 
     return replace(march(problem, step), iterations=iters)

@@ -140,21 +140,40 @@ def _logs(n: int) -> np.ndarray:
     return _LOGS[:n]
 
 
-def coefficient_row(n: int, h: float, alpha: float) -> np.ndarray:
-    """All weights of the row for node n, entry r-1 holding c_r^n."""
-    a = _validate_order(alpha)
+def coefficient_row(n: int, h: float, alpha) -> np.ndarray:
+    """All weights of the row for node n, entry r-1 holding c_r^n.
+
+    alpha may be a 1-d array of orders; the result then holds one row per
+    order, each equal to the row of its order alone, bit for bit.
+    """
+    if isinstance(alpha, np.ndarray):
+        outside = ~((alpha > 0.0) & (alpha < 1.0))  # also catches nan
+        if outside.any():
+            _validate_order(alpha[outside][0])
+        a = alpha
+    else:
+        a = _validate_order(alpha)
     if not isinstance(n, int) or n < 1:
         raise IndexError(f"row index n must be an integer >= 1, got {n!r}")
     if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
         raise ValueError(f"step size must be positive and finite, got {h!r}")
-    powers = np.empty(n + 1)
+    # entries on the first axis and orders on the second; each order's
+    # factor by scalar math, as for that order alone
+    logs = _logs(n)
+    if isinstance(a, np.ndarray):
+        logs = logs[:, None]
+        factor = np.array([_row_factor(float(h), x) for x in a.tolist()])
+        powers = np.empty((n + 1, a.size))
+    else:
+        factor = _row_factor(float(h), a)
+        powers = np.empty(n + 1)
     powers[0] = 0.0
     tail = powers[1:]
-    np.multiply(_logs(n), 1.0 - a, out=tail)
+    np.multiply(logs, 1.0 - a, out=tail)
     np.exp(tail, out=tail)
     c = powers[n - 1::-1] - powers[n:0:-1]
-    c *= _row_factor(float(h), a)
-    return c
+    c *= factor
+    return c.T
 
 
 # Trapezoid step in y and target accuracy of the steppers' sum of exponentials

@@ -258,6 +258,13 @@ class TestRunConfig:
         assert "h = 0.5 exceeds the horizon T = 0.1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_given_horizon_is_checked_when_parsing(self):
+        # with T in the configuration the check needs no scenario or problem
+        body = {"scenario": "ex4", "h": 0.01, "T": 0.1, "outputs": ["convergence"],
+                "convergence_steps": [0.01, 0.2], "out_path": "unused.csv"}
+        with pytest.raises(vofde.cli.ConfigError, match=r"convergence_steps\[1\] = 0.2 exceeds"):
+            vofde.cli.parse_config(body)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{not json")

@@ -6,6 +6,7 @@ long double, its online state against direct row sums, and whole traces of
 both steppers against the direct row stepper of tests/oracles.py.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -107,16 +108,37 @@ def test_explicit_trace_matches_direct_stepper(name, N):
     assert worst_gap(solve_explicit(problem), direct_solve(problem)) <= 1e-13
 
 
+@functools.lru_cache(maxsize=None)
+def implicit_traces(name, N):
+    """The implicit trace of a registry problem and its direct-row twin."""
+    problem = at_steps(name, N)
+    return solve_implicit(problem), direct_solve(problem, implicit=True)
+
+
 @pytest.mark.parametrize("N", [500, 5000])
 @pytest.mark.parametrize("name", registry_problems("implicit"))
 def test_implicit_trace_matches_direct_stepper(name, N):
     # implicit traces are defined to the root-solve tolerance, so the bound
     # is the one of the cross-solver property tests
-    problem = at_steps(name, N)
-    fast, direct = solve_implicit(problem), direct_solve(problem, implicit=True)
+    fast, direct = implicit_traces(name, N)
     assert worst_gap(fast, direct) <= 1e-9
-    if N == 5000:
-        # a step whose residual lands within round-off of the stopping
-        # threshold may take one evaluation more or less
-        evals, direct_evals = int(fast.iterations.sum()), int(direct.iterations.sum())
-        assert abs(evals - direct_evals) <= 0.01 * direct_evals
+
+
+# ex3iii at N = 500 has 58 steps whose converged residual lies within
+# round-off of the stopping threshold; each takes one evaluation more or
+# fewer once the load is summed differently, and together they move the
+# count by 1.2%
+COUNT_MISS = pytest.mark.xfail(
+    strict=True, reason="ex3iii at N = 500: 1853 evaluations against 1875 with direct rows"
+)
+
+
+@pytest.mark.parametrize("name,N", [
+    pytest.param(name, N, marks=COUNT_MISS if (name, N) == ("ex3iii", 500) else ())
+    for name in registry_problems("implicit")
+    for N in (500, 5000)
+])
+def test_implicit_evaluation_counts_match_direct_stepper(name, N):
+    fast, direct = implicit_traces(name, N)
+    evals, direct_evals = int(fast.iterations.sum()), int(direct.iterations.sum())
+    assert abs(evals - direct_evals) <= 0.01 * direct_evals

@@ -171,6 +171,18 @@ class TestCoefficientRow:
     def test_length_contract(self):
         assert coefficient_row(13, 0.01, 0.6).shape == (13,)
 
+    def test_rows_of_an_order_array_equal_single_order_rows(self):
+        alphas = np.concatenate(([1e-12, 0.5, 1.0 - 1e-12], np.linspace(0.01, 0.99, 61)))
+        for n in (1, 2, 9):
+            rows = coefficient_row(n, 0.013, alphas)
+            assert rows.shape == (alphas.size, n)
+            for row, alpha in zip(rows, alphas.tolist()):
+                assert np.array_equal(row, coefficient_row(n, 0.013, alpha)), (n, alpha)
+
+    def test_order_array_outside_domain_rejected(self):
+        with pytest.raises(OrderDomainError):
+            coefficient_row(2, 0.1, np.array([0.5, 1.0]))
+
 
 class TestDerivativeAt:
     def test_zero_velocity_gives_zero(self):
