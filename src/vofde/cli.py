@@ -6,6 +6,10 @@ one registered benchmark, and ``run`` executes a JSON run configuration
 catalog of coefficient forms). Exit codes: 0 success, 2 configuration or
 usage error, 3 solver failure, 4 success but with a stability check that is
 only conditional on the solved trajectory (state-dependent order).
+
+parse_config checks a request in full before anything is loaded, solved or
+written. It knows every run's horizon, T or the scenario's default from the
+registry table, so it alone checks the steps against it (_check_steps_fit).
 """
 
 from __future__ import annotations
@@ -27,13 +31,13 @@ from .errors import (
     StepFailureError,
 )
 from .model import AlphaKind, AlphaSpec, OscillatorProblem, SolutionTrace
-from .reference import Scenario, list_scenarios, scenario
+from .reference import Scenario, default_horizon, list_scenarios, scenario
 from .stability import (
     StabilityReport,
     stability_report,
     stability_report_along_trace,
 )
-from .vo_core import vo_derivative_series
+from .vo_core import Grid, vo_derivative_series
 
 __all__ = [
     "ConfigError",
@@ -64,11 +68,11 @@ class RunConfig:
     """Validated run request, shared by the run and scenario subcommands."""
 
     h: float
+    T: float
     outputs: tuple[str, ...]
     out_path: Optional[str]
     scenario_name: Optional[str] = None
     problem_spec: Optional[dict] = None
-    T: Optional[float] = None
     convergence_steps: tuple[float, ...] = ()
     stability_tol: float = 1e-12
 
@@ -186,7 +190,7 @@ def _nonlinear_from_spec(spec, what: str = "nonlinear"):
     raise ConfigError(f"{what} has unknown form {form!r}; known forms: cubic")
 
 
-def _build_problem(spec: dict, h: float, T: Optional[float]) -> OscillatorProblem:
+def _build_problem(spec: dict, h: float, T: float) -> OscillatorProblem:
     if not isinstance(spec, dict):
         raise ConfigError(f"problem must be an object, got {spec!r}")
     allowed = {"a1", "a2", "a3", "p", "alpha", "u0", "v0", "nonlinear"}
@@ -196,8 +200,6 @@ def _build_problem(spec: dict, h: float, T: Optional[float]) -> OscillatorProble
     missing = {"a1", "a2", "a3", "p", "alpha", "u0", "v0"} - set(spec)
     if missing:
         raise ConfigError(f"problem is missing keys {sorted(missing)}")
-    if T is None:
-        raise ConfigError("inline problems need a top-level horizon T")
     f_nl = _nonlinear_from_spec(spec["nonlinear"]) if "nonlinear" in spec else None
     return OscillatorProblem.build(
         a1=_time_function(spec["a1"], "a1"),
@@ -216,16 +218,20 @@ def _build_problem(spec: dict, h: float, T: Optional[float]) -> OscillatorProble
 # config parsing --------------------------------------------------------------
 
 def _check_steps_fit(h: float, steps, horizon: float) -> None:
-    """Reject a step longer than the horizon: its one-step grid would end past T.
+    """Reject a step longer than the horizon, or one whose grid is too large.
 
-    parse_config applies it when the configuration gives T. A scenario run
-    on its own default T is checked in _execute instead, because that T is
-    known only once the scenario is loaded.
+    A step longer than T would end its one-step grid past T, and one that
+    Grid.make refuses would fail only once the run allocates. parse_config,
+    the one caller, knows every run's horizon before it loads anything.
     """
     named = [("h", h)] + [(f"convergence_steps[{i}]", s) for i, s in enumerate(steps)]
     for what, step in named:
         if step > horizon:
             raise ConfigError(f"{what} = {step!r} exceeds the horizon T = {horizon!r}")
+        try:
+            Grid.make(horizon, step)
+        except ValueError as exc:
+            raise ConfigError(f"{what} = {step!r}: {exc}") from exc
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -252,11 +258,14 @@ def parse_config(data: dict) -> RunConfig:
     if h <= 0.0:
         raise ConfigError(f"h must be positive, got {h}")
 
-    T = None
+    # the registry lookup also rejects an unknown name, with or without T
+    T = _from_registry(default_horizon, data["scenario"]) if has_scn else None
     if "T" in data:
         T = _require_number(data["T"], "T")
         if T <= 0.0:
             raise ConfigError(f"T must be positive, got {T}")
+    elif T is None:
+        raise ConfigError("inline problems need a top-level horizon T")
 
     outputs = data.get("outputs", ["trace"])
     if not isinstance(outputs, list) or not outputs:
@@ -270,14 +279,15 @@ def parse_config(data: dict) -> RunConfig:
     if "convergence" in outputs:
         raw = data.get("convergence_steps")
         if not isinstance(raw, list) or len(raw) < 2:
-            raise ConfigError("convergence output needs convergence_steps, a list of >= 2 step sizes")
+            raise ConfigError(
+                "convergence output needs convergence_steps, a list of >= 2 step sizes"
+            )
         steps = tuple(_require_number(s, f"convergence_steps[{i}]") for i, s in enumerate(raw))
         if any(s <= 0.0 for s in steps):
             raise ConfigError("convergence_steps must all be positive")
     elif "convergence_steps" in data:
         raise ConfigError("convergence_steps given but 'convergence' is not in outputs")
-    if T is not None:
-        _check_steps_fit(h, steps, T)
+    _check_steps_fit(h, steps, T)
 
     out_path = data.get("out_path")
     if not isinstance(out_path, str):
@@ -291,11 +301,11 @@ def parse_config(data: dict) -> RunConfig:
 
     return RunConfig(
         h=h,
+        T=T,
         outputs=outputs,
         out_path=out_path,
         scenario_name=data.get("scenario"),
         problem_spec=data.get("problem"),
-        T=T,
         convergence_steps=steps,
         stability_tol=tol,
     )
@@ -341,7 +351,7 @@ def convergence_study(
     rows = []
     prev = None
     for h in steps:
-        scn = _load_scenario(name, h, T)
+        scn = _from_registry(scenario, name, h, T)
         err = _scenario_error(scn)
         ratio = math.nan if prev is None else prev / err
         rows.append((h, scn.grid.N, err, ratio))
@@ -349,9 +359,10 @@ def convergence_study(
     return rows
 
 
-def _load_scenario(name: str, h: float, T: Optional[float]) -> Scenario:
+def _from_registry(lookup, name: str, *args):
+    """lookup(name, *args) on the scenario registry; an unknown name is a ConfigError."""
     try:
-        return scenario(name, h, T)
+        return lookup(name, *args)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from exc
 
@@ -395,10 +406,8 @@ def write_stability_json(path: str, report: StabilityReport) -> None:
 def _execute(cfg: RunConfig) -> int:
     scn: Optional[Scenario] = None
     if cfg.scenario_name is not None:
-        scn = _load_scenario(cfg.scenario_name, cfg.h, cfg.T)
+        scn = scenario(cfg.scenario_name, cfg.h, cfg.T)  # a name parse_config knows
         problem = scn.problem
-        if cfg.T is None:
-            _check_steps_fit(cfg.h, cfg.convergence_steps, scn.grid.T)
     else:
         problem = _build_problem(cfg.problem_spec, cfg.h, cfg.T)
 

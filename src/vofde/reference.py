@@ -7,6 +7,12 @@ solution of the integer-order equation the scenario approaches when its
 order is pushed against 0 or 1; it is a comparison target, not a solution
 of the fractional equation itself.
 
+The registry is one table, name -> (default horizon, description,
+builder), and the four oscillator examples share one builder. A default
+horizon or a description is read without building anything
+(default_horizon, list_scenarios), so the CLI checks a step against the
+horizon before it loads a scenario.
+
 Gamma comes from math. The lower incomplete gamma, needed only by the ex5
 forcing, is computed here by series and continued fraction, so the package
 runs on numpy alone. The high-order ODE integration that checks limit_u
@@ -31,6 +37,7 @@ __all__ = [
     "SCENARIO_NAMES",
     "scenario",
     "list_scenarios",
+    "default_horizon",
     "example1_exact_vofd",
     "example2_exact_limits",
     "example4_forcing",
@@ -217,195 +224,110 @@ _EX3_COEFFS = dict(a1=1.0, a2=0.4, a3=4.0)
 # closest admissible stand-in for a constant order of exactly one
 _NEAR_ONE = 1.0 - 1e-12
 
-
-def _ex1(variant: str, h: float, T: float) -> Scenario:
-    grid = Grid.make(T, h)
-    if variant == "i":
-        alpha = AlphaSpec.of_time(lambda t: (50.0 * t + 49.0) / 100.0)
-        desc = "derivative benchmark: u = t^2, order (50 t + 49)/100, no oscillator"
-    else:
-        alpha = AlphaSpec.of_time(lambda t: 1.0 - math.exp(-t))
-        desc = "derivative benchmark: u = t^2, order 1 - exp(-t), no oscillator"
-    return Scenario(
-        name=f"ex1{variant}",
-        description=desc,
-        grid=grid,
-        alpha=alpha,
-        problem=None,
-        exact_u=lambda t: t * t,
-        exact_udot=lambda t: 2.0 * t,
-        exact_uddot=lambda t: 2.0,
-        exact_vofd=lambda t, v=variant: example1_exact_vofd(v, t),
-    )
+# exact_u, exact_udot and exact_uddot of u = t^2
+_SQUARE = (lambda t: t * t, lambda t: 2.0 * t, lambda t: 2.0)
 
 
-def _ex2(name: str, alpha: AlphaSpec, desc: str, h: float, T: float, limit=None) -> Scenario:
-    c = _EX2_COEFFS
-    prob = OscillatorProblem.build(
-        a1=c["a1"], a2=c["a2"], a3=c["a3"], p=0.0,
-        alpha=alpha, u0=c["u0"], v0=c["v0"], T=T, h=h,
-    )
-    return Scenario(
-        name=name, description=desc, grid=prob.grid, alpha=alpha,
-        problem=prob, limit_u=limit,
-    )
+def _derivative(variant: str, order: Callable[[float], float]):
+    """Builder of a bare derivative benchmark: u = t^2 under a time-only order."""
+    alpha = AlphaSpec.of_time(order)
+
+    def build(name: str, description: str, h: float, T: float) -> Scenario:
+        return Scenario(
+            name, description, Grid.make(T, h), alpha, None, *_SQUARE,
+            exact_vofd=lambda t: example1_exact_vofd(variant, t),
+        )
+
+    return build
 
 
-def _ex2i(h: float, T: float) -> Scenario:
-    alpha = AlphaSpec.of_time(lambda t: 0.9999 - 1e-9 * math.exp(-t))
-    limit = lambda t: example2_exact_limits("i", t, **_EX2_COEFFS)
-    return _ex2(
-        "ex2i", alpha,
-        "linear oscillator, order 0.9999 - 1e-9 exp(-t): viscous-damping limit",
-        h, T, limit,
-    )
+def _oscillator(alpha, a1, a2, a3, u0, v0, p=0.0, f_nl=None, exact=(), limit=None):
+    """Builder of a1 u'' + a2 D^alpha u + a3 u + f_nl = p with its references.
+
+    exact holds exact_u, exact_udot and exact_uddot; limit names the variant
+    of example2_exact_limits whose equation the scenario approaches.
+    """
+    coeffs = dict(a1=a1, a2=a2, a3=a3, u0=u0, v0=v0)
+    ref = None if limit is None else lambda t: example2_exact_limits(limit, t, **coeffs)
+
+    def build(name: str, description: str, h: float, T: float) -> Scenario:
+        problem = OscillatorProblem.build(**coeffs, p=p, alpha=alpha, T=T, h=h, f_nl=f_nl)
+        return Scenario(name, description, problem.grid, alpha, problem, *exact, limit_u=ref)
+
+    return build
 
 
-def _ex2ii(h: float, T: float) -> Scenario:
-    alpha = AlphaSpec.of_time(lambda t: 1e-10 - 1e-10 * math.exp(-t))
-    limit = lambda t: example2_exact_limits("ii", t, **_EX2_COEFFS)
-    return _ex2(
-        "ex2ii", alpha,
-        "linear oscillator, order 1e-10 (1 - exp(-t)): added-stiffness limit",
-        h, T, limit,
-    )
+def _ex2(order: Callable[[float], float], limit: Optional[str] = None):
+    # the linear oscillator of example 2 under a time-only order
+    return _oscillator(AlphaSpec.of_time(order), **_EX2_COEFFS, limit=limit)
 
 
-_EX2III_ORDERS = {
-    "a": (lambda t: _NEAR_ONE, "constant order at the admissible ceiling (~1)"),
-    "b": (lambda t: 1.0 - math.exp(-t), "order 1 - exp(-t)"),
-    "c": (lambda t: 0.8, "constant order 0.8"),
-    "d": (lambda t: 0.8 * (1.0 - math.exp(-t)), "order 0.8 (1 - exp(-t))"),
-    "e": (lambda t: 0.5 * (1.0 - math.exp(-t)), "order 0.5 (1 - exp(-t))"),
-}
-
-
-def _ex2iii(case: str, h: float, T: float) -> Scenario:
-    fn, label = _EX2III_ORDERS[case]
-    return _ex2(
-        f"ex2iii_{case}",
-        AlphaSpec.of_time(fn),
-        f"linear oscillator order sweep: {label}",
-        h, T,
-    )
-
-
-def _ex3(name, d, k, u0, v0, desc, h, T, limit=None) -> Scenario:
+def _ex3(d: float, k: float, u0: float, v0: float, limit: Optional[str] = None):
+    # example 3: the order d - k tanh|udot| follows the velocity
     alpha = AlphaSpec.of_state(lambda t, u, udot: d - k * math.tanh(abs(udot)))
-    c = _EX3_COEFFS
-    prob = OscillatorProblem.build(
-        a1=c["a1"], a2=c["a2"], a3=c["a3"], p=0.0,
-        alpha=alpha, u0=u0, v0=v0, T=T, h=h,
-    )
-    return Scenario(
-        name=name, description=desc, grid=prob.grid, alpha=alpha,
-        problem=prob, limit_u=limit,
-    )
+    return _oscillator(alpha, **_EX3_COEFFS, u0=u0, v0=v0, limit=limit)
 
 
-def _ex3i(h: float, T: float) -> Scenario:
-    limit = lambda t: example2_exact_limits("i", t, u0=0.0, v0=1.0, **_EX3_COEFFS)
-    return _ex3(
-        "ex3i", 0.9999, 1e-9, 0.0, 1.0,
-        "velocity-dependent order 0.9999 - 1e-9 tanh|udot|: damping limit",
-        h, T, limit,
-    )
+_SWEEP = "linear oscillator order sweep: "
 
-
-def _ex3ii(h: float, T: float) -> Scenario:
-    limit = lambda t: example2_exact_limits("ii", t, u0=0.0, v0=1.0, **_EX3_COEFFS)
-    return _ex3(
-        "ex3ii", 1e-10, 1e-10, 0.0, 1.0,
-        "velocity-dependent order 1e-10 (1 - tanh|udot|): stiffness limit",
-        h, T, limit,
-    )
-
-
-def _ex3iii(h: float, T: float) -> Scenario:
-    return _ex3(
-        "ex3iii", 1.0, 0.5, 0.0, 10.0,
-        "velocity-dependent order 1 - 0.5 tanh|udot|, strong state feedback",
-        h, T,
-    )
-
-
-def _ex4(h: float, T: float) -> Scenario:
-    alpha = AlphaSpec.of_time(lambda t: 1.0 - math.exp(-t))
-    prob = OscillatorProblem.build(
-        a1=1.0, a2=0.2, a3=1.0, p=example4_forcing,
-        alpha=alpha, u0=0.0, v0=0.0, T=T, h=h,
-        f_nl=lambda u, udot: u ** 3,
-    )
-    return Scenario(
-        name="ex4",
-        description="cubic (Duffing) oscillator forced so that u = t^2 exactly",
-        grid=prob.grid, alpha=alpha, problem=prob,
-        exact_u=lambda t: t * t,
-        exact_udot=lambda t: 2.0 * t,
-        exact_uddot=lambda t: 2.0,
-    )
-
-
-def _ex5(h: float, T: float) -> Scenario:
-    alpha = AlphaSpec.of_time(lambda t: 1.0 - 0.5 * math.exp(-t))
-    prob = OscillatorProblem.build(
-        a1=lambda t: 1.0 + t * t,
-        a2=lambda t: 0.1 * math.sqrt(t),
-        a3=lambda t: 10.0 + math.exp(-t),
-        p=example5_forcing,
-        alpha=alpha, u0=1.0, v0=1.0, T=T, h=h,
-    )
-    return Scenario(
-        name="ex5",
-        description="time-varying coefficients forced so that u = exp(t) exactly",
-        grid=prob.grid, alpha=alpha, problem=prob,
-        exact_u=math.exp,
-        exact_udot=math.exp,
-        exact_uddot=math.exp,
-    )
-
-
-_DEFAULT_T = {
-    "ex1i": 1.0, "ex1ii": 1.0,
-    "ex2i": 5.0, "ex2ii": 5.0,
-    "ex2iii_a": 5.0, "ex2iii_b": 5.0, "ex2iii_c": 5.0, "ex2iii_d": 5.0, "ex2iii_e": 5.0,
-    "ex3i": 5.0, "ex3ii": 5.0, "ex3iii": 5.0,
-    "ex4": 1.0, "ex5": 1.0,
+# name -> (default horizon T, description, builder(name, description, h, T))
+_REGISTRY = {
+    "ex1i": (1.0, "derivative benchmark: u = t^2, order (50 t + 49)/100, no oscillator",
+             _derivative("i", lambda t: (50.0 * t + 49.0) / 100.0)),
+    "ex1ii": (1.0, "derivative benchmark: u = t^2, order 1 - exp(-t), no oscillator",
+              _derivative("ii", lambda t: 1.0 - math.exp(-t))),
+    "ex2i": (5.0, "linear oscillator, order 0.9999 - 1e-9 exp(-t): viscous-damping limit",
+             _ex2(lambda t: 0.9999 - 1e-9 * math.exp(-t), limit="i")),
+    "ex2ii": (5.0, "linear oscillator, order 1e-10 (1 - exp(-t)): added-stiffness limit",
+              _ex2(lambda t: 1e-10 - 1e-10 * math.exp(-t), limit="ii")),
+    "ex2iii_a": (5.0, _SWEEP + "constant order at the admissible ceiling (~1)",
+                 _ex2(lambda t: _NEAR_ONE)),
+    "ex2iii_b": (5.0, _SWEEP + "order 1 - exp(-t)",
+                 _ex2(lambda t: 1.0 - math.exp(-t))),
+    "ex2iii_c": (5.0, _SWEEP + "constant order 0.8",
+                 _ex2(lambda t: 0.8)),
+    "ex2iii_d": (5.0, _SWEEP + "order 0.8 (1 - exp(-t))",
+                 _ex2(lambda t: 0.8 * (1.0 - math.exp(-t)))),
+    "ex2iii_e": (5.0, _SWEEP + "order 0.5 (1 - exp(-t))",
+                 _ex2(lambda t: 0.5 * (1.0 - math.exp(-t)))),
+    "ex3i": (5.0, "velocity-dependent order 0.9999 - 1e-9 tanh|udot|: damping limit",
+             _ex3(0.9999, 1e-9, 0.0, 1.0, limit="i")),
+    "ex3ii": (5.0, "velocity-dependent order 1e-10 (1 - tanh|udot|): stiffness limit",
+              _ex3(1e-10, 1e-10, 0.0, 1.0, limit="ii")),
+    "ex3iii": (5.0, "velocity-dependent order 1 - 0.5 tanh|udot|, strong state feedback",
+               _ex3(1.0, 0.5, 0.0, 10.0)),
+    "ex4": (1.0, "cubic (Duffing) oscillator forced so that u = t^2 exactly",
+            _oscillator(AlphaSpec.of_time(lambda t: 1.0 - math.exp(-t)),
+                        a1=1.0, a2=0.2, a3=1.0, u0=0.0, v0=0.0, p=example4_forcing,
+                        f_nl=lambda u, udot: u ** 3, exact=_SQUARE)),
+    "ex5": (1.0, "time-varying coefficients forced so that u = exp(t) exactly",
+            _oscillator(AlphaSpec.of_time(lambda t: 1.0 - 0.5 * math.exp(-t)),
+                        a1=lambda t: 1.0 + t * t,
+                        a2=lambda t: 0.1 * math.sqrt(t),
+                        a3=lambda t: 10.0 + math.exp(-t),
+                        u0=1.0, v0=1.0, p=example5_forcing, exact=(math.exp,) * 3)),
 }
 
-_BUILDERS = {
-    "ex1i": lambda h, T: _ex1("i", h, T),
-    "ex1ii": lambda h, T: _ex1("ii", h, T),
-    "ex2i": _ex2i,
-    "ex2ii": _ex2ii,
-    "ex2iii_a": lambda h, T: _ex2iii("a", h, T),
-    "ex2iii_b": lambda h, T: _ex2iii("b", h, T),
-    "ex2iii_c": lambda h, T: _ex2iii("c", h, T),
-    "ex2iii_d": lambda h, T: _ex2iii("d", h, T),
-    "ex2iii_e": lambda h, T: _ex2iii("e", h, T),
-    "ex3i": _ex3i,
-    "ex3ii": _ex3ii,
-    "ex3iii": _ex3iii,
-    "ex4": _ex4,
-    "ex5": _ex5,
-}
+SCENARIO_NAMES = tuple(_REGISTRY)
 
-SCENARIO_NAMES = tuple(_BUILDERS)
+
+def _entry(name: str):
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown scenario {name!r}; known names: {', '.join(SCENARIO_NAMES)}")
+    return _REGISTRY[name]
+
+
+def default_horizon(name: str) -> float:
+    """The horizon T a named scenario runs to unless told otherwise; builds nothing."""
+    return _entry(name)[0]
 
 
 def scenario(name: str, h: float, T: float | None = None) -> Scenario:
     """Instantiate a named benchmark scenario on a grid with step h."""
-    if name not in _BUILDERS:
-        known = ", ".join(SCENARIO_NAMES)
-        raise KeyError(f"unknown scenario {name!r}; known names: {known}")
-    horizon = _DEFAULT_T[name] if T is None else float(T)
-    return _BUILDERS[name](float(h), horizon)
+    horizon, description, build = _entry(name)
+    return build(name, description, float(h), horizon if T is None else float(T))
 
 
 def list_scenarios() -> list[tuple[str, str]]:
     """Names and one-line descriptions, in registry order."""
-    out = []
-    for name in SCENARIO_NAMES:
-        scn = _BUILDERS[name](1e-2, _DEFAULT_T[name])
-        out.append((name, scn.description))
-    return out
+    return [(name, entry[1]) for name, entry in _REGISTRY.items()]

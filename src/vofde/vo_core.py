@@ -21,6 +21,7 @@ the tests.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from math import gamma
 from typing import Callable
@@ -53,28 +54,59 @@ class Grid:
 
         The ratio is nudged by one part in 1e12 before the ceiling so that
         horizons which are exact multiples of h up to float noise do not
-        gain a spurious extra step.
+        gain a spurious extra step. A grid whose N + 1 is not finite, or
+        whose nodes at _NODE_BYTES each would exceed physical memory,
+        raises ValueError naming N before anything is allocated.
         """
-        if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
-            raise ValueError(f"step size must be positive and finite, got {h!r}")
-        if not (isinstance(T, (int, float)) and math.isfinite(T)) or T <= 0.0:
-            raise ValueError(f"horizon must be positive and finite, got {T!r}")
-        N = max(1, math.ceil((T / h) * (1.0 - 1e-12)))
-        return cls(h=float(h), N=N, T=float(T))
+        h, T = _check_positive(h), _check_positive(T, "horizon")
+        ratio = (T / h) * (1.0 - 1e-12)
+        N = max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
+        if N == math.inf or _NODE_BYTES * (N + 1) > _PHYSICAL_MEMORY:
+            raise ValueError(
+                f"T / h = {T!r} / {h!r} gives N = {N:.4g} steps, too many for "
+                f"a solve at {_NODE_BYTES} bytes a node to fit in physical memory"
+            )
+        return cls(h=h, N=N, T=T)
 
     def times(self) -> np.ndarray:
         return np.arange(self.N + 1, dtype=float) * self.h
 
 
-def _validate_order(alpha: float, node: int | None = None) -> float:
-    a = float(alpha)
-    if not (0.0 < a < 1.0):  # also rejects nan
-        where = f" at node {node}" if node is not None else ""
-        raise OrderDomainError(
-            f"fractional order must lie in (0, 1), got {alpha!r}{where}",
-            node=node,
-        )
-    return a
+# peak bytes per grid node of one CLI request: the peak-RSS slope between
+# N = 2e5 and 8e5 was 136 B for a trace with stability check (explicit or
+# implicit) and 162 B for an ex1 convergence study; rounded up
+_NODE_BYTES = 192
+# bytes of physical memory, unbounded where the system does not say
+_PHYSICAL_MEMORY = math.inf
+if hasattr(os, "sysconf"):
+    _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_positive(x, what: str = "step size") -> float:
+    """x as a float, once it is positive and finite; what names it in the error."""
+    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
+        raise ValueError(f"{what} must be positive and finite, got {x!r}")
+    return float(x)
+
+
+def _check_order(alpha, first_node: int | None = None):
+    """alpha as a float, or the array itself, once every order lies in (0, 1).
+
+    The first order outside raises OrderDomainError; given first_node, the
+    error names the node of that order, entry i being node first_node + i.
+    """
+    if isinstance(alpha, np.ndarray):
+        outside = np.flatnonzero(~((alpha > 0.0) & (alpha < 1.0)))  # also catches nan
+        if not outside.size:
+            return alpha
+        i, bad = int(outside[0]), float(alpha.flat[outside[0]])
+    else:
+        i, bad = 0, float(alpha)
+        if 0.0 < bad < 1.0:  # also rejects nan
+            return bad
+    node = None if first_node is None else first_node + i
+    where = "" if node is None else f" at node {node}"
+    raise OrderDomainError(f"fractional order must lie in (0, 1), got {bad!r}{where}", node=node)
 
 
 def _row_factor(h: float, alpha):
@@ -102,42 +134,54 @@ def coefficient(n: int, r: int, h: float, alpha):
     may be an array of orders; the result is then the array of weights,
     each equal to the scalar call at that order.
     """
-    a = np.asarray(alpha, dtype=float)
-    outside = ~((a > 0.0) & (a < 1.0))  # also catches nan
-    if outside.any():
-        _validate_order(a[outside][0])
+    a = _check_order(np.asarray(alpha, dtype=float))
     if not isinstance(n, int) or n < 1:
         raise IndexError(f"row index n must be an integer >= 1, got {n!r}")
     if not isinstance(r, int) or not 1 <= r <= n:
         raise IndexError(f"subinterval index r must satisfy 1 <= r <= n={n}, got {r!r}")
-    if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
-        raise ValueError(f"step size must be positive and finite, got {h!r}")
+    h = _check_positive(h)
     # a scalar order goes through the same 1-d array loops as an array one,
     # so both forms give identical weights
     orders = a.reshape(-1)
-    c = _row_factor(float(h), orders) * (
-        _pow_1ma(n - r, orders) - _pow_1ma(n - r + 1, orders)
-    )
+    # the logs of the one k = n - r + 1 alone, so the weight costs O(1)
+    logs, log1ms = _log_table(np.array([n - r + 1.0]))
+    c = _row_factor(h, orders) * _increments(logs, log1ms, orders)
     return float(c[0]) if a.ndim == 0 else c.reshape(a.shape)
 
 
-def _pow_1ma(m: int, alpha):
-    # m^(1-alpha) for integer m >= 0 via exp/log; exact zero at m = 0
-    if m == 0:
-        return 0.0
-    return np.exp((1.0 - alpha) * math.log(m))
+def _log_table(k: np.ndarray) -> np.ndarray:
+    """log(k) and log1p(-1/k) for the k given, one row each."""
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf is meant
+        return np.array([np.log(k), np.log1p(-1.0 / k)])
 
 
-# log(1), log(2), ... shared by every weight row; grown geometrically on demand
-_LOGS = np.log(np.arange(1.0, 1025.0))
+# log(k) and log1p(-1/k) for k = 1, 2, ..., shared by every weight row and
+# history sum; grown geometrically on demand
+_LOG_TABLE = _log_table(np.arange(1.0, 1025.0))
 
 
-def _logs(n: int) -> np.ndarray:
-    """View of log(1 .. n)."""
-    global _LOGS
-    if _LOGS.size < n:
-        _LOGS = np.log(np.arange(1.0, max(n, 2 * _LOGS.size) + 1.0))
-    return _LOGS[:n]
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of log(k) and log1p(-1/k) for k = 1 .. n."""
+    global _LOG_TABLE
+    if _LOG_TABLE.shape[1] < n:
+        _LOG_TABLE = _log_table(np.arange(1.0, max(n, 2 * _LOG_TABLE.shape[1]) + 1.0))
+    return _LOG_TABLE[0, :n], _LOG_TABLE[1, :n]
+
+
+def _increments(logs, log1ms, a, out=None, work=None) -> np.ndarray:
+    """-d_k(a), d_k = k^(1-a) - (k-1)^(1-a), at the k of the table entries given.
+
+    From logs = log k and log1ms = log1p(-1/k), -d_k is taken as
+    k^(1-a) expm1((1-a) log1p(-1/k)): exact to relative round-off where the
+    difference of two powers of size ~k would cancel, and exactly -1 at
+    k = 1. The sign is the weights' own, c_r^n = f(a) (-d_k) with f < 0
+    from _row_factor. out and work, when given, take the result and scratch.
+    """
+    d = np.multiply(logs, 1.0 - a, out=out)
+    np.exp(d, out=d)
+    w = np.multiply(log1ms, 1.0 - a, out=work)
+    d *= np.expm1(w, out=w)
+    return d
 
 
 def coefficient_row(n: int, h: float, alpha) -> np.ndarray:
@@ -146,34 +190,19 @@ def coefficient_row(n: int, h: float, alpha) -> np.ndarray:
     alpha may be a 1-d array of orders; the result then holds one row per
     order, each equal to the row of its order alone, bit for bit.
     """
-    if isinstance(alpha, np.ndarray):
-        outside = ~((alpha > 0.0) & (alpha < 1.0))  # also catches nan
-        if outside.any():
-            _validate_order(alpha[outside][0])
-        a = alpha
-    else:
-        a = _validate_order(alpha)
+    a = _check_order(alpha)
     if not isinstance(n, int) or n < 1:
         raise IndexError(f"row index n must be an integer >= 1, got {n!r}")
-    if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
-        raise ValueError(f"step size must be positive and finite, got {h!r}")
+    h = _check_positive(h)
     # entries on the first axis and orders on the second; each order's
     # factor by scalar math, as for that order alone
-    logs = _logs(n)
+    logs, log1ms = _tables(n)
     if isinstance(a, np.ndarray):
-        logs = logs[:, None]
-        factor = np.array([_row_factor(float(h), x) for x in a.tolist()])
-        powers = np.empty((n + 1, a.size))
+        logs, log1ms = logs[:, None], log1ms[:, None]
+        factor = np.array([_row_factor(h, x) for x in a.tolist()])
     else:
-        factor = _row_factor(float(h), a)
-        powers = np.empty(n + 1)
-    powers[0] = 0.0
-    tail = powers[1:]
-    np.multiply(logs, 1.0 - a, out=tail)
-    np.exp(tail, out=tail)
-    c = powers[n - 1::-1] - powers[n:0:-1]
-    c *= factor
-    return c.T
+        factor = _row_factor(h, a)
+    return (_increments(logs, log1ms, a)[::-1] * factor).T
 
 
 # Trapezoid step in y and target accuracy of the steppers' sum of exponentials
@@ -293,9 +322,9 @@ def _fft_length(n: int) -> int:
 
 
 def _interpolated_convolutions(means: np.ndarray, orders: np.ndarray, out: np.ndarray) -> None:
-    """Write sum_{k=1..n} d_k(alpha_n) m_{n-k+1} for n = 1 .. N into out.
+    """Write -sum_{k=1..n} d_k(alpha_n) m_{n-k+1} for n = 1 .. N into out.
 
-    Per Chebyshev point alpha_j one causal convolution d(alpha_j) * m by FFT,
+    Per Chebyshev point alpha_j one causal convolution -d(alpha_j) * m by FFT,
     with the means' spectrum taken once; each node's sum is the barycentric
     combination of the convolutions at its own order, over the points of the
     panel holding that order. Only visited panels are built, and the
@@ -310,11 +339,8 @@ def _interpolated_convolutions(means: np.ndarray, orders: np.ndarray, out: np.nd
     buf[:N] = means
     mspec = fft.rfft(buf)
     spec = np.empty_like(mspec)
-    # d_1 = 1 and d_k = (k-1)^(1-alpha) expm1((1-alpha) log1p(1/(k-1))) for
-    # k >= 2, which keeps every sample to relative round-off where the
-    # difference of two powers of size ~k would lose digits
-    logs = _logs(N - 1)
-    log1ps = np.log1p(1.0 / np.arange(1.0, N))
+    logs, log1ms = _tables(N)
+    work = np.empty(N)
     for p in range(_PANELS):
         mask = panel == p
         size = int(np.count_nonzero(mask))
@@ -326,12 +352,7 @@ def _interpolated_convolutions(means: np.ndarray, orders: np.ndarray, out: np.nd
         conv = np.empty(size)
         exact = []
         for node, lam in zip(((p + 0.5 + 0.5 * _CHEB) / _PANELS).tolist(), _BARY.tolist()):
-            buf[0] = 1.0
-            d, tail = buf[1:N], buf[N : 2 * N - 1]  # the padding doubles as work space
-            np.multiply(logs, 1.0 - node, out=d)
-            np.exp(d, out=d)
-            np.multiply(log1ps, 1.0 - node, out=tail)
-            d *= np.expm1(tail, out=tail)
+            _increments(logs, log1ms, node, buf[:N], work)  # -d, kept to round-off
             buf[N:] = 0.0
             fft.rfft(buf, out=spec)
             spec *= mspec
@@ -379,20 +400,15 @@ def history_sums(means, orders, h: float) -> np.ndarray:
         raise IndexError(
             f"expected one order per step mean, got shapes {a.shape} and {m.shape}"
         )
-    if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0.0:
-        raise ValueError(f"step size must be positive and finite, got {h!r}")
-    outside = ~((a > 0.0) & (a < 1.0))  # also catches nan
-    if outside.any():
-        n = int(np.argmax(outside))
-        _validate_order(a[n], node=n + 1)
+    h = _check_positive(h)
+    _check_order(a, first_node=1)
     finite = np.isfinite(m)
     known = m.size if finite.all() else int(np.argmin(finite))
     out = np.full(m.size, np.nan)
     if known:
         head = out[:known]
         _interpolated_convolutions(m[:known], a[:known], head)
-        head *= _row_factor(float(h), a[:known])
-        np.negative(head, out=head)
+        head *= _row_factor(h, a[:known])
     return out
 
 

@@ -66,6 +66,16 @@ class TestScenarioTrace:
         assert "error: h = 0.5 exceeds the horizon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("h", ["1e-300", "1e-13", "5e-324"])
+    def test_grid_too_large_is_usage_error(self, tmp_path, capsys, h):
+        # N = T / h would be 1e300, 1e13 or not finite: refused before any allocation
+        out = tmp_path / "tiny.csv"
+        assert main(["scenario", "--name", "ex4", "--h", h, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: h = {h}: ") and err.count("\n") == 1
+        assert "physical memory" in err
+        assert not out.exists()
+
     def test_step_equal_to_horizon_runs(self, tmp_path):
         out = tmp_path / "trace.csv"
         assert main(["scenario", "--name", "ex4", "--h", "0.1", "--T", "0.1", "--out", str(out)]) == 0
@@ -265,6 +275,17 @@ class TestRunConfig:
         with pytest.raises(vofde.cli.ConfigError, match=r"convergence_steps\[1\] = 0.2 exceeds"):
             vofde.cli.parse_config(body)
 
+    def test_default_horizon_is_checked_when_parsing(self):
+        # ex4 runs to T = 1 unless told otherwise; no scenario is loaded
+        body = {"scenario": "ex4", "h": 2.0, "out_path": "unused.csv"}
+        with pytest.raises(vofde.cli.ConfigError, match=r"h = 2.0 exceeds the horizon T = 1.0"):
+            vofde.cli.parse_config(body)
+
+    def test_inline_problem_without_horizon_rejected_when_parsing(self):
+        body = {"h": 0.01, "out_path": "unused.csv", "problem": self.inline_problem()}
+        with pytest.raises(vofde.cli.ConfigError, match="need a top-level horizon T"):
+            vofde.cli.parse_config(body)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{not json")
@@ -283,6 +304,18 @@ class TestRunConfig:
             tmp_path, {"scenario": "nope", "h": 1e-2, "outputs": ["trace"], "out_path": "x.csv"}
         )
         assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_unknown_scenario_with_horizon(self, tmp_path, capsys):
+        # a given T skips the default-horizon lookup, not the name check
+        out = tmp_path / "x.csv"
+        cfg = self.write_config(
+            tmp_path, {"scenario": "nope", "h": 1e-2, "T": 1.0, "out_path": str(out)}
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        argv = ["scenario", "--name", "nope", "--h", "1e-2", "--T", "1.0", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.count("error: unknown scenario 'nope'") == 2
+        assert not out.exists()
 
     def test_scenario_and_problem_conflict(self, tmp_path):
         cfg = self.write_config(

@@ -124,19 +124,8 @@ def test_implicit_trace_matches_direct_stepper(name, N):
     assert worst_gap(fast, direct) <= 1e-9
 
 
-# ex3iii at N = 500 has 58 steps whose converged residual lies within
-# round-off of the stopping threshold; each takes one evaluation more or
-# fewer once the load is summed differently, and together they move the
-# count by 1.2%
-COUNT_MISS = pytest.mark.xfail(
-    strict=True, reason="ex3iii at N = 500: 1853 evaluations against 1875 with direct rows"
-)
-
-
 @pytest.mark.parametrize("name,N", [
-    pytest.param(name, N, marks=COUNT_MISS if (name, N) == ("ex3iii", 500) else ())
-    for name in registry_problems("implicit")
-    for N in (500, 5000)
+    (name, N) for name in registry_problems("implicit") for N in (500, 5000)
 ])
 def test_implicit_evaluation_counts_match_direct_stepper(name, N):
     fast, direct = implicit_traces(name, N)

@@ -7,10 +7,14 @@ derivative in tests/oracles.py. Neither route shares code with the weights.
 """
 
 import math
+import re
+from decimal import Decimal, localcontext
 from math import gamma
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import step_means
@@ -39,6 +43,19 @@ def kernel_integral_quad(n, r, h, alpha):
     return val / math.gamma(1.0 - alpha)
 
 
+def decimal_weight(k, h, alpha):
+    """c_r^n with k = n - r + 1, its increment k^(1-a) - (k-1)^(1-a) at 40 digits.
+
+    The Gamma prefactor h^(1-a) / Gamma(2-a) is the float the package forms;
+    the increment, where the difference of two powers cancels, is not.
+    """
+    factor = h ** (1.0 - alpha) / (gamma(1.0 - alpha) * (1.0 - alpha))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        e = 1 - Decimal(alpha)
+        return float(Decimal(factor) * (Decimal(k) ** e - Decimal(k - 1) ** e))
+
+
 class TestGrid:
     def test_step_count_is_ceiling(self):
         assert Grid.make(1.0, 0.001).N == 1000
@@ -57,6 +74,11 @@ class TestGrid:
     def test_times_spacing(self):
         g = Grid.make(1.0, 0.25)
         assert np.allclose(np.diff(g.times()), 0.25)
+
+    @pytest.mark.parametrize("h,N", [(1e-13, "1e+13"), (1e-300, "1e+300"), (5e-324, "inf")])
+    def test_grid_too_large_to_allocate_names_N(self, h, N):
+        with pytest.raises(ValueError, match=rf"N = {re.escape(N)} steps"):
+            Grid.make(1.0, h)
 
     @pytest.mark.parametrize("T,h", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1), (1.0, -0.1), (math.nan, 0.1)])
     def test_domain(self, T, h):
@@ -119,6 +141,13 @@ class TestCoefficient:
         with pytest.raises(OrderDomainError):
             coefficient(3, 1, 0.1, np.array([0.5, 1.0, 0.2]))
 
+    def test_far_weight_leaves_the_log_table_alone(self):
+        # one weight costs O(1), however far back its subinterval lies
+        before = vo_core._LOG_TABLE.shape
+        exact = decimal_weight(10**9, 0.1, 0.5)
+        assert abs(coefficient(10**9, 1, 0.1, 0.5) - exact) <= 1e-14 * exact
+        assert vo_core._LOG_TABLE.shape == before
+
 
 class TestCoefficientRow:
     def test_matches_scalar_evaluation(self):
@@ -130,16 +159,18 @@ class TestCoefficientRow:
 
     def test_bitwise_equal_to_direct_formula_across_table_growth(self, monkeypatch):
         # a log table of 8 entries grows at n = 9, 17 and 40
-        monkeypatch.setattr(vo_core, "_LOGS", np.log(np.arange(1.0, 9.0)))
+        monkeypatch.setattr(vo_core, "_LOG_TABLE", vo_core._log_table(np.arange(1.0, 9.0)))
         h, alpha = 0.013, 0.61
         factor = h ** (1.0 - alpha) / (gamma(1.0 - alpha) * (alpha - 1.0))
         for n in (7, 8, 9, 16, 17, 40, 5):
-            powers = np.concatenate(
-                ([0.0], np.exp((1.0 - alpha) * np.log(np.arange(1, n + 1, dtype=float))))
-            )
-            direct = factor * (powers[n - 1::-1] - powers[n:0:-1])
+            # -d_k = k^(1-alpha) expm1((1-alpha) log1p(-1/k)); log1p(-1) = -inf
+            k = np.arange(1, n + 1, dtype=float)
+            with np.errstate(divide="ignore"):
+                log1m = np.log1p(-1.0 / k)
+            neg_d = np.exp((1.0 - alpha) * np.log(k)) * np.expm1((1.0 - alpha) * log1m)
+            direct = factor * neg_d[::-1]
             assert np.array_equal(coefficient_row(n, h, alpha), direct), n
-        assert vo_core._LOGS.size == 64
+        assert vo_core._LOG_TABLE.shape == (2, 64)
 
     def test_single_entry_row(self):
         row = coefficient_row(1, 0.001, 0.8)
@@ -161,6 +192,33 @@ class TestCoefficientRow:
         row = coefficient_row(n, h, alpha)
         expected = (n * h) ** (1.0 - alpha) / gamma(2.0 - alpha)
         assert float(np.sum(row)) == pytest.approx(expected, rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5000),
+        st.floats(1e-12, 1.0 - 1e-12),
+        st.floats(1e-3, 0.5),
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    )
+    @example(2, 1.0 - 1e-12, 0.01, [0.0] * 4)
+    @example(5000, 1.0 - 1e-12, 0.01, [0.0, 0.001, 0.5, 1.0])
+    @example(5000, 1e-12, 0.01, [0.0, 0.001, 0.5, 1.0])
+    @example(5000, 0.1, 0.01, [0.0, 0.001, 0.5, 1.0])
+    def test_rows_are_positive_increasing_and_exact(self, n, alpha, h, places):
+        row = coefficient_row(n, h, alpha)
+        assert np.all(row > 0.0)
+        # the exact row rises by at least 1 - (1 + 1/k)^(-alpha) relative
+        # from entry n-k to n-k+1; where that exceeds twice the 1e-14
+        # accuracy below, the computed row must rise strictly too
+        k = np.arange(n - 1, 0, -1, dtype=float)
+        resolved = -np.expm1(-alpha * np.log1p(1.0 / k)) > 2e-14
+        rises = row[1:] > row[:-1]
+        assert np.all(rises[resolved])
+        assert np.all(row[1:] >= row[:-1] * (1.0 - 2e-14))
+        for r in {1, n, *(1 + round(p * (n - 1)) for p in places)}:
+            exact = decimal_weight(n - r + 1, h, alpha)
+            assert abs(row[r - 1] - exact) <= 1e-14 * exact, (r, row[r - 1], exact)
+            assert abs(coefficient(n, r, h, alpha) - exact) <= 1e-14 * exact, r
 
     def test_near_order_one_row_is_a_delta(self):
         # prefactor cancellation: the row tends to (0, ..., 0, 1)
