@@ -9,7 +9,8 @@ only conditional on the solved trajectory (state-dependent order).
 
 parse_config checks a request in full before anything is loaded, solved or
 written. It knows every run's horizon, T or the scenario's default from the
-registry table, so it alone checks the steps against it (_check_steps_fit).
+registry table, and checks the steps against it (_check_steps_fit), as
+convergence_study does for its own steps when called from Python.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class RunConfig:
     scenario_name: Optional[str] = None
     problem_spec: Optional[dict] = None
     convergence_steps: tuple[float, ...] = ()
-    stability_tol: float = 1e-12
 
 
 # inline problem catalog ------------------------------------------------------
@@ -217,14 +217,16 @@ def _build_problem(spec: dict, h: float, T: float) -> OscillatorProblem:
 
 # config parsing --------------------------------------------------------------
 
-def _check_steps_fit(h: float, steps, horizon: float) -> None:
+def _check_steps_fit(horizon: float, steps, h: Optional[float] = None) -> None:
     """Reject a step longer than the horizon, or one whose grid is too large.
 
     A step longer than T would end its one-step grid past T, and one that
-    Grid.make refuses would fail only once the run allocates. parse_config,
-    the one caller, knows every run's horizon before it loads anything.
+    Grid.make refuses would fail only once the run allocates. steps are
+    the convergence steps; h, when given, is checked first.
     """
-    named = [("h", h)] + [(f"convergence_steps[{i}]", s) for i, s in enumerate(steps)]
+    named = [(f"convergence_steps[{i}]", s) for i, s in enumerate(steps)]
+    if h is not None:
+        named.insert(0, ("h", h))
     for what, step in named:
         if step > horizon:
             raise ConfigError(f"{what} = {step!r} exceeds the horizon T = {horizon!r}")
@@ -238,8 +240,7 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("run configuration must be a JSON object")
     allowed = {
-        "scenario", "problem", "h", "T", "outputs",
-        "convergence_steps", "out_path", "stability_tol",
+        "scenario", "problem", "h", "T", "outputs", "convergence_steps", "out_path",
     }
     unknown = set(data) - allowed
     if unknown:
@@ -277,6 +278,10 @@ def parse_config(data: dict) -> RunConfig:
 
     steps: tuple[float, ...] = ()
     if "convergence" in outputs:
+        if not has_scn:
+            raise ConfigError(
+                "convergence studies need a named scenario with a reference solution"
+            )
         raw = data.get("convergence_steps")
         if not isinstance(raw, list) or len(raw) < 2:
             raise ConfigError(
@@ -287,17 +292,11 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError("convergence_steps must all be positive")
     elif "convergence_steps" in data:
         raise ConfigError("convergence_steps given but 'convergence' is not in outputs")
-    _check_steps_fit(h, steps, T)
+    _check_steps_fit(T, steps, h)
 
     out_path = data.get("out_path")
     if not isinstance(out_path, str):
         raise ConfigError(f"out_path must be a path string, got {out_path!r}")
-
-    tol = 1e-12
-    if "stability_tol" in data:
-        tol = _require_number(data["stability_tol"], "stability_tol")
-        if tol < 0.0:
-            raise ConfigError("stability_tol must be nonnegative")
 
     return RunConfig(
         h=h,
@@ -307,7 +306,6 @@ def parse_config(data: dict) -> RunConfig:
         scenario_name=data.get("scenario"),
         problem_spec=data.get("problem"),
         convergence_steps=steps,
-        stability_tol=tol,
     )
 
 
@@ -344,10 +342,15 @@ def _scenario_error(scn: Scenario) -> float:
 def convergence_study(
     name: str, steps, T: Optional[float] = None
 ) -> list[tuple[float, int, float, float]]:
-    """Worst-node error per step size, with the error ratio between rows."""
+    """Worst-node error per step size, with the error ratio between rows.
+
+    Every step is checked against the horizon, T or the scenario's default,
+    before any is run.
+    """
     steps = tuple(float(s) for s in steps)
     if len(steps) < 2:
         raise ConfigError("a convergence study needs at least two step sizes")
+    _check_steps_fit(_from_registry(default_horizon, name) if T is None else T, steps)
     rows = []
     prev = None
     for h in steps:
@@ -404,10 +407,8 @@ def write_stability_json(path: str, report: StabilityReport) -> None:
 
 
 def _execute(cfg: RunConfig) -> int:
-    scn: Optional[Scenario] = None
     if cfg.scenario_name is not None:
-        scn = scenario(cfg.scenario_name, cfg.h, cfg.T)  # a name parse_config knows
-        problem = scn.problem
+        problem = scenario(cfg.scenario_name, cfg.h, cfg.T).problem  # a name parse_config knows
     else:
         problem = _build_problem(cfg.problem_spec, cfg.h, cfg.T)
 
@@ -425,9 +426,9 @@ def _execute(cfg: RunConfig) -> int:
         trace = solve_problem(problem)
         if "stability" in cfg.outputs:
             if problem.alpha.kind is AlphaKind.TIME_ONLY:
-                report = stability_report(problem, tol=cfg.stability_tol)
+                report = stability_report(problem)
             else:
-                report = stability_report_along_trace(problem, trace, tol=cfg.stability_tol)
+                report = stability_report_along_trace(problem, trace)
                 print(
                     "warning: order depends on the state, so the stability "
                     "check holds only along the solved trajectory",
@@ -437,10 +438,6 @@ def _execute(cfg: RunConfig) -> int:
 
     rows = None
     if "convergence" in cfg.outputs:
-        if scn is None:
-            raise ConfigError(
-                "convergence studies need a named scenario with a reference solution"
-            )
         rows = convergence_study(cfg.scenario_name, cfg.convergence_steps, cfg.T)
 
     plan = _plan_paths(cfg.outputs, cfg.out_path)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,17 +36,12 @@ __all__ = [
     "amplification_from_matrices",
     "stability_report",
     "stability_report_along_trace",
-    "report_from_rho",
 ]
 
 _COND_LIMIT = 1e14
 
 # steps per block of the sweep
 _BLOCK = 2048
-
-
-def _cbrt(x):
-    return np.copysign(np.abs(x) ** (1.0 / 3.0), x)
 
 
 def eigenvalues3(a_mat) -> np.ndarray:
@@ -84,8 +80,8 @@ def eigenvalues3(a_mat) -> np.ndarray:
 
     # Cardano branch: one real root and a complex pair
     root = np.sqrt(np.where(cardano, disc, 0.0))
-    w = _cbrt(-0.5 * q + root)
-    v = _cbrt(-0.5 * q - root)
+    w = np.cbrt(-0.5 * q + root)
+    v = np.cbrt(-0.5 * q - root)
     y_real = w + v
     im = 0.5 * math.sqrt(3.0) * (w - v)
     pair = -0.5 * y_real + shift
@@ -180,31 +176,25 @@ def _step_stacks(a1, a2, a3, h: float, c_nn, c_nm1) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Per-step spectral radii and the overall verdict.
+    """Per-step spectral radii and the verdict rho(A_n) <= 1 + tol at every step.
 
-    trace_conditional marks reports built along a solved trajectory, where
-    the order values (and hence the verdict) hold for that trajectory only.
+    tol is a fixed constant, not a setting. trace_conditional marks reports
+    built along a solved trajectory, where the order values (and hence the
+    verdict) hold for that trajectory only.
     """
 
+    tol: ClassVar[float] = 1e-12
+
     rho: np.ndarray
-    max_rho: float
-    satisfied: bool
-    tol: float
     trace_conditional: bool = False
 
+    @property
+    def max_rho(self) -> float:
+        return float(np.max(self.rho, initial=0.0))
 
-def report_from_rho(
-    rho: np.ndarray, tol: float = 1e-12, trace_conditional: bool = False
-) -> StabilityReport:
-    rho = np.asarray(rho, dtype=float)
-    max_rho = float(np.max(rho)) if rho.size else 0.0
-    return StabilityReport(
-        rho=rho,
-        max_rho=max_rho,
-        satisfied=bool(max_rho <= 1.0 + tol),
-        tol=tol,
-        trace_conditional=trace_conditional,
-    )
+    @property
+    def satisfied(self) -> bool:
+        return self.max_rho <= 1.0 + self.tol
 
 
 def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
@@ -233,14 +223,13 @@ def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
     return rho
 
 
-def stability_report(problem: OscillatorProblem, tol: float = 1e-12) -> StabilityReport:
+def stability_report(problem: OscillatorProblem) -> StabilityReport:
     """Check rho(A_n) <= 1 + tol over the whole grid of a time-only problem."""
-    alphas = problem.time_only_orders()
-    return report_from_rho(_rho_sweep(problem, alphas), tol=tol)
+    return StabilityReport(_rho_sweep(problem, problem.time_only_orders()))
 
 
 def stability_report_along_trace(
-    problem: OscillatorProblem, trace: SolutionTrace, tol: float = 1e-12
+    problem: OscillatorProblem, trace: SolutionTrace
 ) -> StabilityReport:
     """Stability along a solved trajectory's recorded order values.
 
@@ -251,8 +240,5 @@ def stability_report_along_trace(
         raise IndexError(
             f"trace has {trace.N} steps but the problem grid has {problem.grid.N}"
         )
-    return report_from_rho(
-        _rho_sweep(problem, np.asarray(trace.alpha_used, dtype=float)),
-        tol=tol,
-        trace_conditional=True,
-    )
+    alphas = np.asarray(trace.alpha_used, dtype=float)
+    return StabilityReport(_rho_sweep(problem, alphas), trace_conditional=True)

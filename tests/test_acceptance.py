@@ -179,7 +179,7 @@ def test_criterion_06_spectral_radius_bound(criterion):
     names = [n for n in TIME_ONLY_NAMES if n.startswith("ex2")]
     for name in names:
         for h in (1e-2, 1e-3):
-            report = stability_report(scenario(name, h).problem, tol=1e-12)
+            report = stability_report(scenario(name, h).problem)
             worst = max(worst, report.max_rho)
             ok = ok and report.satisfied
     criterion(6, ok, f"max spectral radius {worst:.15f} over "

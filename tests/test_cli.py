@@ -89,7 +89,7 @@ class TestScenarioTrace:
 
 
 class TestStability:
-    def test_linear_scenario_report(self, tmp_path):
+    def test_linear_scenario_report(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code = main(
             ["scenario", "--name", "ex2iii_d", "--h", "1e-2", "--stability", "--out", str(out)]
@@ -102,10 +102,23 @@ class TestStability:
         head = out.read_text().splitlines()[:2]
         assert head == ["t,u,udot,uddot,alpha,rho", "0,1,10,-25,0,nan"]
         report = json.loads((tmp_path / "trace.csv.stability.json").read_text())
+        assert set(report) == {"max_rho", "satisfied", "tol", "trace_conditional", "rho"}
+        assert report["tol"] == 1e-12
         assert report["satisfied"] is True
         assert report["trace_conditional"] is False
         assert report["max_rho"] <= 1.0 + 1e-12
         assert len(report["rho"]) == len(rows) - 2
+        # the verdict tolerance is a constant, not a configuration key
+        other = tmp_path / "tol.csv"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"scenario": "ex2iii_d", "h": 1e-2, "outputs": ["trace", "stability"],
+             "out_path": str(other), "stability_tol": 1e-6}
+        ))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config)]) == 2
+        assert "unknown keys ['stability_tol']" in capsys.readouterr().err
+        assert list(tmp_path.glob("tol.csv*")) == []
 
     def test_state_dependent_order_is_conditional(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -144,6 +157,14 @@ class TestConvergence:
         assert code == 2
         assert "convergence_steps[2]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "steps,T,bad", [([0.01, 5.0], None, 1), ([0.01, 5.0], 2.0, 1), ([1e-300, 0.01], None, 0)]
+    )
+    def test_study_checks_its_steps_against_the_horizon(self, steps, T, bad):
+        # called from Python, without parse_config: ex1ii runs to T = 1 by default
+        with pytest.raises(vofde.cli.ConfigError, match=rf"convergence_steps\[{bad}\] = "):
+            vofde.cli.convergence_study("ex1ii", steps, T)
 
     def test_requires_reference_solution(self, tmp_path):
         out = tmp_path / "conv.csv"
@@ -285,6 +306,24 @@ class TestRunConfig:
         body = {"h": 0.01, "out_path": "unused.csv", "problem": self.inline_problem()}
         with pytest.raises(vofde.cli.ConfigError, match="need a top-level horizon T"):
             vofde.cli.parse_config(body)
+
+    def inline_convergence(self, tmp_path):
+        return {"h": 1e-3, "T": 1.0, "outputs": ["trace", "convergence"],
+                "convergence_steps": [0.01, 0.005], "out_path": str(tmp_path / "x.csv"),
+                "problem": self.inline_problem()}
+
+    def test_inline_convergence_rejected_when_parsing(self, tmp_path):
+        with pytest.raises(vofde.cli.ConfigError, match="need a named scenario"):
+            vofde.cli.parse_config(self.inline_convergence(tmp_path))
+
+    def test_inline_convergence_solves_nothing(self, tmp_path, monkeypatch, capsys):
+        body = self.inline_convergence(tmp_path)
+        solved = []
+        monkeypatch.setattr(vofde.cli, "solve_problem", lambda problem: solved.append(problem))
+        assert main(["run", "--config", str(self.write_config(tmp_path, body))]) == 2
+        assert "need a named scenario" in capsys.readouterr().err
+        assert solved == []
+        assert list(tmp_path.glob("x.csv*")) == []
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "run.json"

@@ -14,6 +14,7 @@ from oracles import amplification_matrix, step_matrices
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
+    StabilityReport,
     coefficient_row,
     solve_explicit,
     solve_implicit,
@@ -23,7 +24,7 @@ from vofde import (
 )
 from vofde.errors import DegenerateProblemError, StepFailureError
 from vofde.reference import scenario
-from vofde.stability import eigenvalues3, report_from_rho
+from vofde.stability import eigenvalues3
 
 
 def rising_order(t):
@@ -275,7 +276,7 @@ class TestStabilityReport:
         assert err.value.step == 100
 
     def test_report_from_rho_verdict(self):
-        ok = report_from_rho(np.array([0.5, 1.0, 1.0 + 5e-13]))
+        ok = StabilityReport(np.array([0.5, 1.0, 1.0 + 5e-13]))
         assert ok.satisfied and ok.max_rho == pytest.approx(1.0 + 5e-13)
-        bad = report_from_rho(np.array([0.5, 1.001]))
+        bad = StabilityReport(np.array([0.5, 1.001]))
         assert not bad.satisfied
