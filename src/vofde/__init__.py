@@ -23,7 +23,6 @@ from .model import (
     SolutionTrace,
     StepState,
     discrete_residuals,
-    initial_acceleration,
 )
 from .reference import (
     SCENARIO_NAMES,
@@ -65,7 +64,6 @@ __all__ = [
     "coefficient_row",
     "discrete_residuals",
     "history_sums",
-    "initial_acceleration",
     "list_scenarios",
     "scenario",
     "solve_explicit",

@@ -38,7 +38,7 @@ from .stability import (
     stability_report,
     stability_report_along_trace,
 )
-from .vo_core import Grid, vo_derivative_series
+from .vo_core import Grid, _check_order, vo_derivative_series
 
 __all__ = [
     "ConfigError",
@@ -91,103 +91,84 @@ def _require_number(value, what: str) -> float:
     return v
 
 
-def _form_and_params(spec, what: str) -> tuple[str, dict]:
-    if not isinstance(spec, dict):
+def _from_form(spec, forms: dict, what: str):
+    """Build what a {"form": name, "params": {...}} object asks for, by its table.
+
+    forms maps each form to ({parameter: default, or None when required},
+    builder); a bare number is shorthand for a table's constant form. Every
+    parameter becomes a finite number, except one whose default is [], which
+    must be a nonempty list of them (the polynomial's coefficients). The
+    builder gets them as keywords, and a ValueError it raises about them
+    becomes a ConfigError naming what.
+    """
+    if "constant" in forms and isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        spec = {"form": "constant", "params": {"value": spec}}
+    if not isinstance(spec, dict) or set(spec) - {"form", "params"}:
         raise ConfigError(f"{what} must be a number or a form object, got {spec!r}")
-    unknown = set(spec) - {"form", "params"}
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
-    form = spec.get("form")
-    params = spec.get("params", {})
-    if not isinstance(form, str):
-        raise ConfigError(f"{what} needs a string 'form', got {form!r}")
-    if not isinstance(params, dict):
-        raise ConfigError(f"{what} 'params' must be an object, got {params!r}")
-    return form, dict(params)
-
-
-def _check_params(params: dict, required: dict, what: str) -> dict:
-    """Validate parameter presence against a {name: default-or-None} table."""
-    unknown = set(params) - set(required)
-    if unknown:
-        raise ConfigError(f"{what} has unknown parameters {sorted(unknown)}")
-    out = {}
-    for name, default in required.items():
-        if name in params:
-            out[name] = params[name]
-        elif default is None:
+    form, params = spec.get("form"), spec.get("params", {})
+    if not isinstance(form, str) or form not in forms:
+        raise ConfigError(f"{what} has unknown form {form!r}; known forms: {', '.join(forms)}")
+    defaults, build = forms[form]
+    if not isinstance(params, dict) or set(params) - set(defaults):
+        raise ConfigError(f"{what} {form!r} takes the parameters {list(defaults)}, got {params!r}")
+    args = {}
+    for name, default in defaults.items():
+        if name not in params and default is None:
             raise ConfigError(f"{what} is missing required parameter {name!r}")
+        value = params.get(name, default)
+        if default != []:
+            args[name] = _require_number(value, f"{what}.{name}")
+        elif isinstance(value, list) and value:
+            args[name] = [_require_number(c, f"{what}.{name}[{i}]") for i, c in enumerate(value)]
         else:
-            out[name] = default
-    return out
+            raise ConfigError(f"{what}.{name} must be a nonempty list")
+    try:
+        return build(**args)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _time_function(spec, what: str) -> Callable[[float], float]:
-    """Build a function of time from a number or a form object."""
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = _require_number(spec, what)
-        return lambda t: value
-    form, params = _form_and_params(spec, what)
-    if form == "constant":
-        p = _check_params(params, {"value": None}, what)
-        value = _require_number(p["value"], f"{what}.value")
-        return lambda t: value
-    if form == "polynomial":
-        p = _check_params(params, {"coeffs": None}, what)
-        coeffs = p["coeffs"]
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{what}.coeffs must be a nonempty list")
-        cs = [_require_number(c, f"{what}.coeffs[{i}]") for i, c in enumerate(coeffs)]
+def _polynomial(coeffs: list) -> Callable[[float], float]:
+    def poly(t: float) -> float:
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
 
-        def poly(t: float) -> float:
-            acc = 0.0
-            for c in reversed(cs):
-                acc = acc * t + c
-            return acc
-
-        return poly
-    if form == "exp_decay":
-        p = _check_params(params, {"offset": None, "scale": None, "rate": 1.0}, what)
-        offset = _require_number(p["offset"], f"{what}.offset")
-        scale = _require_number(p["scale"], f"{what}.scale")
-        rate = _require_number(p["rate"], f"{what}.rate")
-        return lambda t: offset + scale * math.exp(-rate * t)
-    if form == "power":
-        p = _check_params(params, {"coeff": None, "exponent": None}, what)
-        coeff = _require_number(p["coeff"], f"{what}.coeff")
-        expo = _require_number(p["exponent"], f"{what}.exponent")
-        if expo < 0.0:
-            raise ConfigError(f"{what}.exponent must be >= 0 so values stay finite at t = 0")
-        return lambda t: coeff * t ** expo
-    raise ConfigError(
-        f"{what} has unknown form {form!r}; time forms are constant, polynomial, "
-        "exp_decay, power"
-    )
+    return poly
 
 
-def _alpha_from_spec(spec, what: str = "alpha") -> AlphaSpec:
-    """A time form, or tanh_abs_velocity; only a constant is range-checked here."""
-    if isinstance(spec, dict) and spec.get("form") == "tanh_abs_velocity":
-        p = _check_params(_form_and_params(spec, what)[1], {"d": None, "k": None}, what)
-        d = _require_number(p["d"], f"{what}.d")
-        k = _require_number(p["k"], f"{what}.k")
-        return AlphaSpec.of_state(lambda t, u, udot: d - k * math.tanh(abs(udot)))
-    fn = _time_function(spec, what)
-    if isinstance(spec, dict) and spec["form"] != "constant":
-        return AlphaSpec.of_time(fn)
-    value = fn(0.0)
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{what} constant must lie in (0, 1), got {value}")
-    return AlphaSpec.constant(value)
+def _power(coeff: float, exponent: float) -> Callable[[float], float]:
+    if exponent < 0.0:
+        raise ValueError("the exponent must be >= 0 so values stay finite at t = 0")
+    return lambda t: coeff * t ** exponent
 
 
-def _nonlinear_from_spec(spec, what: str = "nonlinear"):
-    form, params = _form_and_params(spec, what)
-    if form == "cubic":
-        p = _check_params(params, {"coeff": 1.0}, what)
-        coeff = _require_number(p["coeff"], f"{what}.coeff")
-        return lambda u, udot: coeff * u ** 3
-    raise ConfigError(f"{what} has unknown form {form!r}; known forms: cubic")
+def _time_only(build):
+    return lambda **params: AlphaSpec.of_time(build(**params))
+
+
+# the inline catalog: form -> ({parameter: default, None if required, [] for a list}, builder)
+_TIME_FORMS = {
+    "constant": ({"value": None}, lambda value: lambda t: value),
+    "polynomial": ({"coeffs": []}, _polynomial),
+    "exp_decay": (
+        {"offset": None, "scale": None, "rate": 1.0},
+        lambda offset, scale, rate: lambda t: offset + scale * math.exp(-rate * t),
+    ),
+    "power": ({"coeff": None, "exponent": None}, _power),
+}
+# an order is any time form, time-only, or a form that reads the state; only
+# a constant one is range-checked before the solve
+_ORDER_FORMS = {
+    **{form: (params, _time_only(build)) for form, (params, build) in _TIME_FORMS.items()},
+    "constant": ({"value": None}, lambda value: AlphaSpec.constant(_check_order(value))),
+    "tanh_abs_velocity": (
+        {"d": None, "k": None},
+        lambda d, k: AlphaSpec.of_state(lambda t, u, udot: d - k * math.tanh(abs(udot))),
+    ),
+}
+_NONLINEAR_FORMS = {"cubic": ({"coeff": 1.0}, lambda coeff: lambda u, udot: coeff * u ** 3)}
 
 
 def _build_problem(spec: dict, h: float, T: float) -> OscillatorProblem:
@@ -200,13 +181,13 @@ def _build_problem(spec: dict, h: float, T: float) -> OscillatorProblem:
     missing = {"a1", "a2", "a3", "p", "alpha", "u0", "v0"} - set(spec)
     if missing:
         raise ConfigError(f"problem is missing keys {sorted(missing)}")
-    f_nl = _nonlinear_from_spec(spec["nonlinear"]) if "nonlinear" in spec else None
+
+    f_nl = None
+    if "nonlinear" in spec:
+        f_nl = _from_form(spec["nonlinear"], _NONLINEAR_FORMS, "nonlinear")
     return OscillatorProblem.build(
-        a1=_time_function(spec["a1"], "a1"),
-        a2=_time_function(spec["a2"], "a2"),
-        a3=_time_function(spec["a3"], "a3"),
-        p=_time_function(spec["p"], "p"),
-        alpha=_alpha_from_spec(spec["alpha"]),
+        **{key: _from_form(spec[key], _TIME_FORMS, key) for key in ("a1", "a2", "a3", "p")},
+        alpha=_from_form(spec["alpha"], _ORDER_FORMS, "alpha"),
         u0=_require_number(spec["u0"], "u0"),
         v0=_require_number(spec["v0"], "v0"),
         T=T,
@@ -318,25 +299,28 @@ def solve_problem(problem: OscillatorProblem) -> SolutionTrace:
     return implicit_solver.solve(problem)
 
 
+def _check_reference(scn: Scenario) -> None:
+    """A convergence study needs an oscillator's exact u, or a bare derivative
+    benchmark's exact velocity and derivative."""
+    needed = (scn.exact_u,) if scn.problem is not None else (scn.exact_udot, scn.exact_vofd)
+    if None in needed:
+        raise ConfigError(
+            f"scenario {scn.name!r} has no reference solution; convergence study not possible"
+        )
+
+
 def _scenario_error(scn: Scenario) -> float:
     """Worst node error against the scenario's reference solution."""
-    if scn.problem is not None and scn.exact_u is not None:
+    _check_reference(scn)
+    if scn.problem is not None:
         trace = solve_problem(scn.problem)
         exact = np.array([scn.exact_u(float(t)) for t in trace.t])
         return float(np.max(np.abs(trace.u - exact)))
-    if scn.problem is None and scn.exact_vofd is not None and scn.exact_udot is not None:
-        grid = scn.grid
-        samples = np.array([scn.exact_udot(float(t)) for t in grid.times()])
-        approx = vo_derivative_series(
-            samples, lambda t: scn.alpha.eval(t, math.nan, math.nan), grid
-        )
-        exact = np.array(
-            [scn.exact_vofd(n * grid.h) for n in range(1, grid.N + 1)]
-        )
-        return float(np.max(np.abs(approx - exact)))
-    raise ConfigError(
-        f"scenario {scn.name!r} has no reference solution; convergence study not possible"
-    )
+    grid = scn.grid
+    samples = np.array([scn.exact_udot(float(t)) for t in grid.times()])
+    approx = vo_derivative_series(samples, lambda t: scn.alpha.eval(t, math.nan, math.nan), grid)
+    exact = np.array([scn.exact_vofd(n * grid.h) for n in range(1, grid.N + 1)])
+    return float(np.max(np.abs(approx - exact)))
 
 
 def convergence_study(
@@ -407,8 +391,12 @@ def write_stability_json(path: str, report: StabilityReport) -> None:
 
 
 def _execute(cfg: RunConfig) -> int:
+    """Run a parsed request; every ConfigError is raised before the first solve."""
     if cfg.scenario_name is not None:
-        problem = scenario(cfg.scenario_name, cfg.h, cfg.T).problem  # a name parse_config knows
+        scn = scenario(cfg.scenario_name, cfg.h, cfg.T)  # a name parse_config knows
+        if "convergence" in cfg.outputs:
+            _check_reference(scn)
+        problem = scn.problem
     else:
         problem = _build_problem(cfg.problem_spec, cfg.h, cfg.T)
 

@@ -29,13 +29,7 @@ import math
 import numpy as np
 
 from .errors import StepFailureError
-from .model import (
-    AlphaKind,
-    OscillatorProblem,
-    SolutionTrace,
-    StepState,
-    initial_acceleration,
-)
+from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
 from .vo_core import ExpSumHistory, coefficient_row
 
 __all__ = [
@@ -125,14 +119,19 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     view of the trace's velocities at nodes 0 .. n-1 and the run's
     ExpSumHistory, advanced to hold the step means 1 .. n-2. a1, a2 and a3
     come from one coefficients_at_nodes table, so a bad a1 stops the run
-    before its first step.
+    before its first step. The history integral of a continuous velocity
+    vanishes at t = 0, so the initial acceleration is
+    q0 = (p(0) - a3(0) u0 - f_nl(u0, v0)) / a1(0), from row 0 of the table.
     """
     grid = problem.grid
     h = grid.h
     q, ud, u, alphas = np.empty((4, grid.N + 1))
     means = np.empty(grid.N)
-    prev = StepState(initial_acceleration(problem), float(problem.v0), float(problem.u0))
     table = problem.coefficients_at_nodes()
+    a1_0, _, a3_0 = table[0].tolist()
+    load_0 = float(problem.p(0.0)) - a3_0 * problem.u0
+    q0 = (load_0 - problem.nonlinear_term(problem.u0, problem.v0)) / a1_0
+    prev = StepState(q0, float(problem.v0), float(problem.u0))
     history = ExpSumHistory(grid.N)
     q[0], ud[0], u[0] = prev
     try:
@@ -158,8 +157,9 @@ def solve_step(
 
     The step residual is then affine in q_n with slope
     den = a1 + a2 c_n h/4 + a3 h^2/4, so q_n = -residual(0) / den exactly.
-    A denominator that is zero or lost in rounding, or a non-finite q_n,
-    raises StepFailureError naming step n.
+    A denominator that is zero or lost in rounding raises StepFailureError
+    naming step n, and so does a non-finite q_n past a sound denominator,
+    which only an overflowed state or a non-finite p can give.
     """
     h = problem.grid.h
     a1, a2, a3, _ = coeffs
@@ -170,12 +170,16 @@ def solve_step(
     g = load_term(coeffs, n, weights, hist)
     trial = (0.0, *state_from_q(0.0, prev, h))
     residual = step_residual(problem, n, trial, weights, g, prev, coeffs)
-    q = -residual / den if abs(den) * _COND_LIMIT > size else math.nan
-    if not math.isfinite(q):
+    if not abs(den) * _COND_LIMIT > size:
         raise StepFailureError(
             f"step equation singular or ill-conditioned (denominator {den:.3e} "
-            f"against term sizes {size:.3e}, q {q!r})",
+            f"against term sizes {size:.3e})",
             step=n,
+        )
+    q = -residual / den
+    if not math.isfinite(q):
+        raise StepFailureError(
+            f"acceleration {q!r} in step {n}: the state overflowed or p is not finite", step=n
         )
     return StepState(q, *state_from_q(q, prev, h))
 

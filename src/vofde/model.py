@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateProblemError, OrderDomainError
-from .vo_core import Grid, history_sums
+from .vo_core import Grid, _check_order, history_sums
 
 __all__ = [
     "AlphaKind",
@@ -32,7 +32,6 @@ __all__ = [
     "StepState",
     "SolutionTrace",
     "as_coefficient",
-    "initial_acceleration",
     "discrete_residuals",
 ]
 
@@ -76,15 +75,7 @@ class AlphaSpec:
         trial_q: float | None = None,
     ) -> float:
         """Evaluate and range-check the order; (0, 1) is enforced strictly."""
-        a = float(self.eval(t, u, udot))
-        if not (0.0 < a < 1.0):
-            where = f" at node {node}" if node is not None else f" at t={t}"
-            raise OrderDomainError(
-                f"fractional order {a!r} outside (0, 1){where}",
-                node=node,
-                trial_q=trial_q,
-            )
-        return a
+        return _check_order(float(self.eval(t, u, udot)), node, trial_q)
 
 
 def as_coefficient(c) -> Callable[[float], float]:
@@ -159,31 +150,22 @@ class OscillatorProblem:
 
         The state arguments are passed as nan to hold the time-only promise to
         account: an order function that actually reads them produces nan or
-        raises, and either is reported as an order-domain failure. The node-0
-        value is recorded but not range-checked; no weight uses it.
+        raises, and either is reported as an order-domain failure at its
+        node. The node-0 value is recorded but not range-checked; no weight
+        uses it.
         """
-        N = self.grid.N
-        h = self.grid.h
+        N, h = self.grid.N, self.grid.h
         out = np.empty(N + 1)
-        for n in range(N + 1):
-            try:
-                a = float(self.alpha.eval(n * h, math.nan, math.nan))
-            except OrderDomainError:
-                raise
-            except Exception as exc:
-                raise OrderDomainError(
-                    f"order function raised at node {n} when evaluated without state; "
-                    f"a time-only order must ignore u and udot ({exc!r})",
-                    node=n,
-                ) from exc
-            if n >= 1 and not (0.0 < a < 1.0):
-                raise OrderDomainError(
-                    f"fractional order {a!r} outside (0, 1) at node {n}; nan here "
-                    "usually means the order function reads the state despite being "
-                    "declared time-only",
-                    node=n,
-                )
-            out[n] = a
+        try:
+            for n in range(N + 1):
+                out[n] = float(self.alpha.eval(n * h, math.nan, math.nan))
+        except Exception as exc:
+            raise OrderDomainError(
+                f"order function raised at node {n} when evaluated without state; "
+                f"a time-only order must ignore u and udot ({exc!r})",
+                node=n,
+            ) from exc
+        _check_order(out[1:], first_node=1)
         return out
 
 
@@ -219,26 +201,6 @@ class SolutionTrace:
     @property
     def N(self) -> int:
         return self.t.size - 1
-
-
-def initial_acceleration(problem: OscillatorProblem) -> float:
-    """Acceleration at t = 0 consistent with the governing equation.
-
-    The history integral of a continuous velocity vanishes at t = 0, so the
-    fractional term drops out and
-
-        q0 = (p(0) - a3(0) u0 - f_nl(u0, v0)) / a1(0).
-    """
-    a1_0 = float(problem.a1(0.0))
-    if not math.isfinite(a1_0) or a1_0 == 0.0:
-        raise DegenerateProblemError(
-            f"leading coefficient a1(0) = {a1_0!r}; cannot form the initial acceleration"
-        )
-    return (
-        float(problem.p(0.0))
-        - float(problem.a3(0.0)) * problem.u0
-        - problem.nonlinear_term(problem.u0, problem.v0)
-    ) / a1_0
 
 
 def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.ndarray:

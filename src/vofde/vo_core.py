@@ -89,11 +89,13 @@ def _check_positive(x, what: str = "step size") -> float:
     return float(x)
 
 
-def _check_order(alpha, first_node: int | None = None):
+def _check_order(alpha, first_node: int | None = None, trial_q: float | None = None):
     """alpha as a float, or the array itself, once every order lies in (0, 1).
 
-    The first order outside raises OrderDomainError; given first_node, the
-    error names the node of that order, entry i being node first_node + i.
+    The one range check on orders. The first order outside raises
+    OrderDomainError; given first_node, the error names the node of that
+    order, entry i being node first_node + i, and carries trial_q, the
+    trial acceleration of a root solve that produced the order.
     """
     if isinstance(alpha, np.ndarray):
         outside = np.flatnonzero(~((alpha > 0.0) & (alpha < 1.0)))  # also catches nan
@@ -106,7 +108,8 @@ def _check_order(alpha, first_node: int | None = None):
             return bad
     node = None if first_node is None else first_node + i
     where = "" if node is None else f" at node {node}"
-    raise OrderDomainError(f"fractional order must lie in (0, 1), got {bad!r}{where}", node=node)
+    message = f"fractional order must lie in (0, 1), got {bad!r}{where}"
+    raise OrderDomainError(message, node=node, trial_q=trial_q)
 
 
 def _row_factor(h: float, alpha):

@@ -240,12 +240,24 @@ class TestRunConfig:
             "v0": 10.0,
         }
 
-    def test_inline_problem_runs(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key,spec",
+        [
+            ("a2", {"form": "constant", "params": {"value": 1.0}}),
+            ("a3", {"form": "polynomial", "params": {"coeffs": [25.0, -1.0, 0.5]}}),
+            ("a1", {"form": "exp_decay", "params": {"offset": 1.0, "scale": 0.5, "rate": 2.0}}),
+            ("a2", {"form": "power", "params": {"coeff": 0.1, "exponent": 0.5}}),
+            ("alpha", {"form": "tanh_abs_velocity", "params": {"d": 0.9, "k": 0.5}}),
+            ("nonlinear", {"form": "cubic", "params": {"coeff": 2.0}}),
+        ],
+        ids=["constant", "polynomial", "exp_decay", "power", "tanh_abs_velocity", "cubic"],
+    )
+    def test_inline_problem_runs(self, tmp_path, key, spec):
         out = tmp_path / "trace.csv"
         cfg = self.write_config(
             tmp_path,
             {"h": 1e-2, "T": 1.0, "outputs": ["trace"], "out_path": str(out),
-             "problem": self.inline_problem()},
+             "problem": {**self.inline_problem(), key: spec}},
         )
         assert main(["run", "--config", str(cfg)]) == 0
         rows = read_rows(out)
@@ -322,6 +334,38 @@ class TestRunConfig:
         monkeypatch.setattr(vofde.cli, "solve_problem", lambda problem: solved.append(problem))
         assert main(["run", "--config", str(self.write_config(tmp_path, body))]) == 2
         assert "need a named scenario" in capsys.readouterr().err
+        assert solved == []
+        assert list(tmp_path.glob("x.csv*")) == []
+
+    @pytest.mark.parametrize(
+        "key,spec,message",
+        [
+            ("a2", {"form": "power", "params": {"coeff": 1.0, "exponent": -0.5}},
+             "a2: the exponent must be >= 0"),
+            ("p", {"form": "sine", "params": {}},
+             "p has unknown form 'sine'; known forms: constant, polynomial, exp_decay, power"),
+        ],
+        ids=["negative_exponent", "unknown_form"],
+    )
+    def test_catalog_rejection_is_usage_error(self, tmp_path, capsys, key, spec, message):
+        out = tmp_path / "x.csv"
+        cfg = self.write_config(
+            tmp_path,
+            {"h": 1e-2, "T": 1.0, "outputs": ["trace"], "out_path": str(out),
+             "problem": {**self.inline_problem(), key: spec}},
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convergence_without_reference_solves_nothing(self, tmp_path, monkeypatch, capsys):
+        # ex2i has no reference solution; that is found before its trace is solved
+        body = {"scenario": "ex2i", "h": 1e-2, "outputs": ["trace", "convergence"],
+                "convergence_steps": [0.01, 0.005], "out_path": str(tmp_path / "x.csv")}
+        solved = []
+        monkeypatch.setattr(vofde.cli, "solve_problem", lambda problem: solved.append(problem))
+        assert main(["run", "--config", str(self.write_config(tmp_path, body))]) == 2
+        assert "has no reference solution" in capsys.readouterr().err
         assert solved == []
         assert list(tmp_path.glob("x.csv*")) == []
 

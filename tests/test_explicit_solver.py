@@ -20,6 +20,7 @@ from vofde import (
     coefficient_row,
     discrete_residuals,
     solve_explicit,
+    solve_implicit,
     stability_report,
 )
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
@@ -351,3 +352,14 @@ class TestSolve:
         with pytest.raises(DegenerateProblemError) as err:
             solve_explicit(prob)
         assert err.value.step == 100
+
+    @pytest.mark.parametrize("solve", [solve_explicit, solve_implicit], ids=["explicit", "implicit"])
+    def test_blow_up_stops_where_the_state_overflows(self, solve):
+        # a3 = -1e4 grows the state by about e^100 per unit of time; both
+        # solvers run on until the state itself overflows, and neither calls
+        # the step equation singular, whose denominator stays near 0.75
+        prob = linear_problem(AlphaSpec.constant(0.5), a3=-1e4, u0=1.0, v0=0.0, T=10.0)
+        with pytest.raises(StepFailureError) as err:
+            solve(prob)
+        assert err.value.step == 639
+        assert "singular" not in str(err.value)

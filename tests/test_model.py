@@ -10,8 +10,8 @@ from vofde import (
     AlphaSpec,
     OscillatorProblem,
     discrete_residuals,
-    initial_acceleration,
     solve_explicit,
+    solve_implicit,
     stability_report,
 )
 from vofde.cli import solve_problem
@@ -58,6 +58,12 @@ class TestAlphaSpec:
             spec.value_at(1.0, 0.0, 0.0, node=17, trial_q=-3.5)
         assert err.value.node == 17
         assert err.value.trial_q == -3.5
+
+
+def initial_acceleration(prob):
+    """uddot[0] of a solve: explicit, or implicit when there is an f_nl."""
+    solve = solve_explicit if prob.f_nl is None else solve_implicit
+    return solve(prob).uddot[0]
 
 
 class TestInitialAcceleration:
