@@ -8,12 +8,7 @@ state-dependent orders and nonlinear restoring forces, stability the
 spectral-radius check, and reference the benchmark scenarios.
 """
 
-from .errors import (
-    ConvergenceError,
-    DegenerateProblemError,
-    OrderDomainError,
-    StepFailureError,
-)
+from .errors import DegenerateProblemError, OrderDomainError, StepFailureError
 from .explicit_solver import solve as solve_explicit
 from .implicit_solver import solve as solve_implicit
 from .model import (
@@ -49,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaKind",
     "AlphaSpec",
-    "ConvergenceError",
     "DegenerateProblemError",
     "Grid",
     "OrderDomainError",

@@ -25,12 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import explicit_solver, implicit_solver
-from .errors import (
-    ConvergenceError,
-    DegenerateProblemError,
-    OrderDomainError,
-    StepFailureError,
-)
+from .errors import DegenerateProblemError, OrderDomainError, StepFailureError
 from .model import AlphaKind, AlphaSpec, OscillatorProblem, SolutionTrace
 from .reference import Scenario, default_horizon, list_scenarios, scenario
 from .stability import (
@@ -101,10 +96,12 @@ def _from_form(spec, forms: dict, what: str):
     builder gets them as keywords, and a ValueError it raises about them
     becomes a ConfigError naming what.
     """
-    if "constant" in forms and isinstance(spec, (int, float)) and not isinstance(spec, bool):
+    takes_number = "constant" in forms
+    if takes_number and isinstance(spec, (int, float)) and not isinstance(spec, bool):
         spec = {"form": "constant", "params": {"value": spec}}
     if not isinstance(spec, dict) or set(spec) - {"form", "params"}:
-        raise ConfigError(f"{what} must be a number or a form object, got {spec!r}")
+        expected = "a number or a form object" if takes_number else "a form object"
+        raise ConfigError(f"{what} must be {expected}, got {spec!r}")
     form, params = spec.get("form"), spec.get("params", {})
     if not isinstance(form, str) or form not in forms:
         raise ConfigError(f"{what} has unknown form {form!r}; known forms: {', '.join(forms)}")
@@ -521,12 +518,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        StepFailureError,
-        OrderDomainError,
-        DegenerateProblemError,
-        ConvergenceError,
-    ) as exc:
+    except (StepFailureError, OrderDomainError, DegenerateProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OverflowError as exc:

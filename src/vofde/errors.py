@@ -14,10 +14,6 @@ class OrderDomainError(ValueError):
         self.trial_q = trial_q
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative numerical process failed to reach its tolerance."""
-
-
 class DegenerateProblemError(ValueError):
     """Problem data makes the governing equations singular.
 

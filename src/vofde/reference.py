@@ -13,10 +13,10 @@ horizon or a description is read without building anything
 (default_horizon, list_scenarios), so the CLI checks a step against the
 horizon before it loads a scenario.
 
-Gamma comes from math. The lower incomplete gamma, needed only by the ex5
-forcing, is computed here by series and continued fraction, so the package
-runs on numpy alone. The high-order ODE integration that checks limit_u
-uses scipy and lives with the tests (tests/oracles.py).
+Gamma comes from math, and the ex5 forcing sums its fractional term as a
+series of positive terms, so the package runs on numpy alone. The
+high-order ODE integration that checks limit_u uses scipy and lives with
+the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .model import AlphaSpec, OscillatorProblem
 from .vo_core import Grid
 
@@ -42,7 +41,6 @@ __all__ = [
     "example2_exact_limits",
     "example4_forcing",
     "example5_forcing",
-    "lower_incomplete_gamma",
 ]
 
 
@@ -62,32 +60,29 @@ class Scenario:
     limit_u: Optional[Callable] = None
 
 
+# the two orders of example 1; ex4 runs under variant "ii"
+_EX1_ORDERS = {
+    "i": lambda t: (50.0 * t + 49.0) / 100.0,
+    "ii": lambda t: 1.0 - math.exp(-t),
+}
+
+
 def example1_exact_vofd(variant: str, t: float) -> float:
     """Exact variable-order derivative of u(t) = t^2 for the two benchmarks.
 
     Freezing the order at its instantaneous value gives
 
-        D^alpha(t) t^2 = 2 t^(2 - alpha(t)) / Gamma(3 - alpha(t)).
+        D^alpha(t) t^2 = 2 t^(2 - alpha(t)) / Gamma(3 - alpha(t)),
 
-    Variant "i" uses alpha = (50 t + 49)/100, so the exponent is
-    (151 - 50 t)/100; variant "ii" uses alpha = 1 - exp(-t), written in the
-    equivalent product form below.
+    with alpha(t) = (50 t + 49)/100 for variant "i" and 1 - exp(-t) for "ii".
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0.0:
         raise ValueError(f"exact derivative defined for t > 0, got {t!r}")
+    if variant not in _EX1_ORDERS:
+        raise ValueError(f"unknown variant {variant!r}, expected 'i' or 'ii'")
     t = float(t)
-    if variant == "i":
-        a = (50.0 * t + 49.0) / 100.0
-        return 2.0 * t ** (2.0 - a) / gamma(3.0 - a)
-    if variant == "ii":
-        e_neg = math.exp(-t)
-        return (
-            2.0
-            * math.exp(2.0 * t)
-            * t ** (e_neg + 1.0)
-            / ((math.exp(t) + 1.0) * gamma(e_neg))
-        )
-    raise ValueError(f"unknown variant {variant!r}, expected 'i' or 'ii'")
+    a = _EX1_ORDERS[variant](t)
+    return 2.0 * t ** (2.0 - a) / gamma(3.0 - a)
 
 
 def example2_exact_limits(variant, t, a1=1.0, a2=1.0, a3=25.0, u0=1.0, v0=10.0):
@@ -136,84 +131,25 @@ def example4_forcing(t: float) -> float:
 def example5_forcing(t: float) -> float:
     """Forcing that makes u = exp(t) solve the varying-coefficient benchmark.
 
-    Uses the closed form D^alpha exp(t) = exp(t) gammainc(1-alpha, t) /
-    Gamma(1-alpha) with alpha = 1 - 0.5 exp(-t), so the fractional term is
-    evaluated through the incomplete gamma rather than any grid sum.
+    The order is alpha = 1 - 0.5 exp(-t). With s = 1 - alpha and P the
+    regularized lower incomplete gamma, the fractional term is
+
+        D^alpha exp(t) = exp(t) P(s, t) = sum_k t^(k+s) / Gamma(k+s+1),
+
+    a series of positive terms, summed here until a term no longer counts.
     """
     t = float(t)
-    if t < 0.0:
-        raise ValueError(f"forcing defined for t >= 0, got {t!r}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"forcing defined for finite t >= 0, got {t!r}")
     et = math.exp(t)
     s = 0.5 * math.exp(-t)  # 1 - alpha(t)
-    vofd = et * lower_incomplete_gamma(s, t) / gamma(s) if t > 0.0 else 0.0
+    term = vofd = t ** s / gamma(1.0 + s)
+    k = 0
+    while term > 1e-17 * vofd:
+        k += 1
+        term *= t / (k + s)
+        vofd += term
     return (1.0 + t * t) * et + 0.1 * math.sqrt(t) * vofd + (10.0 + math.exp(-t)) * et
-
-
-# terms before the incomplete-gamma series or continued fraction gives up
-_MAX_TERMS = 500
-
-
-def lower_incomplete_gamma(s: float, x: float) -> float:
-    """Lower incomplete gamma integral int_0^x v^(s-1) exp(-v) dv.
-
-    Requires finite s > 0 and finite x >= 0. A power series is used for
-    x < s + 1 and a continued fraction for the complementary integral
-    otherwise; both converge rapidly in their regions.
-    """
-    if not (isinstance(s, (int, float)) and math.isfinite(s)) or s <= 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires s > 0, got {s!r}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x!r}")
-    s = float(s)
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _gamma_series(s, x)
-    return gamma(s) - _upper_gamma_cf(s, x)
-
-
-def _gamma_series(s: float, x: float) -> float:
-    # gamma_lower(s, x) = x^s exp(-x) sum_k x^k / (s (s+1) ... (s+k))
-    term = 1.0 / s
-    total = term
-    ap = s
-    for _ in range(_MAX_TERMS):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            return total * math.exp(-x + s * math.log(x))
-    raise ConvergenceError(
-        f"incomplete gamma series stalled for s={s}, x={x}"
-    )
-
-
-def _upper_gamma_cf(s: float, x: float) -> float:
-    # Modified Lentz evaluation of the continued fraction for the upper
-    # integral; valid for x >= s + 1 where it converges geometrically.
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_TERMS):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return math.exp(-x + s * math.log(x)) * h
-    raise ConvergenceError(
-        f"incomplete gamma continued fraction stalled for s={s}, x={x}"
-    )
 
 
 # registry ------------------------------------------------------------------
@@ -228,9 +164,9 @@ _NEAR_ONE = 1.0 - 1e-12
 _SQUARE = (lambda t: t * t, lambda t: 2.0 * t, lambda t: 2.0)
 
 
-def _derivative(variant: str, order: Callable[[float], float]):
-    """Builder of a bare derivative benchmark: u = t^2 under a time-only order."""
-    alpha = AlphaSpec.of_time(order)
+def _derivative(variant: str):
+    """Builder of a bare derivative benchmark: u = t^2 under an order of example 1."""
+    alpha = AlphaSpec.of_time(_EX1_ORDERS[variant])
 
     def build(name: str, description: str, h: float, T: float) -> Scenario:
         return Scenario(
@@ -273,9 +209,9 @@ _SWEEP = "linear oscillator order sweep: "
 # name -> (default horizon T, description, builder(name, description, h, T))
 _REGISTRY = {
     "ex1i": (1.0, "derivative benchmark: u = t^2, order (50 t + 49)/100, no oscillator",
-             _derivative("i", lambda t: (50.0 * t + 49.0) / 100.0)),
+             _derivative("i")),
     "ex1ii": (1.0, "derivative benchmark: u = t^2, order 1 - exp(-t), no oscillator",
-              _derivative("ii", lambda t: 1.0 - math.exp(-t))),
+              _derivative("ii")),
     "ex2i": (5.0, "linear oscillator, order 0.9999 - 1e-9 exp(-t): viscous-damping limit",
              _ex2(lambda t: 0.9999 - 1e-9 * math.exp(-t), limit="i")),
     "ex2ii": (5.0, "linear oscillator, order 1e-10 (1 - exp(-t)): added-stiffness limit",
@@ -297,7 +233,7 @@ _REGISTRY = {
     "ex3iii": (5.0, "velocity-dependent order 1 - 0.5 tanh|udot|, strong state feedback",
                _ex3(1.0, 0.5, 0.0, 10.0)),
     "ex4": (1.0, "cubic (Duffing) oscillator forced so that u = t^2 exactly",
-            _oscillator(AlphaSpec.of_time(lambda t: 1.0 - math.exp(-t)),
+            _oscillator(AlphaSpec.of_time(_EX1_ORDERS["ii"]),
                         a1=1.0, a2=0.2, a3=1.0, u0=0.0, v0=0.0, p=example4_forcing,
                         f_nl=lambda u, udot: u ** 3, exact=_SQUARE)),
     "ex5": (1.0, "time-varying coefficients forced so that u = exp(t) exactly",

@@ -5,6 +5,8 @@ imported only here and by the tests themselves.
 caputo_quadrature_oracle evaluates the defining history integral at a
 fixed order by QUADPACK's algebraic-weight rule; ode_limit_oracle
 integrates an integer-order limit equation with DOP853 at tight tolerance.
+Either raises this module's ConvergenceError when scipy misses its
+tolerance.
 
 step_matrices writes the 3x3 step system L x_n = R x_{n-1} + (g_n, 0, 0)
 of one step with a1, a2 and a3 evaluated here, not taken from the
@@ -28,10 +30,14 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from vofde import coefficient_row, history_sums
-from vofde.errors import ConvergenceError, OrderDomainError
+from vofde.errors import OrderDomainError
 from vofde.explicit_solver import march, solve_step
 from vofde.implicit_solver import solve_step_nonlinear
 from vofde.stability import amplification_from_matrices
+
+
+class ConvergenceError(RuntimeError):
+    """A scipy oracle did not reach its tolerance."""
 
 
 def step_matrices(problem, n, row):

@@ -10,9 +10,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vofde
+import vofde.cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -56,21 +58,56 @@ def test_every_result_metric_has_its_wrap_targets(tracer_module):
         assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"
 
 
-def test_small_solves_call_every_result_layer(tracer_module):
+# grid of the small solves below: h = 1e-2 up to T = 0.5
+H, T = 1e-2, 0.5
+
+
+def explicit_job(tmp_path):
+    # long_horizon: explicit solve, stability sweep and re-verification
+    linear = vofde.scenario("ex2iii_d", H, T=T).problem
+    trace = vofde.solve_explicit(linear)
+    vofde.stability_report(linear)
+    vofde.discrete_residuals(linear, trace)
+
+
+def implicit_job(tmp_path):
+    # state_feedback: implicit solves of a state-dependent order and of ex4
+    for name in ("ex3iii", "ex4"):
+        problem = vofde.scenario(name, H, T=T).problem
+        trace = vofde.solve_implicit(problem)
+        vofde.stability_report_along_trace(problem, trace)
+        vofde.discrete_residuals(problem, trace)
+
+
+def cli_job(tmp_path):
+    # registry_sweep: CLI runs, then re-verification of the written trace
+    for name, code in (("ex2iii_d", 0), ("ex3iii", 4)):
+        out = tmp_path / f"{name}.csv"
+        argv = ["scenario", "--name", name, "--h", repr(H), "--T", repr(T), "--stability",
+                "--out", str(out)]
+        assert vofde.cli.main(argv) == code
+        t, u, udot, uddot, alpha = np.loadtxt(
+            out, delimiter=",", skiprows=1, usecols=range(5), unpack=True)
+        trace = vofde.SolutionTrace(t=t, u=u, udot=udot, uddot=uddot, alpha_used=alpha,
+                                    udot_mean=0.5 * (udot[:-1] + udot[1:]))
+        vofde.discrete_residuals(vofde.scenario(name, H, T=T).problem, trace)
+
+
+def test_small_solves_call_every_result_layer(tracer_module, tmp_path):
     # the package must call the wrapped names through their modules, or the
     # wrappers never see a call and the metrics are dropped all the same;
-    # the calls below go through the package, as the benchmark's do
-    tracer = tracer_module.Tracer()
-    tracer.install()
-    try:
-        linear = vofde.scenario("ex2iii_d", 1e-2, T=0.5).problem
-        trace = vofde.solve_explicit(linear)
-        vofde.stability_report(linear)
-        vofde.discrete_residuals(linear, trace)
-        feedback = vofde.scenario("ex3iii", 1e-2, T=0.5).problem
-        vofde.stability_report_along_trace(feedback, vofde.solve_implicit(feedback))
-        metrics = tracer.metrics(1)
-    finally:
-        tracer.uninstall()
+    # each job mirrors one workload and runs under its own tracer, so a
+    # layer that one workload stops reaching is not covered by another
     expected = set(tracer_module.RESULT_METRICS) - {"trace.overhead"}
-    assert expected <= set(metrics), f"not measured: {sorted(expected - set(metrics))}"
+    missing = {}
+    for job in (explicit_job, implicit_job, cli_job):
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            job(tmp_path)
+            metrics = tracer.metrics(1)
+        finally:
+            tracer.uninstall()
+        if expected - set(metrics):
+            missing[job.__name__] = sorted(expected - set(metrics))
+    assert not missing, f"not measured: {missing}"

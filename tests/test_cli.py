@@ -344,8 +344,10 @@ class TestRunConfig:
              "a2: the exponent must be >= 0"),
             ("p", {"form": "sine", "params": {}},
              "p has unknown form 'sine'; known forms: constant, polynomial, exp_decay, power"),
+            # the nonlinear table has no constant form, so a number is no shorthand
+            ("nonlinear", 3, "nonlinear must be a form object, got 3"),
         ],
-        ids=["negative_exponent", "unknown_form"],
+        ids=["negative_exponent", "unknown_form", "nonlinear_number"],
     )
     def test_catalog_rejection_is_usage_error(self, tmp_path, capsys, key, spec, message):
         out = tmp_path / "x.csv"

@@ -122,8 +122,9 @@ class TestManufacturedForcings:
 
     def test_varying_coefficient_forcing_values(self):
         assert example5_forcing(0.0) == pytest.approx(12.0)
-        # independent incomplete-gamma route via scipy's regularized form
-        for t in (0.3, 0.9, 1.0):
+        # independent incomplete-gamma route via scipy's regularized form;
+        # t = 400 lies past where exp(t) Gamma(s) overflows a double
+        for t in (1e-9, 0.3, 0.9, 1.0, 5.0, 30.0, 400.0):
             s = 0.5 * math.exp(-t)
             vofd = math.exp(t) * special.gammainc(s, t)  # already divided by Gamma(s)
             expected = (
@@ -131,17 +132,18 @@ class TestManufacturedForcings:
                 + 0.1 * math.sqrt(t) * vofd
                 + (10.0 + math.exp(-t)) * math.exp(t)
             )
-            assert example5_forcing(t) == pytest.approx(expected, rel=1e-11)
+            assert example5_forcing(t) == pytest.approx(expected, rel=1e-13)
 
     def test_varying_coefficient_scenario_consistency(self):
         scn = scenario("ex5", 1e-2)
         assert check_scenario_consistency(scn) < 1e-8
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            example4_forcing(-0.1)
-        with pytest.raises(ValueError):
-            example5_forcing(-0.1)
+        # a non-finite time is rejected as well: a nan would never end ex5's series
+        for forcing in (example4_forcing, example5_forcing):
+            for t in (-0.1, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    forcing(t)
 
 
 class TestOdeLimitOracle:
