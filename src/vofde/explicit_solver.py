@@ -18,8 +18,8 @@ and step means in the trace's own arrays, and advances one
 vo_core.ExpSumHistory per step. The load reads the known history from it
 in O(L) for L ~ 200 exponential modes, so a solve costs O(N L), not the
 O(N^2) of one weight row per node. Since a time-only order is known in
-advance, the explicit stepper builds its weights for blocks of nodes
-at once.
+advance, its weights are built for blocks of nodes at once
+(time_only_weights), for this stepper and for the implicit one alike.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "load_term",
     "step_residual",
     "march",
+    "time_only_weights",
     "solve_step",
     "solve",
 ]
@@ -72,19 +73,23 @@ def load_term(coeffs, n: int, weights, hist) -> float:
     coeffs is node n's (a1, a2, a3, p), weights its (c_{n-1}, c_n, far) at
     the order used, and hist the pair (udot, history) of the node
     velocities so far and the history of step means 1 .. n-2 (an
-    ExpSumHistory, whose far weights these are). The known part is
-    far @ history.state, the sum over steps 1 .. n-2, plus the half of step
-    n-1's mean contributed by the velocity at node n-2; the halves carrying
-    udot_{n-1} and udot_n are left to the step equation. Empty for n <= 1.
-    A history of another length raises IndexError.
+    ExpSumHistory). far is either the far weights, a row of
+    history.weights, or the far sum they give, history.far_sum. The known
+    part is that sum over steps 1 .. n-2, far @ history.state for weights,
+    plus the half of step n-1's mean contributed by the velocity at node
+    n-2; the halves carrying udot_{n-1} and udot_n are left to the step
+    equation. Empty for n <= 1. A history of another length raises
+    IndexError.
     """
     udot, history = hist
     if history.size != max(n - 2, 0):
         raise IndexError(f"node {n} needs the means of {max(n - 2, 0)} steps, got {history.size}")
     g = coeffs[3]
     if n >= 2:
-        known = float(np.dot(weights[2], history.state)) + 0.5 * weights[0] * float(udot[n - 2])
-        g -= coeffs[1] * known
+        far = weights[2]
+        if not isinstance(far, float):
+            far = float(np.dot(far, history.state))
+        g -= coeffs[1] * (far + 0.5 * weights[0] * float(udot[n - 2]))
     return g
 
 
@@ -199,27 +204,40 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             "explicit stepping handles linear restoring only; use the implicit "
             "solver for nonlinear terms"
         )
-    h = problem.grid.h
     alphas = problem.time_only_orders()
-    block = []
+    weights = time_only_weights(problem.grid.h, alphas)
 
     def step(n, prev, coeffs, hist):
-        # a time-only order is known before its step, so the weights of
-        # _BLOCK nodes are built at once, when n opens a block
-        j = (n - 1) % _BLOCK
-        if j == 0:
-            block[:] = _block_weights(h, alphas[n : n + _BLOCK], n, hist[1])
-        return solve_step(problem, n, block[j], hist, prev, coeffs), float(alphas[n])
+        return solve_step(problem, n, weights(n, hist[1]), hist, prev, coeffs), float(alphas[n])
 
     return march(problem, step)
+
+
+def time_only_weights(h: float, orders: np.ndarray):
+    """Node weights of a time-only order, for either stepper's step function.
+
+    Returns weights(n, history): node n's (c_{n-1}, c_n, far) at orders[n],
+    far being the far weights on march's ExpSumHistory. A time-only order
+    is known before its step, so the call for the node that opens a block
+    builds the weights of its _BLOCK nodes at once; march's order, n = 1,
+    2, ..., is the order the calls must come in.
+    """
+    block = []
+
+    def weights(n: int, history: ExpSumHistory):
+        j = (n - 1) % _BLOCK
+        if j == 0:
+            block[:] = _block_weights(h, orders[n : n + _BLOCK], n, history)
+        return block[j]
+
+    return weights
 
 
 def _block_weights(h: float, orders: np.ndarray, first: int, history: ExpSumHistory) -> list:
     """(c_{n-1}, c_n, far) of the nodes n = first, first+1, ... at the given orders.
 
-    The near weights are the row coefficient_row(2, h, alpha_n), as in the
-    implicit stepper (c_{n-1} = 0 at n = 1); the far ones come from one exp
-    per block.
+    The near weights are the row coefficient_row(2, h, alpha_n)
+    (c_{n-1} = 0 at n = 1); the far ones come from one exp per block.
     """
     near = coefficient_row(2, h, orders)
     if first == 1:

@@ -4,12 +4,17 @@ Each step solves the step equation of explicit_solver (the governing
 equation at t_n with velocity and displacement written as affine functions
 of the new acceleration q_n) by a secant iteration with bisection fallback
 on explicit_solver.step_residual, inside explicit_solver.march's time
-loop. Each residual evaluation re-reads the order at the trial state, so
-the weights track the state exactly rather than being frozen at the
-previous step. The history is order-free (vo_core.ExpSumHistory), so a new
-trial order costs its far weights and one O(L) load, and its two near
-weights come from the closed-form row coefficient_row(2, h, order), as in
-the explicit stepper.
+loop. The weights depend on the kind of order:
+
+- a state-dependent order is re-read at every trial state, so the weights
+  track the state exactly rather than being frozen at the previous step.
+  The history is order-free (vo_core.ExpSumHistory), so a new trial order
+  costs its two near weights in scalar math (vo_core.near_weights), one
+  exp over the modes and one dot (ExpSumHistory.far_sum);
+- a time-only order is known before its step, so each step takes its
+  weights from the explicit stepper's blocks, time_only_weights, and its
+  load once, and the root solve evaluates neither the order nor any
+  weight.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import load_term, march, state_from_q, step_residual
-from .model import OscillatorProblem, SolutionTrace, StepState
-from .vo_core import coefficient_row
+from .explicit_solver import load_term, march, state_from_q, step_residual, time_only_weights
+from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
+from .vo_core import near_weights
 
 __all__ = [
     "solve_step_nonlinear",
@@ -46,28 +51,44 @@ def solve_step_nonlinear(
 ) -> tuple[StepState, float, int]:
     """Advance one step; returns (new state, order used, residual evaluations).
 
-    Secant iteration started from the previous acceleration; once a sign
-    change is seen the iterate is kept inside the bracket, falling back to
-    bisection whenever the secant step leaves it or degenerates. A residual
-    counts as zero within _TOL_RES of max(1, |p_n|, |a3 u_n|); a non-finite
-    one raises StepFailureError. hist and coeffs are as march hands them.
+    The order is read at each trial state, and its weights and load are
+    rebuilt whenever it moves by _ALPHA_CACHE_TOL or more. hist and coeffs
+    are as march hands them; the root solve is _root_solve's.
     """
     h = problem.grid.h
     tn = n * h
-    _, _, a3, p_n = coeffs
     history = hist[1]
     # order, weights and load of the last order seen
     cached = (math.nan, None, 0.0)
 
-    def f(q):
+    def weigh(q, udot_n, u_n):
         nonlocal cached
-        udot_n, u_n = state_from_q(q, prev, h)
         a_star = problem.alpha.value_at(tn, u_n, udot_n, node=n, trial_q=q)
         if not abs(a_star - cached[0]) < _ALPHA_CACHE_TOL:
-            c_nm1, c_n = coefficient_row(2, h, a_star).tolist()
-            weights = (c_nm1 if n >= 2 else 0.0, c_n, history.weights(h, a_star))
+            c_nm1, c_n = near_weights(h, a_star)
+            weights = (c_nm1 if n >= 2 else 0.0, c_n, history.far_sum(h, a_star))
             cached = (a_star, weights, load_term(coeffs, n, weights, hist))
-        _, weights, g = cached
+        return cached
+
+    return _root_solve(n, problem, prev, coeffs, weigh)
+
+
+def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, weigh):
+    """Root of node n's step residual in q_n; (new state, order used, evaluations).
+
+    weigh(q, udot_n, u_n) gives the (order, weights, load) of a trial
+    state. Secant iteration started from the previous acceleration; once a
+    sign change is seen the iterate is kept inside the bracket, falling
+    back to bisection whenever the secant step leaves it or degenerates. A
+    residual counts as zero within _TOL_RES of max(1, |p_n|, |a3 u_n|); a
+    non-finite one raises StepFailureError.
+    """
+    h = problem.grid.h
+    _, _, a3, p_n = coeffs
+
+    def f(q):
+        udot_n, u_n = state_from_q(q, prev, h)
+        a_star, weights, g = weigh(q, udot_n, u_n)
         value = step_residual(problem, n, (q, udot_n, u_n), weights, g, prev, coeffs)
         if not math.isfinite(value):
             raise StepFailureError(
@@ -136,13 +157,29 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
 
     Handles every admissible problem, including time-only orders (for which
     it reproduces the explicit stepper up to the root-solve tolerance) and
-    nonlinear restoring terms. The trace's iterations array holds the
-    residual evaluation count of each step.
+    nonlinear restoring terms. A time-only order is evaluated once per node
+    without state, as for the explicit stepper, so one that reads u or udot
+    raises OrderDomainError at its node. The trace's iterations array holds
+    the residual evaluation count of each step.
     """
     iters = np.zeros(problem.grid.N, dtype=int)
 
-    def step(n, prev, coeffs, hist):
-        state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
-        return state, a_star
+    if problem.alpha.kind is AlphaKind.TIME_ONLY:
+        alphas = problem.time_only_orders()
+        weights_at = time_only_weights(problem.grid.h, alphas)
+
+        def step(n, prev, coeffs, hist):
+            weights = weights_at(n, hist[1])
+            fixed = (float(alphas[n]), weights, load_term(coeffs, n, weights, hist))
+            state, a_star, iters[n - 1] = _root_solve(
+                n, problem, prev, coeffs, lambda q, udot_n, u_n: fixed
+            )
+            return state, a_star
+
+    else:
+
+        def step(n, prev, coeffs, hist):
+            state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
+            return state, a_star
 
     return replace(march(problem, step), iterations=iters)

@@ -11,15 +11,19 @@ the kernel, which gives the closed-form weights below (coefficient,
 coefficient_row), with Gamma taken from math. The steppers read the
 history online from an ExpSumHistory, an order-free sum of exponentials
 that one step mean at a time updates in O(L) work, with L about 200 modes;
-they take only the two latest weights of a node in closed form.
-history_sums gives every node's history sum at once by FFT convolution,
-for re-verification and vo_derivative_series. The module needs numpy and
+they take only the two latest weights of a node in closed form, as
+two-entry rows for a block of known orders or, one trial order at a time,
+in scalar math (near_weights), with the far sum of that order from one
+exp and one dot (ExpSumHistory.far_sum). history_sums gives every node's
+history sum at once by FFT convolution, for re-verification and
+vo_derivative_series. The module needs numpy and
 math only; the quadrature oracle that cross-checks the weights lives with
 the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -34,6 +38,7 @@ __all__ = [
     "Grid",
     "coefficient",
     "coefficient_row",
+    "near_weights",
     "ExpSumHistory",
     "history_sums",
     "vo_derivative_series",
@@ -55,16 +60,17 @@ class Grid:
         The ratio is nudged by one part in 1e12 before the ceiling so that
         horizons which are exact multiples of h up to float noise do not
         gain a spurious extra step. A grid whose N + 1 is not finite, or
-        whose nodes at _NODE_BYTES each would exceed physical memory,
+        whose nodes at _NODE_BYTES each would exceed _memory_limit(),
         raises ValueError naming N before anything is allocated.
         """
         h, T = _check_positive(h), _check_positive(T, "horizon")
         ratio = (T / h) * (1.0 - 1e-12)
         N = max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
-        if N == math.inf or _NODE_BYTES * (N + 1) > _PHYSICAL_MEMORY:
+        if N == math.inf or _NODE_BYTES * (N + 1) > _memory_limit():
             raise ValueError(
                 f"T / h = {T!r} / {h!r} gives N = {N:.4g} steps, too many for "
-                f"a solve at {_NODE_BYTES} bytes a node to fit in physical memory"
+                f"a solve at {_NODE_BYTES} bytes a node to fit in memory (physical "
+                f"memory or the cgroup limit, whichever is lower)"
             )
         return cls(h=h, N=N, T=T)
 
@@ -76,10 +82,25 @@ class Grid:
 # N = 2e5 and 8e5 was 136 B for a trace with stability check (explicit or
 # implicit) and 162 B for an ex1 convergence study; rounded up
 _NODE_BYTES = 192
-# bytes of physical memory, unbounded where the system does not say
-_PHYSICAL_MEMORY = math.inf
-if hasattr(os, "sysconf"):
-    _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+@functools.cache
+def _memory_limit(cgroup_max: str = "/sys/fs/cgroup/memory.max") -> float:
+    """Bytes of physical memory, or the cgroup v2 limit where that is lower.
+
+    The limit counts where the file exists and holds a number; its "max"
+    means none. Unbounded where the system gives neither. Read on the first
+    call, not on import.
+    """
+    limit = math.inf
+    if hasattr(os, "sysconf"):
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(cgroup_max) as f:
+            text = f.read().strip()
+    except OSError:
+        return limit
+    return min(limit, int(text)) if text.isdigit() else limit
 
 
 def _check_positive(x, what: str = "step size") -> float:
@@ -208,6 +229,20 @@ def coefficient_row(n: int, h: float, alpha) -> np.ndarray:
     return (_increments(logs, log1ms, a)[::-1] * factor).T
 
 
+_LOG_TWO = math.log(2.0)
+
+
+def near_weights(h: float, alpha: float) -> tuple[float, float]:
+    """(c_{n-1}, c_n) of any row n >= 2 at one order, in scalar math.
+
+    c_n = -f(alpha) d_1 = -f(alpha) and c_{n-1} = -f(alpha) d_2 =
+    -f(alpha) expm1((1-alpha) log 2), with f from _row_factor: the last
+    two entries of coefficient_row(2, h, alpha) to relative round-off.
+    alpha must already lie in (0, 1).
+    """
+    f = _row_factor(h, alpha)
+    return -f * math.expm1((1.0 - alpha) * _LOG_TWO), -f
+
 # Trapezoid step in y and target accuracy of the steppers' sum of exponentials
 _SOE_STEP = 0.25
 _SOE_EPS = 1e-16
@@ -237,8 +272,9 @@ class ExpSumHistory:
     the constant mode last (its decay is 1, so it is the plain sum of the
     means). push folds in one step mean in O(L). With size = n - 2 the
     known part of node n's history sum, sum_{r<=n-2} c_r^n m_r, is
-    weights(h, alpha_n) @ state: the e^(-2 s_l) that takes G_l from node
-    n-2 to node n is folded into the weights, and so is
+    far_sum(h, alpha_n), or the row of weights(h, orders) at alpha_n dotted
+    with state: the e^(-2 s_l) that takes G_l from node n-2 to node n is
+    folded into the weights, and so is
     -f(alpha) (1-alpha) / Gamma(alpha) = h^(1-alpha) sin(pi alpha) / pi,
     so the weights need no Gamma.
     """
@@ -255,6 +291,9 @@ class ExpSumHistory:
         self.factor = np.append(_SOE_STEP * -np.expm1(-s) / s * np.exp(-2.0 * s), _SOE_STEP)
         self.state = np.zeros(y.size)
         self.size = 0
+        # state * factor for far_sum, and the size it was formed at
+        self._scaled = np.zeros(y.size)
+        self._scaled_size = 0
 
     def push(self, mean: float) -> None:
         """Fold the next step mean into the state."""
@@ -263,30 +302,39 @@ class ExpSumHistory:
         state += mean
         self.size += 1
 
-    def weights(self, h: float, alpha) -> np.ndarray:
-        """Far weights at one order, or one row per order of a 1-d array.
+    def weights(self, h: float, orders: np.ndarray) -> np.ndarray:
+        """Far weights, one row per order of a 1-d array.
 
-        Dotted with the state, the weights at alpha_n give the known history
-        sum of node n without its two near steps. An array of orders takes
-        one exp for all of them, so a stepper that knows its orders in
-        advance builds their weights in blocks; each row equals the weights
-        of its order alone, bit for bit.
+        Dotted with the state, the row at alpha_n gives the known history
+        sum of node n without its two near steps. The orders take one exp
+        for all of them, so a stepper that knows its orders in advance
+        builds their weights in blocks; each row equals the row of its order
+        alone, bit for bit.
         """
-        if isinstance(alpha, np.ndarray):
-            w = np.multiply.outer(alpha, self.y)
-            np.exp(w, out=w)
-            w *= self.factor
-            scale, geometric = np.array([_far_factors(h, a) for a in alpha.tolist()]).T
-            w[:, -1] /= geometric
-            w *= scale[:, None]
-        else:
-            w = self.y * alpha
-            np.exp(w, out=w)
-            w *= self.factor
-            scale, geometric = _far_factors(h, alpha)
-            w[-1] /= geometric
-            w *= scale
+        w = np.multiply.outer(orders, self.y)
+        np.exp(w, out=w)
+        w *= self.factor
+        scale, geometric = np.array([_far_factors(h, a) for a in orders.tolist()]).T
+        w[:, -1] /= geometric
+        w *= scale[:, None]
         return w
+
+    def far_sum(self, h: float, alpha: float) -> float:
+        """The known history sum at one order: weights(h, [alpha])[0] @ state.
+
+        Taken as scale (e^(alpha y) @ S) with the constant mode's entry of
+        e^(alpha y) divided by its geometric factor, where S is the state
+        times the order-free factors, formed once per pushed mean. So a new
+        order costs one exp over the modes and one dot, and no weight row.
+        """
+        if self._scaled_size != self.size:
+            self._scaled = self.state * self.factor
+            self._scaled_size = self.size
+        e = self.y * alpha
+        np.exp(e, out=e)
+        scale, geometric = _far_factors(h, alpha)
+        e[-1] /= geometric
+        return scale * float(e @ self._scaled)
 
 
 def _far_factors(h: float, a: float) -> tuple[float, float]:

@@ -7,7 +7,7 @@ captures stdout during the tests themselves.
 
 import numpy as np
 
-from vofde import coefficient_row
+from vofde.explicit_solver import _block_weights
 from vofde.vo_core import ExpSumHistory
 
 _acceptance_lines: list[str] = []
@@ -44,9 +44,8 @@ def history_of(endpoints, n_steps=None):
 
 
 def node_weights(n, h, alpha, hist):
-    """(c_{n-1}, c_n, far) of node n at one order, as the implicit steps build them."""
-    near = coefficient_row(min(n, 2), h, alpha)
-    return float(near[0]) if n >= 2 else 0.0, float(near[-1]), hist[1].weights(h, alpha)
+    """(c_{n-1}, c_n, far) of node n at one order, as a block of the time-only steps."""
+    return _block_weights(h, np.array([alpha], dtype=float), n, hist[1])[0]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

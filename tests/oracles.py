@@ -115,20 +115,20 @@ def direct_history_sums(means, orders, h):
 
 
 class DirectHistory:
-    """The step means 1 .. size in full, with far weights from weight rows.
+    """The step means 1 .. size in full, with far sums from weight rows.
 
     It stands in for vo_core.ExpSumHistory in the implicit steps: the far
     weights at an order are the first size entries of node size + 2's row,
-    and the state is the means themselves, so far @ state is the direct
-    known history sum.
+    and the state is the means themselves, so far_sum, their dot, is the
+    direct known history sum.
     """
 
     def __init__(self, means):
         self.state = np.asarray(means, dtype=float)
         self.size = self.state.size
 
-    def weights(self, h, alpha):
-        return coefficient_row(self.size + 2, h, alpha)[: self.size]
+    def far_sum(self, h, alpha):
+        return float(coefficient_row(self.size + 2, h, alpha)[: self.size] @ self.state)
 
 
 def direct_solve(problem, implicit=False):

@@ -6,12 +6,14 @@ closed-form inversion under test.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import history_of, node_coeffs, node_weights
 from vofde import (
+    AlphaKind,
     AlphaSpec,
     OscillatorProblem,
     StepState,
@@ -193,6 +195,33 @@ class TestSolve:
             b = solve_implicit(scn.problem)
             assert float(np.max(np.abs(a.u - b.u))) <= 1e-8
             assert float(np.max(np.abs(a.udot - b.udot))) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["ex4", "ex2iii_d"])
+    def test_time_only_route_matches_the_same_order_read_per_trial(self, name):
+        # the time-only route takes block weights and one load per step; the
+        # same order declared state-dependent is re-read at each trial state
+        problem = scenario(name, 1e-2).problem
+        per_trial = replace(problem, alpha=AlphaSpec.of_state(problem.alpha.eval))
+        blocks, trial = solve_implicit(problem), solve_implicit(per_trial)
+        assert np.array_equal(blocks.alpha_used, trial.alpha_used)
+        for key, bound in (("u", 1e-12), ("udot", 1e-12), ("uddot", 1e-11)):
+            # uddot is the root-solve unknown: residuals that differ by
+            # round-off stop at iterates within the 1e-11 scaled tolerance
+            a, b = getattr(blocks, key), getattr(trial, key)
+            assert float(np.max(np.abs(a - b))) <= bound * max(1.0, float(np.max(np.abs(b))))
+
+    def test_time_only_order_reading_the_state_fails_at_its_node(self):
+        # from t = 0.5 on the order reads u, which a time-only order must not
+        alpha = AlphaSpec(
+            AlphaKind.TIME_ONLY, lambda t, u, udot: 0.5 if t < 0.5 else 0.5 + 0.1 * math.tanh(u)
+        )
+        prob = OscillatorProblem.build(
+            a1=1.0, a2=1.0, a3=25.0, p=0.0, alpha=alpha, u0=1.0, v0=10.0, T=1.0, h=1e-2
+        )
+        for solve in (solve_implicit, solve_explicit):
+            with pytest.raises(OrderDomainError) as err:
+                solve(prob)
+            assert err.value.node == 50
 
     def test_iterations_recorded_and_small(self):
         scn = scenario("ex3i", 1e-2)

@@ -34,7 +34,7 @@ def test_kernel_matches_d_k_to_round_off(alpha, N, place):
     history = ExpSumHistory(N)
     # at h = 1 the weights are d's modes times 1/Gamma(2 - alpha); the
     # state carries the e^(-s (k-3)) of k - 3 steps back
-    modes = history.weights(1.0, alpha)
+    modes = history.weights(1.0, np.array([alpha]))[0]
     modes[:-1] *= np.exp(-np.exp(history.y[:-1]) * (k - 3))
     d = float(np.sum(modes)) * math.gamma(2.0 - alpha)
     exact = exact_d(k, alpha)
@@ -47,7 +47,22 @@ def test_block_rows_equal_single_order_weights():
     block = history.weights(1e-3, alphas)
     assert block.shape == (alphas.size, history.y.size)
     for row, alpha in zip(block, alphas.tolist()):
-        assert np.array_equal(row, history.weights(1e-3, alpha))
+        assert np.array_equal(row, history.weights(1e-3, np.array([alpha]))[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders, st.floats(1e-3, 0.5), st.integers(0, 400).flatmap(
+    lambda size: st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)
+))
+def test_far_sum_equals_the_weights_dotted_with_the_state(alpha, h, means):
+    # the implicit stepper's one exp and one dot against the block weights,
+    # relative to the sum of the terms' sizes
+    history = ExpSumHistory(max(len(means), 3))
+    for mean in means:
+        history.push(mean)
+    weights = history.weights(h, np.array([alpha]))[0]
+    gap = abs(history.far_sum(h, alpha) - float(weights @ history.state))
+    assert gap <= 1e-15 * float(np.abs(weights) @ np.abs(history.state))
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,14 +78,16 @@ def test_online_state_matches_direct_rows(data, h):
     means, alphas = (np.array(x) for x in data)
     N = means.size
     history = ExpSumHistory(N)
-    online, direct, scale = [], [], 1.0
+    online, far, direct, scale = [], [], [], 1.0
     for n in range(3, N + 1):
         history.push(means[n - 3])
-        online.append(float(history.weights(h, alphas[n - 1]) @ history.state))
+        online.append(float(history.weights(h, alphas[n - 1 : n])[0] @ history.state))
+        far.append(history.far_sum(h, float(alphas[n - 1])))
         row = coefficient_row(n, h, float(alphas[n - 1]))[: n - 2]
         direct.append(float(row @ means[: n - 2]))
         scale = max(scale, float(np.abs(row) @ np.abs(means[: n - 2])))
-    assert np.max(np.abs(np.subtract(online, direct)), initial=0.0) <= 1e-13 * scale
+    for sums in (online, far):
+        assert np.max(np.abs(np.subtract(sums, direct)), initial=0.0) <= 1e-13 * scale
 
 
 def registry_problems(kind):

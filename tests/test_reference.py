@@ -7,7 +7,6 @@ governing equations.
 """
 
 import math
-from math import gamma
 
 import numpy as np
 import pytest
@@ -31,12 +30,6 @@ class TestExample1ExactDerivative:
         assert example1_exact_vofd("ii", 1.0) == pytest.approx(
             1.6437697140691001, rel=1e-12
         )
-
-    def test_variant_ii_equals_general_form(self):
-        for t in (0.2, 0.7, 1.0):
-            a = 1.0 - math.exp(-t)
-            general = 2.0 * t ** (2.0 - a) / gamma(3.0 - a)
-            assert example1_exact_vofd("ii", t) == pytest.approx(general, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["i", "ii"])
     def test_against_quadrature_oracle(self, variant):

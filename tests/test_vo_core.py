@@ -7,6 +7,7 @@ derivative in tests/oracles.py. Neither route shares code with the weights.
 """
 
 import math
+import os
 import re
 from decimal import Decimal, localcontext
 from math import gamma
@@ -79,6 +80,22 @@ class TestGrid:
     def test_grid_too_large_to_allocate_names_N(self, h, N):
         with pytest.raises(ValueError, match=rf"N = {re.escape(N)} steps"):
             Grid.make(1.0, h)
+
+    @pytest.mark.parametrize("text,limit", [("1048576\n", 1048576), ("max\n", None), (None, None)])
+    def test_memory_limit_reads_the_cgroup_file(self, tmp_path, text, limit):
+        # a number caps physical memory; "max" or no file leaves it alone
+        path = tmp_path / "memory.max"
+        if text is not None:
+            path.write_text(text)
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        expected = physical if limit is None else min(physical, limit)
+        assert vo_core._memory_limit(str(path)) == expected
+
+    def test_grid_beyond_the_memory_limit_refused(self, monkeypatch):
+        monkeypatch.setattr(vo_core, "_memory_limit", lambda: vo_core._NODE_BYTES * 1001)
+        assert Grid.make(1.0, 1e-3).N == 1000
+        with pytest.raises(ValueError, match="N = 1001 steps"):
+            Grid.make(1.001, 1e-3)
 
     @pytest.mark.parametrize("T,h", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1), (1.0, -0.1), (math.nan, 0.1)])
     def test_domain(self, T, h):
@@ -219,6 +236,16 @@ class TestCoefficientRow:
             exact = decimal_weight(n - r + 1, h, alpha)
             assert abs(row[r - 1] - exact) <= 1e-14 * exact, (r, row[r - 1], exact)
             assert abs(coefficient(n, r, h, alpha) - exact) <= 1e-14 * exact, r
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-12, 1.0 - 1e-12), st.floats(1e-3, 0.5))
+    @example(1e-12, 1e-3)
+    @example(1.0 - 1e-12, 0.5)
+    def test_near_weights_equal_the_two_entry_row(self, alpha, h):
+        # the implicit stepper's c_{n-1} and c_n, taken in scalar math
+        row = coefficient_row(2, h, alpha)
+        near = vo_core.near_weights(h, alpha)
+        assert np.all(np.abs(np.subtract(near, row)) <= 4.5e-16 * row), (near, row)
 
     def test_near_order_one_row_is_a_delta(self):
         # prefactor cancellation: the row tends to (0, ..., 0, 1)
