@@ -9,17 +9,19 @@ g_n (load_term) and the terms carrying the two latest velocities, reads
 with every coefficient at t_n and c_{n-1}, c_n the two near weights of
 node n (c_{n-1} = 0 at n = 1). The average-acceleration relations make
 udot_n and u_n affine in the new acceleration q_n (state_from_q), so
-step_residual is one scalar equation in q_n. solve_step takes the linear
-case with a time-only order, where it is affine in q_n, by one Newton step
-from q_n = 0; implicit_solver root-solves it for everything else. Both run
-in the one time loop, march, which takes a1, a2 and a3 from the problem's
-coefficients_at_nodes table (the only check on a1), keeps the velocities
-and step means in the trace's own arrays, and advances one
-vo_core.ExpSumHistory per step. The load reads the known history from it
-in O(L) for L ~ 200 exponential modes, so a solve costs O(N L), not the
-O(N^2) of one weight row per node. Since a time-only order is known in
-advance, its weights are built for blocks of nodes at once
-(time_only_weights), for this stepper and for the implicit one alike.
+step_residual is one scalar equation in q_n; implicit_solver root-solves
+it. For a linear problem with a time-only order it is affine in q_n, and
+solve takes it by one Newton step from q_n = 0: per node, one scalar body
+forms the load, the residual at q_n = 0 and q_n = -residual / den. Both
+steppers run in the one time loop, march, which walks the grid in blocks
+of _BLOCK nodes. Each block forms its node data in numpy once: a1, a2 and
+a3 from the problem's coefficients_at_nodes table (the only check on a1),
+p, and whatever a block hook adds; time_only_blocks adds a time-only
+order's weights and the explicit step's den and guard. The state passes
+between nodes as floats; march keeps the velocities and step means in the
+trace's arrays and advances one vo_core.ExpSumHistory per step, from which
+the load reads the known history in O(L) for L ~ 200 exponential modes, so
+a solve costs O(N L), not the O(N^2) of one weight row per node.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ __all__ = [
     "load_term",
     "step_residual",
     "march",
-    "time_only_weights",
-    "solve_step",
+    "time_only_blocks",
     "solve",
 ]
 
@@ -46,10 +47,9 @@ __all__ = [
 # treated as zero: the scalar form of a condition-number bound of 1e14
 _COND_LIMIT = 1e14
 
-# nodes per block of the explicit stepper's weights: a block's array of
-# 64 x ~200 weights stays near 100 kB, where 256 nodes raised the peak RSS of
-# a run of N = 500 solves by 0.7 MB, and the block's fixed cost is already
-# below 1 us per node
+# nodes per block of march: a block's array of 64 x ~200 far weights stays
+# near 100 kB, where 256 nodes raised the peak RSS of a run of N = 500
+# solves by 0.7 MB
 _BLOCK = 64
 
 
@@ -72,8 +72,8 @@ def load_term(coeffs, n: int, weights, hist) -> float:
 
     coeffs is node n's (a1, a2, a3, p), weights its (c_{n-1}, c_n, far) at
     the order used, and hist the pair (udot, history) of the node
-    velocities so far and the history of step means 1 .. n-2 (an
-    ExpSumHistory). far is either the far weights, a row of
+    velocities, through node n-2 at least, and the history of step means
+    1 .. n-2 (an ExpSumHistory). far is either the far weights, a row of
     history.weights, or the far sum they give, history.far_sum. The known
     part is that sum over steps 1 .. n-2, far @ history.state for weights,
     plus the half of step n-1's mean contributed by the velocity at node
@@ -88,7 +88,7 @@ def load_term(coeffs, n: int, weights, hist) -> float:
     if n >= 2:
         far = weights[2]
         if not isinstance(far, float):
-            far = float(np.dot(far, history.state))
+            far = float(far.dot(history.state))
         g -= coeffs[1] * (far + 0.5 * weights[0] * float(udot[n - 2]))
     return g
 
@@ -115,84 +115,93 @@ def step_residual(
     )
 
 
-def march(problem: OscillatorProblem, step) -> SolutionTrace:
-    """The time loop of both steppers.
+def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
+    """The time loop of both steppers, a block of _BLOCK nodes at a time.
 
-    step(n, prev, coeffs, hist) returns the state at node n and the order
-    used there, given the state at node n-1, the coefficients
-    (a1, a2, a3, p) at t_n as floats, and the history (udot, history): a
-    view of the trace's velocities at nodes 0 .. n-1 and the run's
-    ExpSumHistory, advanced to hold the step means 1 .. n-2. a1, a2 and a3
-    come from one coefficients_at_nodes table, so a bad a1 stops the run
-    before its first step. The history integral of a continuous velocity
-    vanishes at t = 0, so the initial acceleration is
+    Each block forms its node data once: a1, a2 and a3 from the problem's
+    coefficients_at_nodes table, which checks a1 before the first step, and
+    p at the block's nodes, as the rows (a1, a2, a3, p) of an array coeffs;
+    given block, block(first, coeffs, history) is an iterable with one item
+    per node of the block (else each item is None). Per node,
+    step(n, prev, coeffs_n, item, hist) returns the state (q, udot, u) at
+    node n and the order used there. prev is the state it returned for
+    node n-1, StepState(q0, v0, u0) at n = 1; coeffs_n is node n's row of
+    coeffs as a list of floats; and hist is (udot, history), the trace's
+    velocity array, filled through node n-1, and the run's ExpSumHistory,
+    advanced to hold the step means 1 .. n-2. The history integral of a
+    continuous velocity vanishes at t = 0, so the initial acceleration is
     q0 = (p(0) - a3(0) u0 - f_nl(u0, v0)) / a1(0), from row 0 of the table.
     """
     grid = problem.grid
-    h = grid.h
-    q, ud, u, alphas = np.empty((4, grid.N + 1))
-    means = np.empty(grid.N)
+    h, N = grid.h, grid.N
+    q, ud, u, alphas = np.empty((4, N + 1))
+    means = np.empty(N)
     table = problem.coefficients_at_nodes()
     a1_0, _, a3_0 = table[0].tolist()
     load_0 = float(problem.p(0.0)) - a3_0 * problem.u0
     q0 = (load_0 - problem.nonlinear_term(problem.u0, problem.v0)) / a1_0
     prev = StepState(q0, float(problem.v0), float(problem.u0))
-    history = ExpSumHistory(grid.N)
     q[0], ud[0], u[0] = prev
     try:
         # reference only; never range-checked and never used in a weight
         alphas[0] = float(problem.alpha.eval(0.0, problem.u0, problem.v0))
     except Exception:
         alphas[0] = math.nan
+    history = ExpSumHistory(N)
+    hist = (ud, history)
 
-    for n in range(1, grid.N + 1):
-        if n >= 3:
-            history.push(means[n - 3])
-        coeffs = (*table[n].tolist(), float(problem.p(n * h)))
-        prev, alphas[n] = step(n, prev, coeffs, (ud[:n], history))
-        q[n], ud[n], u[n] = prev
-        means[n - 1] = 0.5 * (ud[n - 1] + ud[n])
+    for first in range(1, N + 1, _BLOCK):
+        nodes = range(first, min(first + _BLOCK, N + 1))
+        coeffs = np.empty((len(nodes), 4))
+        coeffs[:, :3] = table[first : nodes.stop]
+        coeffs[:, 3] = np.fromiter((problem.p(n * h) for n in nodes), float, len(nodes))
+        items = [None] * len(nodes) if block is None else block(first, coeffs, history)
+        for n, coeffs_n, item in zip(nodes, coeffs.tolist(), items):
+            if n >= 3:
+                history.push(means[n - 3])
+            udot_prev = prev[1]
+            prev, alphas[n] = step(n, prev, coeffs_n, item, hist)
+            q[n], ud[n], u[n] = prev
+            means[n - 1] = 0.5 * (udot_prev + prev[1])
     return SolutionTrace(t=grid.times(), u=u, udot=ud, uddot=q, alpha_used=alphas, udot_mean=means)
 
 
-def solve_step(
-    problem: OscillatorProblem, n: int, weights, hist, prev: StepState, coeffs
-) -> StepState:
-    """Advance a linear problem to node n in one Newton step from q_n = 0.
+def time_only_blocks(h: float, orders: np.ndarray):
+    """march's block hook for a time-only order, orders[n] being its value at node n.
 
-    The step residual is then affine in q_n with slope
-    den = a1 + a2 c_n h/4 + a3 h^2/4, so q_n = -residual(0) / den exactly.
-    A denominator that is zero or lost in rounding raises StepFailureError
-    naming step n, and so does a non-finite q_n past a sound denominator,
-    which only an overflowed state or a non-finite p can give.
+    Gives each node n of the block (weights, alpha_n, den, size): weights
+    is (c_{n-1}, c_n, far) at alpha_n, the near pair a row of
+    coefficient_row(2, h, orders) (c_{n-1} = 0 at n = 1) and far a row of
+    history.weights; den = a1 + a2 c_n h/4 + a3 h^2/4 is the slope in q_n
+    of a linear step equation and size = |a1| + |a2 c_n h/4| + |a3 h^2/4|
+    the scale of its guard, formed elementwise in the scalar terms' order.
     """
-    h = problem.grid.h
-    a1, a2, a3, _ = coeffs
-    damping = 0.25 * h * a2 * weights[1]
-    stiffness = 0.25 * h * h * a3
-    den = a1 + damping + stiffness
-    size = abs(a1) + abs(damping) + abs(stiffness)
-    g = load_term(coeffs, n, weights, hist)
-    trial = (0.0, *state_from_q(0.0, prev, h))
-    residual = step_residual(problem, n, trial, weights, g, prev, coeffs)
-    if not abs(den) * _COND_LIMIT > size:
-        raise StepFailureError(
-            f"step equation singular or ill-conditioned (denominator {den:.3e} "
-            f"against term sizes {size:.3e})",
-            step=n,
-        )
-    q = -residual / den
-    if not math.isfinite(q):
-        raise StepFailureError(
-            f"acceleration {q!r} in step {n}: the state overflowed or p is not finite", step=n
-        )
-    return StepState(q, *state_from_q(q, prev, h))
+
+    def block(first: int, coeffs: np.ndarray, history: ExpSumHistory):
+        alpha = orders[first : first + len(coeffs)]
+        near = coefficient_row(2, h, alpha)
+        if first == 1:
+            near[0, 0] = 0.0
+        a1, a2, a3, _ = coeffs.T
+        damping = 0.25 * h * a2 * near[:, 1]
+        stiffness = 0.25 * h * h * a3
+        den = a1 + damping + stiffness
+        size = np.abs(a1) + np.abs(damping) + np.abs(stiffness)
+        weights = zip(*near.T.tolist(), history.weights(h, alpha))
+        return zip(weights, alpha.tolist(), den.tolist(), size.tolist())
+
+    return block
 
 
 def solve(problem: OscillatorProblem) -> SolutionTrace:
     """Integrate the problem over its whole grid.
 
-    Only linear problems with a TIME_ONLY order are accepted.
+    Only linear problems with a TIME_ONLY order are accepted. Each step is
+    one Newton step from q_n = 0: the step residual is affine in q_n with
+    slope den, so q_n = -residual(0) / den exactly. A denominator that is
+    zero or lost in rounding raises StepFailureError naming its step, and
+    so does a non-finite q_n past a sound denominator, which only an
+    overflowed state or a non-finite p can give.
     """
     if problem.alpha.kind is not AlphaKind.TIME_ONLY:
         raise ValueError(
@@ -204,42 +213,33 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             "explicit stepping handles linear restoring only; use the implicit "
             "solver for nonlinear terms"
         )
-    alphas = problem.time_only_orders()
-    weights = time_only_weights(problem.grid.h, alphas)
+    h = problem.grid.h
+    half_h, quarter_hh = 0.5 * h, 0.25 * h * h
 
-    def step(n, prev, coeffs, hist):
-        return solve_step(problem, n, weights(n, hist[1]), hist, prev, coeffs), float(alphas[n])
+    def step(n, prev, coeffs, node, hist):
+        weights, alpha, den, size = node
+        q_prev, udot_prev, u_prev = prev
+        g = load_term(coeffs, n, weights, hist)
+        # step_residual at q_n = 0 (a1 q_n and f_nl drop out), at state_from_q's state
+        udot_0 = udot_prev + half_h * q_prev
+        u_0 = u_prev + h * udot_0 - quarter_hh * q_prev
+        c_nm1, c_n, _ = weights
+        damping = 0.5 * coeffs[1] * (c_nm1 * udot_prev + c_n * (udot_prev + udot_0))
+        residual = damping + coeffs[2] * u_0 - g
+        if not abs(den) * _COND_LIMIT > size:
+            raise StepFailureError(
+                f"step equation singular or ill-conditioned (denominator {den:.3e} "
+                f"against term sizes {size:.3e})",
+                step=n,
+            )
+        q_n = -residual / den
+        if not math.isfinite(q_n):
+            raise StepFailureError(
+                f"acceleration {q_n!r} in step {n}: the state overflowed or p is not finite",
+                step=n,
+            )
+        qsum = q_n + q_prev
+        udot_n = udot_prev + half_h * qsum
+        return (q_n, udot_n, u_prev + h * udot_n - quarter_hh * qsum), alpha
 
-    return march(problem, step)
-
-
-def time_only_weights(h: float, orders: np.ndarray):
-    """Node weights of a time-only order, for either stepper's step function.
-
-    Returns weights(n, history): node n's (c_{n-1}, c_n, far) at orders[n],
-    far being the far weights on march's ExpSumHistory. A time-only order
-    is known before its step, so the call for the node that opens a block
-    builds the weights of its _BLOCK nodes at once; march's order, n = 1,
-    2, ..., is the order the calls must come in.
-    """
-    block = []
-
-    def weights(n: int, history: ExpSumHistory):
-        j = (n - 1) % _BLOCK
-        if j == 0:
-            block[:] = _block_weights(h, orders[n : n + _BLOCK], n, history)
-        return block[j]
-
-    return weights
-
-
-def _block_weights(h: float, orders: np.ndarray, first: int, history: ExpSumHistory) -> list:
-    """(c_{n-1}, c_n, far) of the nodes n = first, first+1, ... at the given orders.
-
-    The near weights are the row coefficient_row(2, h, alpha_n)
-    (c_{n-1} = 0 at n = 1); the far ones come from one exp per block.
-    """
-    near = coefficient_row(2, h, orders)
-    if first == 1:
-        near[0, 0] = 0.0
-    return list(zip(*near.T.tolist(), history.weights(h, orders)))
+    return march(problem, step, time_only_blocks(h, problem.time_only_orders()))

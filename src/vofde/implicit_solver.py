@@ -12,9 +12,9 @@ loop. The weights depend on the kind of order:
   costs its two near weights in scalar math (vo_core.near_weights), one
   exp over the modes and one dot (ExpSumHistory.far_sum);
 - a time-only order is known before its step, so each step takes its
-  weights from the explicit stepper's blocks, time_only_weights, and its
-  load once, and the root solve evaluates neither the order nor any
-  weight.
+  weights from march's block hook, time_only_blocks, as the explicit
+  stepper does, and its load once; the root solve evaluates neither the
+  order nor any weight.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import load_term, march, state_from_q, step_residual, time_only_weights
+from .explicit_solver import load_term, march, state_from_q, step_residual, time_only_blocks
 from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
 from .vo_core import near_weights
 
@@ -165,21 +165,21 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     iters = np.zeros(problem.grid.N, dtype=int)
 
     if problem.alpha.kind is AlphaKind.TIME_ONLY:
-        alphas = problem.time_only_orders()
-        weights_at = time_only_weights(problem.grid.h, alphas)
+        block = time_only_blocks(problem.grid.h, problem.time_only_orders())
 
-        def step(n, prev, coeffs, hist):
-            weights = weights_at(n, hist[1])
-            fixed = (float(alphas[n]), weights, load_term(coeffs, n, weights, hist))
+        def step(n, prev, coeffs, node, hist):
+            weights, alpha, _, _ = node
+            fixed = (alpha, weights, load_term(coeffs, n, weights, hist))
             state, a_star, iters[n - 1] = _root_solve(
                 n, problem, prev, coeffs, lambda q, udot_n, u_n: fixed
             )
             return state, a_star
 
     else:
+        block = None
 
-        def step(n, prev, coeffs, hist):
+        def step(n, prev, coeffs, node, hist):
             state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
             return state, a_star
 
-    return replace(march(problem, step), iterations=iters)
+    return replace(march(problem, step, block), iterations=iters)

@@ -15,9 +15,13 @@ are checked against it. check_scenario_consistency plugs a scenario's
 exact solution into its own equation with the fractional term from the
 quadrature oracle. direct_history_sums builds the history sums from one
 full weight row per node, the direct O(N^2) route that history_sums is
-checked against. direct_solve is the direct row stepper: the package's
-own steps and time loop, with the known history read from full weight rows
-(DirectHistory) instead of the sum of exponentials, O(N^2) in all.
+checked against. solve_step is the explicit step node by node: the
+package's load_term, state_from_q and step_residual at q_n = 0, divided
+by the step's slope, which the explicit stepper's block loop must match
+bit for bit. direct_solve is the direct row stepper: that step and the
+implicit one in the package's time loop, with the known history read from
+full weight rows (DirectHistory) instead of the sum of exponentials,
+O(N^2) in all.
 node_residuals is discrete_residuals written as one loop over the nodes,
 the form the array version must match bit for bit.
 """
@@ -30,9 +34,10 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from vofde import coefficient_row, history_sums
-from vofde.errors import OrderDomainError
-from vofde.explicit_solver import march, solve_step
+from vofde.errors import OrderDomainError, StepFailureError
+from vofde.explicit_solver import _COND_LIMIT, load_term, march, state_from_q, step_residual
 from vofde.implicit_solver import solve_step_nonlinear
+from vofde.model import StepState
 from vofde.stability import amplification_from_matrices
 
 
@@ -96,6 +101,31 @@ def check_scenario_consistency(scn, n_samples=8, tol=1e-10):
     return worst
 
 
+def solve_step(problem, n, weights, hist, prev, coeffs):
+    """Advance a linear problem to node n in one Newton step from q_n = 0.
+
+    The step residual is then affine in q_n with slope
+    den = a1 + a2 c_n h/4 + a3 h^2/4, so q_n = -residual(0) / den exactly.
+    A denominator that is zero or lost in rounding raises StepFailureError
+    naming step n, and so does a non-finite q_n.
+    """
+    h = problem.grid.h
+    a1, a2, a3, _ = coeffs
+    damping = 0.25 * h * a2 * weights[1]
+    stiffness = 0.25 * h * h * a3
+    den = a1 + damping + stiffness
+    size = abs(a1) + abs(damping) + abs(stiffness)
+    g = load_term(coeffs, n, weights, hist)
+    trial = (0.0, *state_from_q(0.0, prev, h))
+    residual = step_residual(problem, n, trial, weights, g, prev, coeffs)
+    if not abs(den) * _COND_LIMIT > size:
+        raise StepFailureError(f"step equation singular (denominator {den:.3e})", step=n)
+    q = -residual / den
+    if not math.isfinite(q):
+        raise StepFailureError(f"acceleration {q!r} in step {n}", step=n)
+    return StepState(q, *state_from_q(q, prev, h))
+
+
 def direct_history_sums(means, orders, h):
     """S_n = sum_r c_r^n m_r for n = 1 .. N, one coefficient_row per node.
 
@@ -142,9 +172,9 @@ def direct_solve(problem, implicit=False):
     alphas = None if implicit else problem.time_only_orders()
     iters = np.zeros(problem.grid.N, dtype=int)
 
-    def step(n, prev, coeffs, hist):
-        udot = hist[0]
-        hist = (udot, DirectHistory(0.5 * (udot[: n - 2] + udot[1 : n - 1])))
+    def step(n, prev, coeffs, _node, hist):
+        udot, m = hist[0], max(n - 2, 0)
+        hist = (udot, DirectHistory(0.5 * (udot[:m] + udot[1 : m + 1])))
         if implicit:
             state, a, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
             return state, a

@@ -1,9 +1,10 @@
-"""Step system assembly, the scalar step and the direct stepping loop.
+"""Step system assembly, the scalar step and the blocked stepping loop.
 
-The scalar step is checked against a dense solve of the 3x3 step system it
-eliminates. The damped and stiffness limit cases double as end-to-end
-accuracy checks: with the order pushed against 1 or 0 the solutions must
-track the closed-form integer-order references.
+The oracle step is checked against a dense solve of the 3x3 step system it
+eliminates, and the explicit stepper's block loop against the oracle step,
+node by node and bit for bit. The damped and stiffness limit cases double
+as end-to-end accuracy checks: with the order pushed against 1 or 0 the
+solutions must track the closed-form integer-order references.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import history_of, node_coeffs, node_weights, step_means
-from oracles import step_matrices
+from oracles import solve_step, step_matrices
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
@@ -24,8 +25,9 @@ from vofde import (
     stability_report,
 )
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
-from vofde.explicit_solver import _block_weights, load_term, solve_step
+from vofde.explicit_solver import load_term
 from vofde.reference import scenario
+from vofde.vo_core import ExpSumHistory
 
 
 def linear_problem(alpha, h=0.01, T=1.0, a1=1.0, a2=1.0, a3=25.0, p=0.0, u0=1.0, v0=10.0):
@@ -134,6 +136,16 @@ def dense_step(prob, n, weights, hist, prev):
     return np.linalg.solve(left, rhs)
 
 
+def switch_at(k, h, before, after):
+    """A coefficient that is `before` up to step k - 1 and `after` from step k on."""
+    return lambda t: before if t < (k - 0.5) * h else after
+
+
+# the first and last step of the first 64-node block, the first of the
+# second, one mid-block, and one in the partial block that ends N = 150
+BLOCK_EDGE_STEPS = (50, 1, 64, 65, 140)
+
+
 class TestSolveStep:
     def test_zero_problem_fixed_point(self):
         prob = linear_problem(AlphaSpec.constant(0.5), u0=0.0, v0=0.0)
@@ -169,12 +181,31 @@ class TestSolveStep:
         for n in range(1, N + 1):
             prev = StepState(trace.uddot[n - 1], trace.udot[n - 1], trace.u[n - 1])
             hist = history_of(trace.udot[:n], N)
-            weights = _block_weights(h, trace.alpha_used[n : n + 1], n, hist[1])[0]
+            weights = node_weights(n, h, trace.alpha_used[n], hist)
             state = np.array(solve_step(prob, n, weights, hist, prev, node_coeffs(prob, n)))
             dense = dense_step(prob, n, weights, hist, prev)
             worst = max(worst, float(np.max(np.abs(state - dense)) / np.max(np.abs(dense))))
-            assert np.array_equal(state, [trace.uddot[n], trace.udot[n], trace.u[n]])
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name, h, T", [("ex2iii_d", 1e-3, 0.3), ("ex5", 1e-3, 0.3), ("ex2i", 1e-2, 2.0)]
+    )
+    def test_block_loop_equals_the_oracle_step_at_every_node(self, name, h, T):
+        # N = 300 and 200 are no multiples of 64: the last block is partial;
+        # ex5's a1, a2 and a3 vary in time, so the blocks' den must track them
+        prob = scenario(name, h, T=T).problem
+        N = prob.grid.N
+        assert N in (200, 300)
+        trace = solve_explicit(prob)
+        history = ExpSumHistory(N)
+        hist = (trace.udot, history)
+        for n in range(1, N + 1):
+            if n >= 3:
+                history.push(trace.udot_mean[n - 3])
+            prev = StepState(trace.uddot[n - 1], trace.udot[n - 1], trace.u[n - 1])
+            weights = node_weights(n, h, trace.alpha_used[n], hist)
+            state = solve_step(prob, n, weights, hist, prev, node_coeffs(prob, n))
+            assert np.array_equal(state, [trace.uddot[n], trace.udot[n], trace.u[n]]), n
 
     def test_singular_system_reports_step(self):
         prob = linear_problem(AlphaSpec.constant(0.5), a1=0.0, a2=0.0, a3=0.0)
@@ -185,27 +216,29 @@ class TestSolveStep:
         assert err.value.step == 9
 
     def test_vanishing_coefficients_mid_run_report_step(self):
-        # a1 = a2 = a3 = 0 from t = 0.5 on: the a1 check stops the run there
-        def switch(t):
-            return 1.0 if t < 0.5 else 0.0
-
-        prob = linear_problem(
-            AlphaSpec.constant(0.5), a1=switch, a2=lambda t: 0.2 * switch(t), a3=switch
-        )
-        with pytest.raises(DegenerateProblemError) as err:
-            solve_explicit(prob)
-        assert err.value.step == 50
-        # a1 = 1, a2 = 0, a3 = -4/h^2 from t = 0.5 on: a1 is fine, but the
-        # step equation loses q_n, since its denominator a1 + a3 h^2/4 is 0
         h = 0.01
-        prob = linear_problem(
-            AlphaSpec.constant(0.5),
-            a2=lambda t: 0.2 * switch(t),
-            a3=lambda t: 25.0 if t < 0.5 else -4.0 / h ** 2,
-        )
-        with pytest.raises(StepFailureError) as err:
-            solve_explicit(prob)
-        assert err.value.step == 50
+        for k in BLOCK_EDGE_STEPS:
+            # a1 = a2 = a3 = 0 from step k on: the a1 check stops the run there
+            switch = switch_at(k, h, 1.0, 0.0)
+            prob = linear_problem(
+                AlphaSpec.constant(0.5), a1=switch, a2=lambda t: 0.2 * switch(t), a3=switch,
+                T=1.5,
+            )
+            with pytest.raises(DegenerateProblemError) as err:
+                solve_explicit(prob)
+            assert err.value.step == k
+            # a1 = 1, a2 = 0, a3 = -4/h^2 from step k on: a1 is fine, but the
+            # step equation loses q_n, since its denominator a1 + a3 h^2/4 is 0
+            prob = linear_problem(
+                AlphaSpec.constant(0.5),
+                a2=lambda t: 0.2 * switch(t),
+                a3=switch_at(k, h, 25.0, -4.0 / h ** 2),
+                T=1.5,
+            )
+            with pytest.raises(StepFailureError) as err:
+                solve_explicit(prob)
+            assert err.value.step == k
+            assert "singular" in str(err.value)
 
     def test_denominator_lost_in_rounding_raises(self):
         # a1 cancels a3 h^2/4 up to 1e-15 of the terms: below the 1e-14 guard
@@ -224,6 +257,22 @@ class TestSolveStep:
             else:
                 state = solve_step(prob, 1, weights, hist, prev, node_coeffs(prob, 1))
                 assert math.isfinite(state.q)
+            # the same a1 with a3 = 1 at step k alone and 0 elsewhere, through
+            # the block loop: q_n = 0 before k, and the guard holds or fails at k
+            for k in BLOCK_EDGE_STEPS:
+                prob = linear_problem(
+                    AlphaSpec.constant(0.5), a1=-0.25 * h * h * (1.0 + gap), a2=0.0,
+                    a3=lambda t, k=k: 1.0 if abs(t - k * h) < 0.5 * h else 0.0, u0=1.0, v0=1.0,
+                    T=1.5,
+                )
+                if fails:
+                    with pytest.raises(StepFailureError) as err:
+                        solve_explicit(prob)
+                    assert err.value.step == k
+                    assert "singular" in str(err.value)
+                else:
+                    trace = solve_explicit(prob)
+                    assert np.all(np.isfinite(trace.uddot)) and trace.uddot[k] != 0.0
 
 
 class TestSolve:
