@@ -14,14 +14,15 @@ it. For a linear problem with a time-only order it is affine in q_n, and
 solve takes it by one Newton step from q_n = 0: per node, one scalar body
 forms the load, the residual at q_n = 0 and q_n = -residual / den. Both
 steppers run in the one time loop, march, which walks the grid in blocks
-of _BLOCK nodes. Each block forms its node data in numpy once: a1, a2 and
-a3 from the problem's coefficients_at_nodes table (the only check on a1),
-p, and whatever a block hook adds; time_only_blocks adds a time-only
-order's weights and the explicit step's den and guard. The state passes
-between nodes as floats; march keeps the velocities and step means in the
-trace's arrays and advances one vo_core.ExpSumHistory per step, from which
-the load reads the known history in O(L) for L ~ 200 exponential modes, so
-a solve costs O(N L), not the O(N^2) of one weight row per node.
+of _BLOCK nodes. Each block slices its a1, a2, a3 and p from the
+problem's read-only node_table (evaluated once per problem, the only check
+on a1), and a block hook adds to them; time_only_blocks adds the weights
+of the problem's time_only_orders and the explicit step's den and guard.
+The state passes between nodes as floats; march keeps the velocities and
+step means in the trace's arrays and advances one vo_core.ExpSumHistory
+per step, from which the load reads the known history in O(L) for L ~ 200
+exponential modes, so a solve costs O(N L), not the O(N^2) of one weight
+row per node.
 """
 
 from __future__ import annotations
@@ -118,11 +119,11 @@ def step_residual(
 def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
     """The time loop of both steppers, a block of _BLOCK nodes at a time.
 
-    Each block forms its node data once: a1, a2 and a3 from the problem's
-    coefficients_at_nodes table, which checks a1 before the first step, and
-    p at the block's nodes, as the rows (a1, a2, a3, p) of an array coeffs;
-    given block, block(first, coeffs, history) is an iterable with one item
-    per node of the block (else each item is None). Per node,
+    Each block slices its rows (a1, a2, a3, p) from the problem's
+    node_table, built before the first step (so a1 is checked and a p that
+    raises raises there), as the read-only array coeffs; given block,
+    block(first, coeffs, history) is an iterable with one item per node of
+    the block (else each item is None). Per node,
     step(n, prev, coeffs_n, item, hist) returns the state (q, udot, u) at
     node n and the order used there. prev is the state it returned for
     node n-1, StepState(q0, v0, u0) at n = 1; coeffs_n is node n's row of
@@ -133,13 +134,12 @@ def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
     q0 = (p(0) - a3(0) u0 - f_nl(u0, v0)) / a1(0), from row 0 of the table.
     """
     grid = problem.grid
-    h, N = grid.h, grid.N
+    N = grid.N
     q, ud, u, alphas = np.empty((4, N + 1))
     means = np.empty(N)
-    table = problem.coefficients_at_nodes()
-    a1_0, _, a3_0 = table[0].tolist()
-    load_0 = float(problem.p(0.0)) - a3_0 * problem.u0
-    q0 = (load_0 - problem.nonlinear_term(problem.u0, problem.v0)) / a1_0
+    table = problem.node_table
+    a1_0, _, a3_0, p_0 = table[0].tolist()
+    q0 = (p_0 - a3_0 * problem.u0 - problem.nonlinear_term(problem.u0, problem.v0)) / a1_0
     prev = StepState(q0, float(problem.v0), float(problem.u0))
     q[0], ud[0], u[0] = prev
     try:
@@ -151,10 +151,8 @@ def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
     hist = (ud, history)
 
     for first in range(1, N + 1, _BLOCK):
-        nodes = range(first, min(first + _BLOCK, N + 1))
-        coeffs = np.empty((len(nodes), 4))
-        coeffs[:, :3] = table[first : nodes.stop]
-        coeffs[:, 3] = np.fromiter((problem.p(n * h) for n in nodes), float, len(nodes))
+        coeffs = table[first : first + _BLOCK]
+        nodes = range(first, first + len(coeffs))
         items = [None] * len(nodes) if block is None else block(first, coeffs, history)
         for n, coeffs_n, item in zip(nodes, coeffs.tolist(), items):
             if n >= 3:
@@ -242,4 +240,4 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
         udot_n = udot_prev + half_h * qsum
         return (q_n, udot_n, u_prev + h * udot_n - quarter_hh * qsum), alpha
 
-    return march(problem, step, time_only_blocks(h, problem.time_only_orders()))
+    return march(problem, step, time_only_blocks(h, problem.time_only_orders))

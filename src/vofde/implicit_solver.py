@@ -4,7 +4,9 @@ Each step solves the step equation of explicit_solver (the governing
 equation at t_n with velocity and displacement written as affine functions
 of the new acceleration q_n) by a secant iteration with bisection fallback
 on explicit_solver.step_residual, inside explicit_solver.march's time
-loop. The weights depend on the kind of order:
+loop. Its second iterate is a Newton step with the slope of the equation's
+linear part, so a linear problem with a time-only order takes two
+residual evaluations a step. The weights depend on the kind of order:
 
 - a state-dependent order is re-read at every trial state, so the weights
   track the state exactly rather than being frozen at the previous step.
@@ -77,14 +79,16 @@ def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, wei
     """Root of node n's step residual in q_n; (new state, order used, evaluations).
 
     weigh(q, udot_n, u_n) gives the (order, weights, load) of a trial
-    state. Secant iteration started from the previous acceleration; once a
-    sign change is seen the iterate is kept inside the bracket, falling
-    back to bisection whenever the secant step leaves it or degenerates. A
+    state. Secant iteration started from the previous acceleration and one
+    Newton step from it with slope den = a1 + a2 c_n h/4 + a3 h^2/4, c_n
+    being the first trial order's near weight; once a sign change is seen
+    the iterate is kept inside the bracket, falling back to bisection
+    whenever the secant step leaves it or degenerates. A
     residual counts as zero within _TOL_RES of max(1, |p_n|, |a3 u_n|); a
     non-finite one raises StepFailureError.
     """
     h = problem.grid.h
-    _, _, a3, p_n = coeffs
+    a1, a2, a3, p_n = coeffs
 
     def f(q):
         udot_n, u_n = state_from_q(q, prev, h)
@@ -97,17 +101,21 @@ def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, wei
                 last_q=q,
                 residual=value,
             )
-        return value, max(1.0, abs(p_n), abs(a3 * u_n)), a_star
+        return value, max(1.0, abs(p_n), abs(a3 * u_n)), a_star, weights[1]
 
     def done(q, a_star, evals):
         return StepState(q, *state_from_q(q, prev, h)), a_star, evals
 
     x0 = prev.q
-    f0, s0, a0 = f(x0)
+    f0, s0, a0, c_n = f(x0)
     if abs(f0) <= _TOL_RES * s0:
         return done(x0, a0, 1)
-    x1 = x0 * (1.0 + 1e-6) + 1e-6
-    f1, s1, a1_ = f(x1)
+    # den is the explicit step's slope, so an affine residual is solved
+    # here; a zero or non-finite quotient falls back to a probe beside x0
+    den = a1 + 0.25 * h * a2 * c_n + 0.25 * h * h * a3
+    newton = f0 / den if den != 0.0 else 0.0
+    x1 = x0 - newton if newton != 0.0 and math.isfinite(newton) else x0 * (1.0 + 1e-6) + 1e-6
+    f1, s1, a1_, _ = f(x1)
     evals = 2
     bracket = (x0, f0, x1, f1) if f0 * f1 < 0.0 else None  # a sign change between
 
@@ -138,7 +146,7 @@ def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, wei
             # flat residual without a bracket: probe sideways
             x2 = x1 + 1e-6 * (1.0 + abs(x1))
 
-        f2, s2, a2_ = f(x2)
+        f2, s2, a2_, _ = f(x2)
         evals += 1
         if bracket is not None:
             xa, fa, xb, fb = bracket
@@ -165,7 +173,7 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     iters = np.zeros(problem.grid.N, dtype=int)
 
     if problem.alpha.kind is AlphaKind.TIME_ONLY:
-        block = time_only_blocks(problem.grid.h, problem.time_only_orders())
+        block = time_only_blocks(problem.grid.h, problem.time_only_orders)
 
         def step(n, prev, coeffs, node, hist):
             weights, alpha, _, _ = node

@@ -6,11 +6,12 @@ The governing equation is the single-degree-of-freedom oscillator
 
 with initial displacement u0 and velocity v0, where D^alpha is the
 variable-order history derivative from vo_core. The problem evaluates its
-own data at the grid nodes for the steppers and the stability sweep: a1,
-a2 and a3 in one table that also checks a1 (coefficients_at_nodes), and a
-time-only order without state (time_only_orders). discrete_residuals
-re-verifies a finished trace, with its history sums from
-vo_core.history_sums rather than from weight rows.
+data at the grid nodes once, into two read-only cached properties that the
+steppers, the stability sweep and discrete_residuals share: node_table,
+the rows (a1, a2, a3, p) and the one a1 check, and time_only_orders. So
+the user's functions must be pure, and one that raises does so before the
+first step. discrete_residuals re-verifies a finished trace, with its
+history sums from vo_core.history_sums rather than from weight rows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -92,7 +94,8 @@ class OscillatorProblem:
 
     Coefficient fields are functions of time; use as_coefficient (or the
     build classmethod) to wrap plain numbers. f_nl, when present, is a
-    restoring term depending on displacement and velocity only.
+    restoring term depending on displacement and velocity only. Each must
+    be pure: the problem keeps its values at the nodes (node_table).
     """
 
     a1: Callable[[float], float]
@@ -122,31 +125,31 @@ class OscillatorProblem:
     def nonlinear_term(self, u: float, udot: float) -> float:
         return 0.0 if self.f_nl is None else float(self.f_nl(u, udot))
 
-    def coefficients_at_nodes(self) -> np.ndarray:
-        """a1, a2 and a3 at every node t_n = n h, as the rows of an (N+1, 3) array.
+    @cached_property
+    def node_table(self) -> np.ndarray:
+        """a1, a2, a3 and p at every node t_n = n h, as the rows of a read-only (N+1, 4) array.
 
         Fails at the first node whose a1 is not finite, zero, or of the other
         sign to a1(0): a stepper run through a zero of a1 goes on without
         complaint while its solution grows without bound. The error's step
         is that node, or None when a1(0) itself is bad.
         """
-        N, h = self.grid.N, self.grid.h
-        table = np.empty((N + 1, 3))
-        for j, fn in enumerate((self.a1, self.a2, self.a3)):
-            table[:, j] = np.fromiter((fn(n * h) for n in range(N + 1)), float, N + 1)
+        table = _evaluate((self.a1, self.a2, self.a3, self.p), self.grid.times())
         a1 = table[:, 0]
         bad = ~(np.isfinite(a1) & (a1 != 0.0) & ((a1 > 0.0) == (a1[0] > 0.0)))
         if bad.any():
             n = int(np.argmax(bad))
             raise DegenerateProblemError(
-                f"leading coefficient a1 = {float(a1[n])!r} at step {n} (t = {n * h!r}) "
-                f"is not finite, nonzero and of the sign of a1(0) = {float(a1[0])!r}",
+                f"leading coefficient a1 = {float(a1[n])!r} at step {n} "
+                f"(t = {n * self.grid.h!r}) is not finite, nonzero and of the sign "
+                f"of a1(0) = {float(a1[0])!r}",
                 step=n or None,
             )
         return table
 
+    @cached_property
     def time_only_orders(self) -> np.ndarray:
-        """Order values at every node, evaluated without state.
+        """Order values at every node, evaluated without state; read-only.
 
         The state arguments are passed as nan to hold the time-only promise to
         account: an order function that actually reads them produces nan or
@@ -154,19 +157,29 @@ class OscillatorProblem:
         node. The node-0 value is recorded but not range-checked; no weight
         uses it.
         """
-        N, h = self.grid.N, self.grid.h
-        out = np.empty(N + 1)
-        try:
-            for n in range(N + 1):
-                out[n] = float(self.alpha.eval(n * h, math.nan, math.nan))
-        except Exception as exc:
-            raise OrderDomainError(
-                f"order function raised at node {n} when evaluated without state; "
-                f"a time-only order must ignore u and udot ({exc!r})",
-                node=n,
-            ) from exc
+        def order(t):
+            try:
+                return float(self.alpha.eval(t, math.nan, math.nan))
+            except Exception as exc:
+                raise OrderDomainError(
+                    f"order function raised at node {round(t / self.grid.h)} when evaluated "
+                    f"without state; a time-only order must ignore u and udot ({exc!r})",
+                    node=round(t / self.grid.h),
+                ) from exc
+
+        out = _evaluate((order,), self.grid.times())[:, 0]
         _check_order(out[1:], first_node=1)
         return out
+
+
+def _evaluate(fns, t: np.ndarray) -> np.ndarray:
+    """fns at the times t, each called once per time, as the columns of a read-only array."""
+    out = np.empty((t.size, len(fns)))
+    for j, fn in enumerate(fns):
+        # Python floats, one at a time: a list of them all would cost 32 B a node
+        out[:, j] = np.fromiter(map(fn, map(float, t)), float, t.size)
+    out.flags.writeable = False
+    return out
 
 
 class StepState(NamedTuple):
@@ -212,20 +225,21 @@ def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.n
     (0, 1) raises OrderDomainError naming its node; a non-finite step mean
     makes the residuals nan from its node on. Each residual is scaled by
     max(1, |largest term|), so the result is a relative measure wherever
-    the equation has size.
+    the equation has size. A trace of another step count raises IndexError.
+    On the grid's own times a1, a2, a3 and p come from node_table, a1 check
+    included; on other times, as a trace read from a file may hold, they
+    are evaluated there.
     """
-    N = trace.N
+    N = problem.grid.N
+    if trace.N != N:
+        raise IndexError(f"trace has {trace.N} steps but the problem grid has {N}")
     history = history_sums(trace.udot_mean, trace.alpha_used[1:], problem.grid.h)
-    # a1, a2, a3 and p at the trace's own times, so a trace read back from a
-    # file is checked on its nodes; each buffer then becomes its term in place
-    inertia, damping, restoring, load = (
-        np.fromiter(map(fn, trace.t), float, N + 1)
-        for fn in (problem.a1, problem.a2, problem.a3, problem.p)
-    )
-    inertia *= trace.uddot
-    damping[0] *= 0.0  # no history at node 0; a non-finite a2 there still shows
-    damping[1:] *= history
-    restoring *= trace.u
+    on_grid = np.array_equal(trace.t, problem.grid.times())
+    fns = (problem.a1, problem.a2, problem.a3, problem.p)
+    a1, a2, a3, load = (problem.node_table if on_grid else _evaluate(fns, trace.t)).T
+    inertia = a1 * trace.uddot
+    damping = a2 * np.append(0.0, history)  # no history at node 0; a non-finite a2 still shows
+    restoring = a3 * trace.u
     extra = 0.0
     if problem.f_nl is not None:
         extra = np.fromiter(

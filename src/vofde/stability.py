@@ -11,9 +11,10 @@ The sweep runs over blocks of steps at a time: one stack of L and R
 matrices per block, inverted by cofactors, and eigenvalues of every 3x3
 amplification matrix from the closed-form cubic solution; nothing iterative
 is involved. The block size bounds the sweep's memory on long grids. a1,
-a2 and a3 come from the problem's coefficients_at_nodes table, as in the
-steppers, so the sweep fails with DegenerateProblemError at the same step
-where they do.
+a2 and a3 come from the problem's read-only node_table and the orders of
+a time-only problem from its time_only_orders, both evaluated once per
+problem and shared with the steppers, so the sweep fails with
+DegenerateProblemError at the same step where they do.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
     """
     h = problem.grid.h
     N = problem.grid.N
-    table = problem.coefficients_at_nodes()
+    table = problem.node_table
     rho = np.empty(N)
     for start in range(1, N + 1, _BLOCK):
         steps = np.arange(start, min(start + _BLOCK, N + 1))
@@ -218,14 +219,14 @@ def _rho_sweep(problem: OscillatorProblem, alphas: np.ndarray) -> np.ndarray:
         c_nm1 = c_nn * np.expm1((1.0 - orders) * math.log(2.0))
         if start == 1:
             c_nm1[0] = 0.0
-        left, right = _step_stacks(*table[steps].T, h, c_nn, c_nm1)
+        left, right = _step_stacks(*table[steps, :3].T, h, c_nn, c_nm1)
         rho[steps - 1] = spectral_radius(amplification_from_matrices(left, right, step=start))
     return rho
 
 
 def stability_report(problem: OscillatorProblem) -> StabilityReport:
     """Check rho(A_n) <= 1 + tol over the whole grid of a time-only problem."""
-    return StabilityReport(_rho_sweep(problem, problem.time_only_orders()))
+    return StabilityReport(_rho_sweep(problem, problem.time_only_orders))
 
 
 def stability_report_along_trace(

@@ -79,8 +79,9 @@ class Grid:
 
 
 # peak bytes per grid node of one CLI request: the peak-RSS slope between
-# N = 2e5 and 8e5 was 136 B for a trace with stability check (explicit or
-# implicit) and 162 B for an ex1 convergence study; rounded up
+# N = 2e5 and 8e5 was 152 B for a trace with stability check (explicit or
+# implicit), with the problem's node_table and orders alive, 144 B for an
+# ex4 and 162 B for an ex1 convergence study; rounded up
 _NODE_BYTES = 192
 
 

@@ -169,7 +169,7 @@ def direct_solve(problem, implicit=False):
     implicit trace carries its evaluation counts.
     """
     h = problem.grid.h
-    alphas = None if implicit else problem.time_only_orders()
+    alphas = None if implicit else problem.time_only_orders
     iters = np.zeros(problem.grid.N, dtype=int)
 
     def step(n, prev, coeffs, _node, hist):

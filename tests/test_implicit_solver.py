@@ -25,7 +25,7 @@ from vofde import implicit_solver
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
 from vofde.explicit_solver import load_term, state_from_q, step_residual
 from vofde.implicit_solver import solve_step_nonlinear
-from vofde.reference import scenario
+from vofde.reference import SCENARIO_NAMES, scenario
 
 
 class TestStateFromQ:
@@ -222,6 +222,14 @@ class TestSolve:
             with pytest.raises(OrderDomainError) as err:
                 solve(prob)
             assert err.value.node == 50
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3])
+    def test_linear_time_only_steps_take_two_evaluations(self, h):
+        # the second iterate is a Newton step with the slope of the step
+        # equation's linear part, which lands on the root of an affine residual
+        for name in [n for n in SCENARIO_NAMES if n.startswith(("ex2", "ex5"))]:
+            trace = solve_implicit(scenario(name, h).problem)
+            assert int(trace.iterations.max()) <= 2, name
 
     def test_iterations_recorded_and_small(self):
         scn = scenario("ex3i", 1e-2)

@@ -1,6 +1,8 @@
 """Problem container, order specification, and the trace residual recheck."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from vofde import (
     solve_explicit,
     solve_implicit,
     stability_report,
+    stability_report_along_trace,
 )
 from vofde.cli import solve_problem
 from vofde.errors import DegenerateProblemError, OrderDomainError
@@ -104,7 +107,65 @@ class TestInitialAcceleration:
             initial_acceleration(prob)
 
 
+class TestNodeData:
+    def test_each_function_is_evaluated_once_per_node(self):
+        # a solve, both stability reports and re-verification share the
+        # problem's node_table and time_only_orders
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapped(t):
+                calls[name] += 1
+                return fn(t)
+
+            return wrapped
+
+        prob = OscillatorProblem.build(
+            a1=counted("a1", lambda t: 1.0 + 0.1 * t),
+            a2=counted("a2", lambda t: 1.0 + 0.5 * math.cos(t)),
+            a3=counted("a3", lambda t: 25.0 - t),
+            p=counted("p", math.sin),
+            alpha=AlphaSpec.of_time(counted("alpha", lambda t: 0.5 + 0.3 * math.exp(-t))),
+            u0=1.0, v0=10.0, T=1.0, h=5e-3,
+        )
+        N = prob.grid.N
+        trace = solve_explicit(prob)
+        stability_report(prob)
+        stability_report_along_trace(prob, trace)
+        discrete_residuals(prob, trace)
+        assert [calls[name] for name in ("a1", "a2", "a3", "p")] == [N + 1] * 4
+        # N + 1 nodes without state, and node 0 once more with the initial state
+        assert calls["alpha"] <= N + 2
+
+    def test_cached_arrays_are_read_only(self):
+        prob = damped_problem()
+        assert prob.node_table.shape == (prob.grid.N + 1, 4)
+        for cached in (prob.node_table, prob.time_only_orders):
+            with pytest.raises(ValueError):
+                cached[1] = 0.0
+        assert prob.node_table is prob.node_table
+
+
 class TestDiscreteResiduals:
+    def test_trace_of_another_grid_is_refused(self):
+        # the history sums would use the problem's h at the trace's times
+        prob = scenario("ex2iii_d", 1e-2).problem
+        trace = solve_explicit(scenario("ex2iii_d", 5e-3).problem)
+        with pytest.raises(IndexError, match="1000 steps.* 500"):
+            discrete_residuals(prob, trace)
+
+    def test_vanishing_leading_coefficient_on_the_grid_is_degenerate(self):
+        # on the grid's own times the data come from node_table and its a1
+        # check; a trace off the grid is evaluated where it is
+        good = damped_problem(h=0.01, T=2.0)
+        bad = replace(good, a1=lambda t: 1.0 - t)
+        trace = solve_explicit(good)
+        with pytest.raises(DegenerateProblemError) as err:
+            discrete_residuals(bad, trace)
+        assert err.value.step == 100
+        trace.t[1:] += 1e-3
+        assert np.isfinite(discrete_residuals(bad, trace)).all()
+
     def test_solved_trace_satisfies_the_equations(self):
         prob = damped_problem(h=0.01, T=0.5)
         trace = solve_explicit(prob)
