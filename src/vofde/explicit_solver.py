@@ -142,11 +142,14 @@ def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
     q0 = (p_0 - a3_0 * problem.u0 - problem.nonlinear_term(problem.u0, problem.v0)) / a1_0
     prev = StepState(q0, float(problem.v0), float(problem.u0))
     q[0], ud[0], u[0] = prev
-    try:
-        # reference only; never range-checked and never used in a weight
-        alphas[0] = float(problem.alpha.eval(0.0, problem.u0, problem.v0))
-    except Exception:
-        alphas[0] = math.nan
+    # reference only; never range-checked and never used in a weight
+    if problem.alpha.kind is AlphaKind.TIME_ONLY:
+        alphas[0] = problem.time_only_orders[0]
+    else:
+        try:
+            alphas[0] = float(problem.alpha.eval(0.0, problem.u0, problem.v0))
+        except Exception:
+            alphas[0] = math.nan
     history = ExpSumHistory(N)
     hist = (ud, history)
 

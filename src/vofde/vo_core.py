@@ -16,7 +16,8 @@ two-entry rows for a block of known orders or, one trial order at a time,
 in scalar math (near_weights), with the far sum of that order from one
 exp and one dot (ExpSumHistory.far_sum). history_sums gives every node's
 history sum at once by FFT convolution, for re-verification and
-vo_derivative_series. The module needs numpy and
+vo_derivative_series, with the kernel interpolated in the order over the
+range of the orders given. The module needs numpy and
 math only; the quadrature oracle that cross-checks the weights lives with
 the tests.
 """
@@ -348,15 +349,6 @@ def _far_factors(h: float, a: float) -> tuple[float, float]:
     )
 
 
-# Interpolation of d_k(alpha) = k^(1-alpha) - (k-1)^(1-alpha) in alpha:
-# Chebyshev points of the first kind on each of _PANELS equal panels of
-# (0, 1), with their barycentric weights
-_PANELS = 4
-_ANGLES = (2.0 * np.arange(16) + 1.0) * np.pi / 32.0
-_CHEB = np.cos(_ANGLES)
-_BARY = np.where(np.arange(16) % 2 == 0, 1.0, -1.0) * np.sin(_ANGLES)
-
-
 def _fft_length(n: int) -> int:
     """Smallest 2^i 3^j 5^k >= n."""
     best = 1 << max(n - 1, 0).bit_length()
@@ -373,19 +365,45 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _interpolated_convolutions(means: np.ndarray, orders: np.ndarray, out: np.ndarray) -> None:
-    """Write -sum_{k=1..n} d_k(alpha_n) m_{n-k+1} for n = 1 .. N into out.
+def _interpolation_points(lo: float, hi: float, N: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points of the first kind on [lo, hi], with their barycentric weights.
 
-    Per Chebyshev point alpha_j one causal convolution -d(alpha_j) * m by FFT,
-    with the means' spectrum taken once; each node's sum is the barycentric
-    combination of the convolutions at its own order, over the points of the
-    panel holding that order. Only visited panels are built, and the
-    transform buffers are reused from point to point.
+    They interpolate the kernel t_k^(1-alpha) - t_{k-1}^(1-alpha), t_k = k h,
+    for k = 1 .. N and orders in [lo, hi]. Its m-th derivative in alpha is
+    at most (1 + m/L) L^m times int_{t_{k-1}}^{t_k} x^(-alpha) dx, with
+    L = max(|log h|, |log N h|, 1), and m points interpolate to 2 (w/4)^m / m!
+    times the largest m-th derivative on [lo, hi], w = hi - lo. So m is the
+    least count with 2 (L w/4)^m / m! (1 + m/L) <= 2^-53, and gives the
+    kernel to round-off; one point, lo itself, for w = 0.
+    """
+    L = max(abs(math.log(h)), abs(math.log(N * h)), 1.0)
+    m, term = 1, L * (hi - lo) / 4.0
+    while 2.0 * term * (1.0 + m / L) > 2.0 ** -53:
+        m += 1
+        term *= L * (hi - lo) / (4.0 * m)
+    angles = (2.0 * np.arange(m) + 1.0) * np.pi / (2.0 * m)
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angles)
+    return nodes, np.where(np.arange(m) % 2 == 0, 1.0, -1.0) * np.sin(angles)
+
+
+def _interpolated_convolutions(
+    means: np.ndarray, orders: np.ndarray, h: float, out: np.ndarray
+) -> None:
+    """Write -sum_{k=1..n} h^(1-alpha_n) d_k(alpha_n) m_{n-k+1} for n = 1 .. N into out.
+
+    The kernel h^(1-alpha) d_k(alpha) = t_k^(1-alpha) - t_{k-1}^(1-alpha),
+    t_k = k h, is interpolated in alpha at the _interpolation_points of
+    [min alpha, max alpha]: per point alpha_j one causal convolution of the
+    kernel with m by FFT, with the means' spectrum taken once; each node's
+    sum is the barycentric combination of the convolutions at its own
+    order. A single point (a constant order) gives its convolution as is.
+    The transform buffers are reused from point to point, and out holds
+    the running numerator.
     """
     from numpy import fft  # loaded here, so that solving alone does not import it
 
     N = means.size
-    panel = np.minimum(orders * _PANELS, _PANELS - 1).astype(np.int8)
+    nodes, bary = _interpolation_points(float(orders.min()), float(orders.max()), N, h)
     nfft = _fft_length(2 * N - 1)
     buf = np.zeros(nfft)
     buf[:N] = means
@@ -393,37 +411,39 @@ def _interpolated_convolutions(means: np.ndarray, orders: np.ndarray, out: np.nd
     spec = np.empty_like(mspec)
     logs, log1ms = _tables(N)
     work = np.empty(N)
-    for p in range(_PANELS):
-        mask = panel == p
-        size = int(np.count_nonzero(mask))
-        if not size:
-            continue
-        num = np.zeros(size)
-        den = np.zeros(size)
-        w = np.empty(size)
-        conv = np.empty(size)
-        exact = []
-        for node, lam in zip(((p + 0.5 + 0.5 * _CHEB) / _PANELS).tolist(), _BARY.tolist()):
-            _increments(logs, log1ms, node, buf[:N], work)  # -d, kept to round-off
-            buf[N:] = 0.0
-            fft.rfft(buf, out=spec)
-            spec *= mspec
-            fft.irfft(spec, nfft, out=buf)
-            np.compress(mask, buf[:N], out=conv)
-            np.compress(mask, orders, out=w)
-            w -= node
-            hit = w == 0.0
-            if hit.any():
-                exact.append((hit, conv[hit]))
-                w[hit] = np.inf
-            np.divide(lam, w, out=w)
-            den += w
-            conv *= w
-            num += conv
-        num /= den
-        for hit, value in exact:
-            num[hit] = value
-        out[mask] = num
+
+    def convolution(node: float) -> np.ndarray:
+        # the kernel at one order into buf, then its product with the means'
+        # spectrum back into buf; the first N entries are the sums
+        _increments(logs, log1ms, node, buf[:N], work)  # -d, kept to round-off
+        buf[:N] *= h ** (1.0 - node)
+        buf[N:] = 0.0
+        fft.rfft(buf, out=spec)
+        np.multiply(spec, mspec, out=spec)
+        fft.irfft(spec, nfft, out=buf)
+        return buf[:N]
+
+    if nodes.size == 1:
+        out[:] = convolution(nodes[0])
+        return
+    out[:] = 0.0
+    den = np.zeros(N)
+    w = np.empty(N)
+    exact = []
+    for node, lam in zip(nodes.tolist(), bary.tolist()):
+        conv = convolution(node)
+        np.subtract(orders, node, out=w)
+        hit = np.flatnonzero(w == 0.0)
+        if hit.size:
+            exact.append((hit, conv[hit]))
+            w[hit] = np.inf
+        np.divide(lam, w, out=w)
+        den += w
+        conv *= w
+        out += conv
+    for hit, value in exact:  # den holds the other points' terms there, which can cancel
+        out[hit], den[hit] = value, 1.0
+    out /= den
 
 
 def history_sums(means, orders, h: float) -> np.ndarray:
@@ -433,14 +453,16 @@ def history_sums(means, orders, h: float) -> np.ndarray:
     1 .. N; S_n is entry n-1. With c_r^n = -f(alpha_n) d_k(alpha_n), where
     f(alpha) = h^(1-alpha) / (Gamma(1-alpha) (alpha-1)) and
     d_k(alpha) = k^(1-alpha) - (k-1)^(1-alpha) for k = n-r+1, the sum is a
-    convolution whose kernel depends on the order at n. d_k is entire in
-    alpha, so it is interpolated at 16 Chebyshev points on each quarter of
-    (0, 1), and the sums are combined from one FFT convolution per point:
-    O(K N log N) work for K points, against O(N^2) for the weight rows.
-    This is the offline case of Hairer, Lubich and Schlichte's fast
-    convolution (SIAM J. Sci. Stat. Comput. 6 (1985) 532-541). The result
-    agrees with the direct row sums to round-off of the largest history
-    sum, max_n sum_r |c_r^n m_r|.
+    convolution whose kernel depends on the order at n. The h-scaled kernel
+    h^(1-alpha) d_k(alpha) is entire in alpha, so it is interpolated at
+    Chebyshev points of [min alpha_n, max alpha_n], as many as an a-priori
+    bound asks for round-off (one for a constant order), and the sums are
+    combined from one FFT convolution per point: O(K N log N) work for K
+    points, against O(N^2) for the weight rows. Each node is then scaled
+    by 1/(Gamma(1-alpha_n) (alpha_n - 1)). This is the offline case of Hairer,
+    Lubich and Schlichte's fast convolution (SIAM J. Sci. Stat. Comput. 6
+    (1985) 532-541). The result agrees with the direct row sums to
+    round-off of the largest history sum, max_n sum_r |c_r^n m_r|.
 
     An order outside (0, 1) raises OrderDomainError naming its node. A
     non-finite step mean r makes S_n nan for n >= r only; the sums before
@@ -459,8 +481,8 @@ def history_sums(means, orders, h: float) -> np.ndarray:
     out = np.full(m.size, np.nan)
     if known:
         head = out[:known]
-        _interpolated_convolutions(m[:known], a[:known], head)
-        head *= _row_factor(h, a[:known])
+        _interpolated_convolutions(m[:known], a[:known], h, head)
+        head *= _row_factor(1.0, a[:known])  # h^(1-alpha) is in the kernel
     return out
 
 

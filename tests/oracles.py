@@ -126,20 +126,22 @@ def solve_step(problem, n, weights, hist, prev, coeffs):
     return StepState(q, *state_from_q(q, prev, h))
 
 
-def direct_history_sums(means, orders, h):
+def direct_history_sums(means, orders, h, nodes=None):
     """S_n = sum_r c_r^n m_r for n = 1 .. N, one coefficient_row per node.
 
     Returns the sums and the scale of the largest history,
     max(1, max_n sum_r |c_r^n m_r|), against which the fast route's error is
     measured: per node, the error is relative to that global scale, not to
-    the node's own sum, which can be tiny.
+    the node's own sum, which can be tiny. Given nodes, a sequence of n,
+    the sums and the scale are taken at those nodes only.
     """
     means = np.asarray(means, dtype=float)
-    sums = np.empty(means.size)
+    nodes = range(1, means.size + 1) if nodes is None else nodes
+    sums = np.empty(len(nodes))
     scale = 1.0
-    for n in range(1, means.size + 1):
-        row = coefficient_row(n, h, float(orders[n - 1]))
-        sums[n - 1] = row @ means[:n]
+    for i, n in enumerate(nodes):
+        row = coefficient_row(int(n), h, float(orders[n - 1]))
+        sums[i] = row @ means[:n]
         scale = max(scale, float(np.abs(row) @ np.abs(means[:n])))
     return sums, scale
 

@@ -1,16 +1,20 @@
 """The FFT history sums against one full weight row per node.
 
-history_sums interpolates the kernel in the order, so its error is measured
-against the direct route of tests/oracles.py at the scale of the largest
-history, max(1, max_n sum_r |c_r^n m_r|): per node, the error is relative
-to that global scale, since a node's own sum can be tiny.
+history_sums interpolates the h-scaled kernel in the order, at Chebyshev
+points of the orders' own range, so its error is measured against the
+direct route of tests/oracles.py at the scale of the largest history,
+max(1, max_n sum_r |c_r^n m_r|): per node, the error is relative to that
+global scale, since a node's own sum can be tiny. The point rule itself is
+checked against the kernel in long double, and the number of convolutions
+a call takes is counted.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_history_sums
@@ -31,11 +35,14 @@ from vofde.errors import OrderDomainError
 
 TOL = 1e-12
 
-# the interpolation points of the four panels, by the recipe of vo_core
-_ANGLES = (2.0 * np.arange(16) + 1.0) * np.pi / 32.0
-POINTS = [x for p in range(4) for x in ((p + 0.5 + 0.5 * np.cos(_ANGLES)) / 4).tolist()]
+# an order range and grid, and the interpolation points of vo_core for them
+LO, HI, N_POINTS, H_POINTS = 0.05, 0.95, 64, 0.05
+POINTS = vo_core._interpolation_points(LO, HI, N_POINTS, H_POINTS)[0].tolist()
 EDGES = [0.25, 0.5, 0.75]
 EXTREMES = [1e-12, 1.0 - 1e-12]
+# orders spread over (0, 1), denser toward its ends and quarter points
+_COS = np.cos(np.arange(1, 32, 2) * np.pi / 32.0)
+SPREAD = [x for p in range(4) for x in ((p + 0.5 + 0.5 * _COS) / 4).tolist()][::5]
 
 
 def assert_matches_direct(means, orders, h):
@@ -60,15 +67,18 @@ steps = st.floats(1e-3, 1.0)
         st.lists(orders, min_size=N, max_size=N),
     )
 ), steps)
-def test_orders_jumping_between_panels(data, h):
+def test_orders_jumping_across_the_range(data, h):
     # independent orders per node, as a state-dependent order can give:
-    # panel edges, interpolation points and the ends of (0, 1) included
+    # the ends of (0, 1) included
     means, alphas = data
     assert_matches_direct(means, alphas, h)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 150), st.floats(0.0, 50.0), orders, orders, steps)
+# node 5 hits the middle of 5 points, where the other four terms of the
+# barycentric denominator cancel to exactly 0
+@example(9, 0.0, 0.804563330893698, 0.8031630396409507, 1.0)
 def test_growing_means(N, rate, lo, hi, h):
     s = np.arange(1, N + 1) / N
     means = np.exp(rate * s) * np.cos(7.0 * s)
@@ -76,21 +86,100 @@ def test_growing_means(N, rate, lo, hi, h):
     assert_matches_direct(means, np.clip(alphas, 1e-12, 1.0 - 1e-12), h)
 
 
-@pytest.mark.parametrize("alpha", EDGES + EXTREMES + POINTS[::5])
+@pytest.mark.parametrize("alpha", EDGES + EXTREMES + SPREAD)
 def test_constant_order_at_edges_points_and_ends(alpha):
+    # one interpolation point, taken as is: no barycentric 0/0
     means = np.random.default_rng(7).standard_normal(400)
-    assert_matches_direct(means, np.full(400, alpha), 0.01)
+    with np.errstate(all="raise"):
+        assert_matches_direct(means, np.full(400, alpha), 0.01)
 
 
 def test_interpolation_points_hit_exactly():
     # an order equal to an interpolation point takes that point's
-    # convolution instead of dividing by zero in the barycentric weights
-    N = len(POINTS)
-    means = np.linspace(1.0, 2.0, N)
+    # convolution instead of dividing by zero in the barycentric weights;
+    # LO and HI fix the range, so the points are POINTS
+    alphas = np.full(N_POINTS, LO)
+    alphas[1] = HI
+    alphas[2 : 2 + len(POINTS)] = POINTS
+    means = np.linspace(1.0, 2.0, N_POINTS)
     with np.errstate(all="raise"):
-        fast = history_sums(means, POINTS, 0.05)
-    direct, scale = direct_history_sums(means, POINTS, 0.05)
+        fast = history_sums(means, alphas, H_POINTS)
+    direct, scale = direct_history_sums(means, alphas, H_POINTS)
     assert np.max(np.abs(fast - direct)) <= TOL * scale
+
+
+def long_double_kernel(N, h):
+    """alpha -> t_k^(1-alpha) - t_{k-1}^(1-alpha), t_k = k h, for k = 1 .. N in long double."""
+    k = np.arange(1, N + 1, dtype=np.longdouble)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1
+        logs, log1ms = np.log(k * np.longdouble(h)), np.log1p(-1 / k)
+
+    def kernel(alpha):
+        b = 1 - np.longdouble(alpha)
+        return np.exp(b * logs) * np.expm1(b * log1ms)
+
+    return kernel
+
+
+@pytest.mark.parametrize(
+    "width,N,h",
+    itertools.product([0.0, 1e-9, 1e-3, 0.3, 0.999], [1, 40, 5000], [1e-6, 1e-2, 100.0]),
+)
+def test_point_rule_interpolates_the_kernel_to_round_off(width, N, h):
+    # at the points the rule picks, the barycentric interpolant of the exact
+    # kernel meets the kernel at every k <= N to an ulp of its largest
+    # value; one point fewer leaves over 1000 ulps at width 1e-3
+    kernel = long_double_kernel(N, h)
+    for lo in (1e-12, 1.0 - 1e-12 - width):
+        hi = lo + width
+        nodes, bary = vo_core._interpolation_points(lo, hi, N, h)
+        at_nodes = np.array([kernel(x) for x in nodes])
+        largest = float(np.max(np.abs(at_nodes)))
+        for alpha in np.linspace(lo, hi, 6).tolist():
+            if nodes.size == 1:
+                interpolant = at_nodes[0]
+            elif alpha in nodes:
+                continue
+            else:
+                c = (bary / (alpha - nodes)).astype(np.longdouble)
+                interpolant = (c @ at_nodes) / c.sum()
+            gap = float(np.max(np.abs(interpolant - kernel(alpha))))
+            assert gap <= 4 * 2.0**-53 * largest, (lo, alpha, nodes.size, gap / largest)
+
+
+def long_horizon_case(N=25000, T=5.0):
+    # the long_horizon benchmark's order 0.8 (1 - e^-t), with oscillating means
+    h = T / N
+    t = h * np.arange(1, N + 1)
+    means = 10.0 * np.cos(5.0 * t) + np.random.default_rng(3).standard_normal(N)
+    return means, 0.8 * -np.expm1(-t), h
+
+
+def test_convolution_counts(monkeypatch):
+    # one inverse FFT per convolution
+    calls = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: calls.append(None) or irfft(*args, **kw))
+
+    def count(means, alphas, h):
+        calls.clear()
+        history_sums(means, alphas, h)
+        return len(calls)
+
+    means, alphas, h = long_horizon_case()
+    assert count(means, alphas, h) <= 25
+    assert count(means, np.full(means.size, 0.3), h) == 1
+    assert count(means[:500], alphas[:500], 0.01) > 1
+
+
+def test_long_horizon_matches_direct_rows_at_sampled_nodes():
+    means, alphas, h = long_horizon_case()
+    N = means.size
+    nodes = sorted({1, 2, 3, N, *np.linspace(1, N, 150).astype(int).tolist()})
+    fast = history_sums(means, alphas, h)[np.array(nodes) - 1]
+    direct, scale = direct_history_sums(means, alphas, h, nodes)
+    gap = float(np.max(np.abs(fast - direct)))
+    assert gap <= TOL * scale, f"{gap:.3e} of scale {scale:.3e}"
 
 
 @pytest.mark.parametrize(

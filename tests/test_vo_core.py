@@ -210,6 +210,20 @@ class TestCoefficientRow:
         expected = (n * h) ** (1.0 - alpha) / gamma(2.0 - alpha)
         assert float(np.sum(row)) == pytest.approx(expected, rel=1e-10)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 100_000), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(100_000, 1e-12)
+    @example(100_000, 1.0 - 1e-12)
+    @example(100_000, 5e-324)
+    @example(1, 0.5)
+    def test_increments_telescope(self, n, alpha):
+        # sum_{k<=n} d_k = n^(1-alpha), with every -d_k from _increments;
+        # both sides take 1 - alpha as rounded, so its rounding cancels
+        logs, log1ms = vo_core._tables(n)
+        total = math.fsum((-vo_core._increments(logs, log1ms, alpha)).tolist())
+        exact = n ** (1.0 - alpha)
+        assert abs(total - exact) <= 8 * 2.0**-53 * exact, (total - exact) / exact
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 5000),
