@@ -196,22 +196,23 @@ def _build_problem(spec: dict, h: float, T: float) -> OscillatorProblem:
 # config parsing --------------------------------------------------------------
 
 def _check_steps_fit(horizon: float, steps, h: Optional[float] = None) -> None:
-    """Reject a step longer than the horizon, or one whose grid is too large.
+    """Reject a step or horizon that Grid.make refuses, or a step longer than the horizon.
 
-    A step longer than T would end its one-step grid past T, and one that
-    Grid.make refuses would fail only once the run allocates. steps are
-    the convergence steps; h, when given, is checked first.
+    Grid.make refuses a step or horizon that is not positive, and a grid
+    that would fail only once the run allocates; a step longer than T
+    would end its one-step grid past T. steps are the convergence steps;
+    h, when given, is checked first.
     """
     named = [(f"convergence_steps[{i}]", s) for i, s in enumerate(steps)]
     if h is not None:
         named.insert(0, ("h", h))
     for what, step in named:
-        if step > horizon:
-            raise ConfigError(f"{what} = {step!r} exceeds the horizon T = {horizon!r}")
         try:
             Grid.make(horizon, step)
         except ValueError as exc:
             raise ConfigError(f"{what} = {step!r}: {exc}") from exc
+        if step > horizon:
+            raise ConfigError(f"{what} = {step!r} exceeds the horizon T = {horizon!r}")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -234,15 +235,11 @@ def parse_config(data: dict) -> RunConfig:
     if "h" not in data:
         raise ConfigError("configuration is missing the step size h")
     h = _require_number(data["h"], "h")
-    if h <= 0.0:
-        raise ConfigError(f"h must be positive, got {h}")
 
     # the registry lookup also rejects an unknown name, with or without T
     T = _from_registry(default_horizon, data["scenario"]) if has_scn else None
     if "T" in data:
         T = _require_number(data["T"], "T")
-        if T <= 0.0:
-            raise ConfigError(f"T must be positive, got {T}")
     elif T is None:
         raise ConfigError("inline problems need a top-level horizon T")
 
@@ -266,8 +263,6 @@ def parse_config(data: dict) -> RunConfig:
                 "convergence output needs convergence_steps, a list of >= 2 step sizes"
             )
         steps = tuple(_require_number(s, f"convergence_steps[{i}]") for i, s in enumerate(raw))
-        if any(s <= 0.0 for s in steps):
-            raise ConfigError("convergence_steps must all be positive")
     elif "convergence_steps" in data:
         raise ConfigError("convergence_steps given but 'convergence' is not in outputs")
     _check_steps_fit(T, steps, h)
@@ -296,19 +291,17 @@ def solve_problem(problem: OscillatorProblem) -> SolutionTrace:
     return implicit_solver.solve(problem)
 
 
-def _check_reference(scn: Scenario) -> None:
-    """A convergence study needs an oscillator's exact u, or a bare derivative
-    benchmark's exact velocity and derivative."""
+def _scenario_error(scn: Scenario) -> float:
+    """Worst node error against the scenario's reference solution.
+
+    That is an oscillator's exact u, or a bare derivative benchmark's exact
+    velocity and derivative; a scenario without it fails before solving.
+    """
     needed = (scn.exact_u,) if scn.problem is not None else (scn.exact_udot, scn.exact_vofd)
     if None in needed:
         raise ConfigError(
             f"scenario {scn.name!r} has no reference solution; convergence study not possible"
         )
-
-
-def _scenario_error(scn: Scenario) -> float:
-    """Worst node error against the scenario's reference solution."""
-    _check_reference(scn)
     if scn.problem is not None:
         trace = solve_problem(scn.problem)
         exact = np.array([scn.exact_u(float(t)) for t in trace.t])
@@ -390,10 +383,7 @@ def write_stability_json(path: str, report: StabilityReport) -> None:
 def _execute(cfg: RunConfig) -> int:
     """Run a parsed request; every ConfigError is raised before the first solve."""
     if cfg.scenario_name is not None:
-        scn = scenario(cfg.scenario_name, cfg.h, cfg.T)  # a name parse_config knows
-        if "convergence" in cfg.outputs:
-            _check_reference(scn)
-        problem = scn.problem
+        problem = scenario(cfg.scenario_name, cfg.h, cfg.T).problem  # a name parse_config knows
     else:
         problem = _build_problem(cfg.problem_spec, cfg.h, cfg.T)
 
@@ -402,12 +392,18 @@ def _execute(cfg: RunConfig) -> int:
     report: Optional[StabilityReport] = None
 
     needs_solve = "trace" in cfg.outputs or "stability" in cfg.outputs
+    if needs_solve and problem is None:
+        raise ConfigError(
+            f"scenario {cfg.scenario_name!r} is a bare derivative benchmark; "
+            "it supports only the convergence output"
+        )
+    # before the trace: the study checks its reference before its first
+    # solve, so that every ConfigError comes before any solve
+    rows = None
+    if "convergence" in cfg.outputs:
+        rows = convergence_study(cfg.scenario_name, cfg.convergence_steps, cfg.T)
+
     if needs_solve:
-        if problem is None:
-            raise ConfigError(
-                f"scenario {cfg.scenario_name!r} is a bare derivative benchmark; "
-                "it supports only the convergence output"
-            )
         trace = solve_problem(problem)
         if "stability" in cfg.outputs:
             if problem.alpha.kind is AlphaKind.TIME_ONLY:
@@ -420,10 +416,6 @@ def _execute(cfg: RunConfig) -> int:
                     file=sys.stderr,
                 )
                 exit_code = EXIT_CONDITIONAL_STABILITY
-
-    rows = None
-    if "convergence" in cfg.outputs:
-        rows = convergence_study(cfg.scenario_name, cfg.convergence_steps, cfg.T)
 
     plan = _plan_paths(cfg.outputs, cfg.out_path)
     for kind, path in plan.items():

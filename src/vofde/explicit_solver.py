@@ -9,18 +9,18 @@ g_n (load_term) and the terms carrying the two latest velocities, reads
 with every coefficient at t_n and c_{n-1}, c_n the two near weights of
 node n (c_{n-1} = 0 at n = 1). The average-acceleration relations make
 udot_n and u_n affine in the new acceleration q_n (state_from_q), so
-step_residual is one scalar equation in q_n; implicit_solver root-solves
-it. For a linear problem with a time-only order it is affine in q_n, and
-solve takes it by one Newton step from q_n = 0: per node, one scalar body
-forms the load, the residual at q_n = 0 and q_n = -residual / den. Both
-steppers run in the one time loop, march, which walks the grid in blocks
-of _BLOCK nodes. Each block slices its a1, a2, a3 and p from the
-problem's read-only node_table (evaluated once per problem, the only check
-on a1), and a block hook adds to them; time_only_blocks adds the weights
-of the problem's time_only_orders and the explicit step's den and guard.
-The state passes between nodes as floats; march keeps the velocities and
-step means in the trace's arrays and advances one vo_core.ExpSumHistory
-per step, from which the load reads the known history in O(L) for L ~ 200
+without f_nl the equation is r0 + den q_n = 0, and linear_part gives its
+value r0 at q_n = 0 and its slope den: the one form of the step equation
+both steppers use. implicit_solver root-solves r0 + den q_n + f_nl = 0;
+for a linear problem with a time-only order, solve takes q_n = -r0 / den,
+one scalar body per node. Both steppers run in the one time loop, march,
+which walks the grid in blocks of _BLOCK nodes. Each block slices its a1,
+a2, a3 and p from the problem's read-only node_table (evaluated once per
+problem, the only check on a1), and a block hook adds to them;
+time_only_blocks adds the weights of the problem's time_only_orders. The
+state passes between nodes as floats; march keeps the velocities and step
+means in the trace's arrays and advances one vo_core.ExpSumHistory per
+step, from which the load reads the known history in O(L) for L ~ 200
 exponential modes, so a solve costs O(N L), not the O(N^2) of one weight
 row per node.
 """
@@ -38,14 +38,15 @@ from .vo_core import ExpSumHistory, coefficient_row
 __all__ = [
     "state_from_q",
     "load_term",
-    "step_residual",
+    "linear_part",
     "march",
     "time_only_blocks",
     "solve",
 ]
 
 # a step denominator this much smaller than the sum of its terms' sizes is
-# treated as zero: the scalar form of a condition-number bound of 1e14
+# treated as zero: the scalar form of a condition-number bound of 1e14,
+# the bound the stability sweep puts on its step matrices
 _COND_LIMIT = 1e14
 
 # nodes per block of march: a block's array of 64 x ~200 far weights stays
@@ -94,26 +95,26 @@ def load_term(coeffs, n: int, weights, hist) -> float:
     return g
 
 
-def step_residual(
-    problem: OscillatorProblem, n: int, trial, weights, g: float, prev: StepState, coeffs
-) -> float:
-    """Residual of node n's step equation at a trial state.
+def linear_part(coeffs, weights, g: float, prev, h: float) -> tuple[float, float, float]:
+    """Node n's step equation without f_nl, r0 + den q_n, as (r0, den, size).
 
-    trial is (q_n, udot_n, u_n), a trial acceleration with the velocity and
-    displacement that state_from_q gives for it; weights is node n's
-    (c_{n-1}, c_n, far), g its load_term, coeffs its (a1, a2, a3, p), and
-    prev the state at node n-1.
+    coeffs is node n's (a1, a2, a3, p), weights its (c_{n-1}, c_n, far), g
+    its load_term and prev the state at node n-1. r0 is the equation's
+    value at q_n = 0, at the state state_from_q gives there; den = a1 +
+    a2 c_n h/4 + a3 h^2/4 is its slope in q_n, since udot_n and u_n grow by
+    h/2 and h^2/4 per unit of q_n; size = |a1| + |a2 c_n h/4| + |a3 h^2/4|
+    is the scale of den's terms, against which _COND_LIMIT judges den.
     """
     a1, a2, a3, _ = coeffs
-    q, udot_n, u_n = trial
     c_nm1, c_n, _ = weights
-    return (
-        a1 * q
-        + 0.5 * a2 * (c_nm1 * prev.udot + c_n * (prev.udot + udot_n))
-        + a3 * u_n
-        + problem.nonlinear_term(u_n, udot_n)
-        - g
-    )
+    q_prev, udot_prev, u_prev = prev
+    # state_from_q(0.0, prev, h), written out: the explicit step runs this per node
+    udot_0 = udot_prev + 0.5 * h * q_prev
+    u_0 = u_prev + h * udot_0 - 0.25 * h * h * q_prev
+    r0 = 0.5 * a2 * (c_nm1 * udot_prev + c_n * (udot_prev + udot_0)) + a3 * u_0 - g
+    damping = 0.25 * h * a2 * c_n
+    stiffness = 0.25 * h * h * a3
+    return r0, a1 + damping + stiffness, abs(a1) + abs(damping) + abs(stiffness)
 
 
 def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
@@ -170,12 +171,10 @@ def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
 def time_only_blocks(h: float, orders: np.ndarray):
     """march's block hook for a time-only order, orders[n] being its value at node n.
 
-    Gives each node n of the block (weights, alpha_n, den, size): weights
-    is (c_{n-1}, c_n, far) at alpha_n, the near pair a row of
+    Gives each node n of the block (weights, alpha_n): weights is
+    (c_{n-1}, c_n, far) at alpha_n, the near pair a row of
     coefficient_row(2, h, orders) (c_{n-1} = 0 at n = 1) and far a row of
-    history.weights; den = a1 + a2 c_n h/4 + a3 h^2/4 is the slope in q_n
-    of a linear step equation and size = |a1| + |a2 c_n h/4| + |a3 h^2/4|
-    the scale of its guard, formed elementwise in the scalar terms' order.
+    history.weights.
     """
 
     def block(first: int, coeffs: np.ndarray, history: ExpSumHistory):
@@ -183,13 +182,8 @@ def time_only_blocks(h: float, orders: np.ndarray):
         near = coefficient_row(2, h, alpha)
         if first == 1:
             near[0, 0] = 0.0
-        a1, a2, a3, _ = coeffs.T
-        damping = 0.25 * h * a2 * near[:, 1]
-        stiffness = 0.25 * h * h * a3
-        den = a1 + damping + stiffness
-        size = np.abs(a1) + np.abs(damping) + np.abs(stiffness)
         weights = zip(*near.T.tolist(), history.weights(h, alpha))
-        return zip(weights, alpha.tolist(), den.tolist(), size.tolist())
+        return zip(weights, alpha.tolist())
 
     return block
 
@@ -197,12 +191,12 @@ def time_only_blocks(h: float, orders: np.ndarray):
 def solve(problem: OscillatorProblem) -> SolutionTrace:
     """Integrate the problem over its whole grid.
 
-    Only linear problems with a TIME_ONLY order are accepted. Each step is
-    one Newton step from q_n = 0: the step residual is affine in q_n with
-    slope den, so q_n = -residual(0) / den exactly. A denominator that is
-    zero or lost in rounding raises StepFailureError naming its step, and
-    so does a non-finite q_n past a sound denominator, which only an
-    overflowed state or a non-finite p can give.
+    Only linear problems with a TIME_ONLY order are accepted. Each step
+    solves its step equation r0 + den q_n = 0 (linear_part) as
+    q_n = -r0 / den. A denominator that is zero or lost in rounding raises
+    StepFailureError naming its step, and so does a non-finite q_n past a
+    sound denominator, which only an overflowed state or a non-finite p can
+    give.
     """
     if problem.alpha.kind is not AlphaKind.TIME_ONLY:
         raise ValueError(
@@ -218,27 +212,23 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     half_h, quarter_hh = 0.5 * h, 0.25 * h * h
 
     def step(n, prev, coeffs, node, hist):
-        weights, alpha, den, size = node
-        q_prev, udot_prev, u_prev = prev
+        weights, alpha = node
         g = load_term(coeffs, n, weights, hist)
-        # step_residual at q_n = 0 (a1 q_n and f_nl drop out), at state_from_q's state
-        udot_0 = udot_prev + half_h * q_prev
-        u_0 = u_prev + h * udot_0 - quarter_hh * q_prev
-        c_nm1, c_n, _ = weights
-        damping = 0.5 * coeffs[1] * (c_nm1 * udot_prev + c_n * (udot_prev + udot_0))
-        residual = damping + coeffs[2] * u_0 - g
+        r0, den, size = linear_part(coeffs, weights, g, prev, h)
         if not abs(den) * _COND_LIMIT > size:
             raise StepFailureError(
                 f"step equation singular or ill-conditioned (denominator {den:.3e} "
                 f"against term sizes {size:.3e})",
                 step=n,
             )
-        q_n = -residual / den
+        q_n = -r0 / den
         if not math.isfinite(q_n):
             raise StepFailureError(
                 f"acceleration {q_n!r} in step {n}: the state overflowed or p is not finite",
                 step=n,
             )
+        # state_from_q(q_n, prev, h), written out as in linear_part
+        q_prev, udot_prev, u_prev = prev
         qsum = q_n + q_prev
         udot_n = udot_prev + half_h * qsum
         return (q_n, udot_n, u_prev + h * udot_n - quarter_hh * qsum), alpha

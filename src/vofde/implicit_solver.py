@@ -2,11 +2,12 @@
 
 Each step solves the step equation of explicit_solver (the governing
 equation at t_n with velocity and displacement written as affine functions
-of the new acceleration q_n) by a secant iteration with bisection fallback
-on explicit_solver.step_residual, inside explicit_solver.march's time
-loop. Its second iterate is a Newton step with the slope of the equation's
-linear part, so a linear problem with a time-only order takes two
-residual evaluations a step. The weights depend on the kind of order:
+of the new acceleration q_n), r0 + den q_n + f_nl(u_n, udot_n) = 0 with
+r0 and den from explicit_solver.linear_part, by a secant iteration with
+bisection fallback inside explicit_solver.march's time loop. Its second
+iterate is a Newton step with slope den, so a linear problem with a
+time-only order takes two residual evaluations a step. The weights, and
+with them r0 and den, depend on the kind of order:
 
 - a state-dependent order is re-read at every trial state, so the weights
   track the state exactly rather than being frozen at the previous step.
@@ -15,8 +16,8 @@ residual evaluations a step. The weights depend on the kind of order:
   exp over the modes and one dot (ExpSumHistory.far_sum);
 - a time-only order is known before its step, so each step takes its
   weights from march's block hook, time_only_blocks, as the explicit
-  stepper does, and its load once; the root solve evaluates neither the
-  order nor any weight.
+  stepper does, and its load, r0 and den once; the root solve evaluates
+  neither the order nor any weight.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import load_term, march, state_from_q, step_residual, time_only_blocks
+from .explicit_solver import linear_part, load_term, march, state_from_q, time_only_blocks
 from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
 from .vo_core import near_weights
 
@@ -53,15 +54,16 @@ def solve_step_nonlinear(
 ) -> tuple[StepState, float, int]:
     """Advance one step; returns (new state, order used, residual evaluations).
 
-    The order is read at each trial state, and its weights and load are
-    rebuilt whenever it moves by _ALPHA_CACHE_TOL or more. hist and coeffs
-    are as march hands them; the root solve is _root_solve's.
+    The order is read at each trial state, and its weights, load and
+    linear part are rebuilt whenever it moves by _ALPHA_CACHE_TOL or more.
+    hist and coeffs are as march hands them; the root solve is
+    _root_solve's.
     """
     h = problem.grid.h
     tn = n * h
     history = hist[1]
-    # order, weights and load of the last order seen
-    cached = (math.nan, None, 0.0)
+    # order, r0 and den of the last order seen
+    cached = (math.nan, 0.0, 0.0)
 
     def weigh(q, udot_n, u_n):
         nonlocal cached
@@ -69,7 +71,9 @@ def solve_step_nonlinear(
         if not abs(a_star - cached[0]) < _ALPHA_CACHE_TOL:
             c_nm1, c_n = near_weights(h, a_star)
             weights = (c_nm1 if n >= 2 else 0.0, c_n, history.far_sum(h, a_star))
-            cached = (a_star, weights, load_term(coeffs, n, weights, hist))
+            g = load_term(coeffs, n, weights, hist)
+            r0, den, _ = linear_part(coeffs, weights, g, prev, h)
+            cached = (a_star, r0, den)
         return cached
 
     return _root_solve(n, problem, prev, coeffs, weigh)
@@ -78,22 +82,22 @@ def solve_step_nonlinear(
 def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, weigh):
     """Root of node n's step residual in q_n; (new state, order used, evaluations).
 
-    weigh(q, udot_n, u_n) gives the (order, weights, load) of a trial
-    state. Secant iteration started from the previous acceleration and one
-    Newton step from it with slope den = a1 + a2 c_n h/4 + a3 h^2/4, c_n
-    being the first trial order's near weight; once a sign change is seen
-    the iterate is kept inside the bracket, falling back to bisection
-    whenever the secant step leaves it or degenerates. A
-    residual counts as zero within _TOL_RES of max(1, |p_n|, |a3 u_n|); a
-    non-finite one raises StepFailureError.
+    weigh(q, udot_n, u_n) gives the (order, r0, den) of a trial state, r0
+    and den from linear_part, and the residual is r0 + den q +
+    f_nl(u_n, udot_n). Secant iteration started from the previous
+    acceleration and one Newton step from it with the first trial's den;
+    once a sign change is seen the iterate is kept inside the bracket,
+    falling back to bisection whenever the secant step leaves it or
+    degenerates. A residual counts as zero within _TOL_RES of
+    max(1, |p_n|, |a3 u_n|); a non-finite one raises StepFailureError.
     """
     h = problem.grid.h
-    a1, a2, a3, p_n = coeffs
+    _, _, a3, p_n = coeffs
 
     def f(q):
         udot_n, u_n = state_from_q(q, prev, h)
-        a_star, weights, g = weigh(q, udot_n, u_n)
-        value = step_residual(problem, n, (q, udot_n, u_n), weights, g, prev, coeffs)
+        a_star, r0, den = weigh(q, udot_n, u_n)
+        value = r0 + den * q + problem.nonlinear_term(u_n, udot_n)
         if not math.isfinite(value):
             raise StepFailureError(
                 f"residual {value!r} at trial q {q!r} in step {n}",
@@ -101,18 +105,17 @@ def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, wei
                 last_q=q,
                 residual=value,
             )
-        return value, max(1.0, abs(p_n), abs(a3 * u_n)), a_star, weights[1]
+        return value, max(1.0, abs(p_n), abs(a3 * u_n)), a_star, den
 
     def done(q, a_star, evals):
         return StepState(q, *state_from_q(q, prev, h)), a_star, evals
 
     x0 = prev.q
-    f0, s0, a0, c_n = f(x0)
+    f0, s0, a0, den = f(x0)
     if abs(f0) <= _TOL_RES * s0:
         return done(x0, a0, 1)
-    # den is the explicit step's slope, so an affine residual is solved
-    # here; a zero or non-finite quotient falls back to a probe beside x0
-    den = a1 + 0.25 * h * a2 * c_n + 0.25 * h * h * a3
+    # an affine residual is solved here; a zero or non-finite quotient
+    # falls back to a probe beside x0
     newton = f0 / den if den != 0.0 else 0.0
     x1 = x0 - newton if newton != 0.0 and math.isfinite(newton) else x0 * (1.0 + 1e-6) + 1e-6
     f1, s1, a1_, _ = f(x1)
@@ -171,13 +174,15 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     the residual evaluation count of each step.
     """
     iters = np.zeros(problem.grid.N, dtype=int)
-
+    h = problem.grid.h
     if problem.alpha.kind is AlphaKind.TIME_ONLY:
-        block = time_only_blocks(problem.grid.h, problem.time_only_orders)
+        block = time_only_blocks(h, problem.time_only_orders)
 
         def step(n, prev, coeffs, node, hist):
-            weights, alpha, _, _ = node
-            fixed = (alpha, weights, load_term(coeffs, n, weights, hist))
+            weights, alpha = node
+            g = load_term(coeffs, n, weights, hist)
+            r0, den, _ = linear_part(coeffs, weights, g, prev, h)
+            fixed = (alpha, r0, den)
             state, a_star, iters[n - 1] = _root_solve(
                 n, problem, prev, coeffs, lambda q, udot_n, u_n: fixed
             )

@@ -26,6 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import StepFailureError
+from .explicit_solver import _COND_LIMIT
 from .model import OscillatorProblem, SolutionTrace
 from .vo_core import coefficient
 
@@ -38,8 +39,6 @@ __all__ = [
     "stability_report",
     "stability_report_along_trace",
 ]
-
-_COND_LIMIT = 1e14
 
 # steps per block of the sweep
 _BLOCK = 2048

@@ -64,7 +64,7 @@ class Grid:
         whose nodes at _NODE_BYTES each would exceed _memory_limit(),
         raises ValueError naming N before anything is allocated.
         """
-        h, T = _check_positive(h), _check_positive(T, "horizon")
+        h, T = _check_positive(h), _check_positive(T, "horizon T")
         ratio = (T / h) * (1.0 - 1e-12)
         N = max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
         if N == math.inf or _NODE_BYTES * (N + 1) > _memory_limit():
@@ -181,19 +181,6 @@ def _log_table(k: np.ndarray) -> np.ndarray:
         return np.array([np.log(k), np.log1p(-1.0 / k)])
 
 
-# log(k) and log1p(-1/k) for k = 1, 2, ..., shared by every weight row and
-# history sum; grown geometrically on demand
-_LOG_TABLE = _log_table(np.arange(1.0, 1025.0))
-
-
-def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of log(k) and log1p(-1/k) for k = 1 .. n."""
-    global _LOG_TABLE
-    if _LOG_TABLE.shape[1] < n:
-        _LOG_TABLE = _log_table(np.arange(1.0, max(n, 2 * _LOG_TABLE.shape[1]) + 1.0))
-    return _LOG_TABLE[0, :n], _LOG_TABLE[1, :n]
-
-
 def _increments(logs, log1ms, a, out=None, work=None) -> np.ndarray:
     """-d_k(a), d_k = k^(1-a) - (k-1)^(1-a), at the k of the table entries given.
 
@@ -222,7 +209,7 @@ def coefficient_row(n: int, h: float, alpha) -> np.ndarray:
     h = _check_positive(h)
     # entries on the first axis and orders on the second; each order's
     # factor by scalar math, as for that order alone
-    logs, log1ms = _tables(n)
+    logs, log1ms = _log_table(np.arange(1.0, n + 1.0))
     if isinstance(a, np.ndarray):
         logs, log1ms = logs[:, None], log1ms[:, None]
         factor = np.array([_row_factor(h, x) for x in a.tolist()])
@@ -409,7 +396,7 @@ def _interpolated_convolutions(
     buf[:N] = means
     mspec = fft.rfft(buf)
     spec = np.empty_like(mspec)
-    logs, log1ms = _tables(N)
+    logs, log1ms = _log_table(np.arange(1.0, N + 1.0))
     work = np.empty(N)
 
     def convolution(node: float) -> np.ndarray:

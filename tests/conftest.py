@@ -46,7 +46,7 @@ def history_of(endpoints, n_steps=None):
 def node_weights(n, h, alpha, hist):
     """(c_{n-1}, c_n, far) of node n at one order, from a one-node block of march's hook."""
     block = time_only_blocks(h, np.full(n + 1, float(alpha)))
-    (weights, _, _, _), = block(n, np.ones((1, 4)), hist[1])
+    (weights, _), = block(n, np.ones((1, 4)), hist[1])
     return weights
 
 

@@ -15,13 +15,14 @@ are checked against it. check_scenario_consistency plugs a scenario's
 exact solution into its own equation with the fractional term from the
 quadrature oracle. direct_history_sums builds the history sums from one
 full weight row per node, the direct O(N^2) route that history_sums is
-checked against. solve_step is the explicit step node by node: the
-package's load_term, state_from_q and step_residual at q_n = 0, divided
-by the step's slope, which the explicit stepper's block loop must match
-bit for bit. direct_solve is the direct row stepper: that step and the
-implicit one in the package's time loop, with the known history read from
-full weight rows (DirectHistory) instead of the sum of exponentials,
-O(N^2) in all.
+checked against. step_residual writes the step equation term by term,
+independently of the package's linear_part. solve_step is the explicit
+step node by node: the package's load_term and state_from_q, and
+step_residual at q_n = 0 divided by the step's slope, which the explicit
+stepper's block loop must match bit for bit. direct_solve is the direct
+row stepper: that step and the implicit one in the package's time loop,
+with the known history read from full weight rows (DirectHistory) instead
+of the sum of exponentials, O(N^2) in all.
 node_residuals is discrete_residuals written as one loop over the nodes,
 the form the array version must match bit for bit.
 """
@@ -35,7 +36,7 @@ from scipy.integrate import quad, solve_ivp
 
 from vofde import coefficient_row, history_sums
 from vofde.errors import OrderDomainError, StepFailureError
-from vofde.explicit_solver import _COND_LIMIT, load_term, march, state_from_q, step_residual
+from vofde.explicit_solver import _COND_LIMIT, load_term, march, state_from_q
 from vofde.implicit_solver import solve_step_nonlinear
 from vofde.model import StepState
 from vofde.stability import amplification_from_matrices
@@ -99,6 +100,26 @@ def check_scenario_consistency(scn, n_samples=8, tol=1e-10):
         )
         worst = max(worst, abs(res))
     return worst
+
+
+def step_residual(problem, n, trial, weights, g, prev, coeffs):
+    """Residual of node n's step equation at a trial state, term by term.
+
+    trial is (q_n, udot_n, u_n), a trial acceleration with the velocity and
+    displacement that state_from_q gives for it; weights is node n's
+    (c_{n-1}, c_n, far), g its load_term, coeffs its (a1, a2, a3, p), and
+    prev the state at node n-1.
+    """
+    a1, a2, a3, _ = coeffs
+    q, udot_n, u_n = trial
+    c_nm1, c_n, _ = weights
+    return (
+        a1 * q
+        + 0.5 * a2 * (c_nm1 * prev.udot + c_n * (prev.udot + udot_n))
+        + a3 * u_n
+        + problem.nonlinear_term(u_n, udot_n)
+        - g
+    )
 
 
 def solve_step(problem, n, weights, hist, prev, coeffs):

@@ -201,6 +201,21 @@ class TestScenarioFlags:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--h", "-0.01"], "h = -0.01: step size must be positive"),
+            (["--h", "0.01", "--T", "0"], "horizon T must be positive"),
+            (["--h", "0.01", "--convergence", "0.01,0"], "convergence_steps[1] = 0.0: step size"),
+        ],
+    )
+    def test_non_positive_step_or_horizon_is_usage_error(self, tmp_path, capsys, flags, key):
+        out = tmp_path / "c.csv"
+        assert main(["scenario", "--name", "ex1ii", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "flags,body",
         [
             (["--name", "ex2ii", "--h", "0.01"],

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import history_of, node_coeffs, node_weights, step_means
-from oracles import solve_step, step_matrices
+from oracles import solve_step, step_matrices, step_residual
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
@@ -25,7 +25,7 @@ from vofde import (
     stability_report,
 )
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
-from vofde.explicit_solver import load_term
+from vofde.explicit_solver import linear_part, load_term, state_from_q
 from vofde.reference import scenario
 from vofde.vo_core import ExpSumHistory
 
@@ -117,6 +117,33 @@ class TestLoadTerm:
         weights = node_weights(5, prob.grid.h, 0.5, hist)
         with pytest.raises(IndexError):
             load_term(node_coeffs(prob, 5), 5, weights, hist)
+
+
+class TestLinearPart:
+    def test_equals_the_term_by_term_residual(self):
+        # r0 + den q is the step equation at every q, and size bounds den
+        prob = linear_problem(AlphaSpec.constant(0.5))
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            a1, a2, a3, p = (rng.normal(size=4) * 10.0 ** rng.uniform(-3.0, 3.0, size=4)).tolist()
+            c_nm1, c_n = rng.uniform(0.0, 2.0, size=2).tolist()
+            weights = (c_nm1, c_n, 0.0)
+            g = float(rng.normal()) * 10.0 ** rng.uniform(-3.0, 3.0)
+            prev = StepState(*rng.normal(size=3).tolist())
+            h = 10.0 ** rng.uniform(-4.0, -0.5)
+            r0, den, size = linear_part((a1, a2, a3, p), weights, g, prev, h)
+            assert abs(den) <= size
+            for q in (rng.normal(size=3) * 10.0 ** rng.uniform(-2.0, 4.0)).tolist():
+                udot_n, u_n = state_from_q(q, prev, h)
+                exact = step_residual(prob, 1, (q, udot_n, u_n), weights, g, prev, (a1, a2, a3, p))
+                motion = abs(prev.q) + abs(q)
+                scale = (
+                    abs(a1 * q)
+                    + abs(a2) * (c_nm1 + 2.0 * c_n) * (abs(prev.udot) + h * motion)
+                    + abs(a3) * (abs(prev.u) + h * abs(prev.udot) + h * h * motion)
+                    + abs(g)
+                )
+                assert abs(r0 + den * q - exact) <= 1e-14 * scale
 
 
 def near_row(n, weights):
