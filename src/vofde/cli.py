@@ -33,7 +33,7 @@ from .stability import (
     stability_report,
     stability_report_along_trace,
 )
-from .vo_core import Grid, _check_order, vo_derivative_series
+from .vo_core import Grid, _check_order, _check_positive, vo_derivative_series
 
 __all__ = [
     "ConfigError",
@@ -200,9 +200,14 @@ def _check_steps_fit(horizon: float, steps, h: Optional[float] = None) -> None:
 
     Grid.make refuses a step or horizon that is not positive, and a grid
     that would fail only once the run allocates; a step longer than T
-    would end its one-step grid past T. steps are the convergence steps;
-    h, when given, is checked first.
+    would end its one-step grid past T. The horizon is checked first, under
+    its own key T; steps are the convergence steps, and h, when given, is
+    checked before them.
     """
+    try:
+        _check_positive(horizon, "horizon T")
+    except ValueError as exc:
+        raise ConfigError(f"T = {horizon!r}: {exc}") from exc
     named = [(f"convergence_steps[{i}]", s) for i, s in enumerate(steps)]
     if h is not None:
         named.insert(0, ("h", h))

@@ -16,8 +16,8 @@ for a linear problem with a time-only order, solve takes q_n = -r0 / den,
 one scalar body per node. Both steppers run in the one time loop, march,
 which walks the grid in blocks of _BLOCK nodes. Each block slices its a1,
 a2, a3 and p from the problem's read-only node_table (evaluated once per
-problem, the only check on a1), and a block hook adds to them;
-time_only_blocks adds the weights of the problem's time_only_orders. The
+problem, the only check on a1) and, for a time-only order, builds the
+weights of its nodes at once from the problem's time_only_orders. The
 state passes between nodes as floats; march keeps the velocities and step
 means in the trace's arrays and advances one vo_core.ExpSumHistory per
 step, from which the load reads the known history in O(L) for L ~ 200
@@ -40,7 +40,6 @@ __all__ = [
     "load_term",
     "linear_part",
     "march",
-    "time_only_blocks",
     "solve",
 ]
 
@@ -55,18 +54,19 @@ _COND_LIMIT = 1e14
 _BLOCK = 64
 
 
-def state_from_q(q_n: float, prev: StepState, h: float) -> tuple[float, float]:
+def state_from_q(q_n: float, prev, h: float) -> tuple[float, float]:
     """Velocity and displacement at the new node as functions of q_n.
 
-    Inverts the average-acceleration update relations:
+    prev is the state (q, udot, u) at node n-1. The average-acceleration
+    update relations, written here only:
 
         udot_n = udot_{n-1} + h/2 (q_n + q_{n-1})
         u_n    = u_{n-1} + h udot_n - h^2/4 (q_n + q_{n-1})
     """
-    qsum = q_n + prev.q
-    udot_n = prev.udot + 0.5 * h * qsum
-    u_n = prev.u + h * udot_n - 0.25 * h * h * qsum
-    return udot_n, u_n
+    q_prev, udot_prev, u_prev = prev
+    qsum = q_n + q_prev
+    udot_n = udot_prev + 0.5 * h * qsum
+    return udot_n, u_prev + h * udot_n - 0.25 * h * h * qsum
 
 
 def load_term(coeffs, n: int, weights, hist) -> float:
@@ -107,35 +107,35 @@ def linear_part(coeffs, weights, g: float, prev, h: float) -> tuple[float, float
     """
     a1, a2, a3, _ = coeffs
     c_nm1, c_n, _ = weights
-    q_prev, udot_prev, u_prev = prev
-    # state_from_q(0.0, prev, h), written out: the explicit step runs this per node
-    udot_0 = udot_prev + 0.5 * h * q_prev
-    u_0 = u_prev + h * udot_0 - 0.25 * h * h * q_prev
+    udot_prev = prev[1]
+    udot_0, u_0 = state_from_q(0.0, prev, h)
     r0 = 0.5 * a2 * (c_nm1 * udot_prev + c_n * (udot_prev + udot_0)) + a3 * u_0 - g
     damping = 0.25 * h * a2 * c_n
     stiffness = 0.25 * h * h * a3
     return r0, a1 + damping + stiffness, abs(a1) + abs(damping) + abs(stiffness)
 
 
-def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
+def march(problem: OscillatorProblem, step) -> SolutionTrace:
     """The time loop of both steppers, a block of _BLOCK nodes at a time.
 
     Each block slices its rows (a1, a2, a3, p) from the problem's
     node_table, built before the first step (so a1 is checked and a p that
-    raises raises there), as the read-only array coeffs; given block,
-    block(first, coeffs, history) is an iterable with one item per node of
-    the block (else each item is None). Per node,
+    raises raises there), as the read-only array coeffs. Per node,
     step(n, prev, coeffs_n, item, hist) returns the state (q, udot, u) at
     node n and the order used there. prev is the state it returned for
     node n-1, StepState(q0, v0, u0) at n = 1; coeffs_n is node n's row of
-    coeffs as a list of floats; and hist is (udot, history), the trace's
-    velocity array, filled through node n-1, and the run's ExpSumHistory,
-    advanced to hold the step means 1 .. n-2. The history integral of a
-    continuous velocity vanishes at t = 0, so the initial acceleration is
+    coeffs as a list of floats; item is node n's (weights, alpha_n) from
+    _block_weights for a time-only order, whose time_only_orders are
+    evaluated before the table, and None for a state-dependent one; and
+    hist is (udot, history), the trace's velocity array, filled through
+    node n-1, and the run's ExpSumHistory, advanced to hold the step means
+    1 .. n-2. The history integral of a continuous velocity vanishes at
+    t = 0, so the initial acceleration is
     q0 = (p(0) - a3(0) u0 - f_nl(u0, v0)) / a1(0), from row 0 of the table.
     """
     grid = problem.grid
-    N = grid.N
+    N, h = grid.N, grid.h
+    orders = problem.time_only_orders if problem.alpha.kind is AlphaKind.TIME_ONLY else None
     q, ud, u, alphas = np.empty((4, N + 1))
     means = np.empty(N)
     table = problem.node_table
@@ -144,8 +144,8 @@ def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
     prev = StepState(q0, float(problem.v0), float(problem.u0))
     q[0], ud[0], u[0] = prev
     # reference only; never range-checked and never used in a weight
-    if problem.alpha.kind is AlphaKind.TIME_ONLY:
-        alphas[0] = problem.time_only_orders[0]
+    if orders is not None:
+        alphas[0] = orders[0]
     else:
         try:
             alphas[0] = float(problem.alpha.eval(0.0, problem.u0, problem.v0))
@@ -157,7 +157,10 @@ def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
     for first in range(1, N + 1, _BLOCK):
         coeffs = table[first : first + _BLOCK]
         nodes = range(first, first + len(coeffs))
-        items = [None] * len(nodes) if block is None else block(first, coeffs, history)
+        if orders is None:
+            items = [None] * len(nodes)
+        else:
+            items = _block_weights(h, orders[first : first + len(coeffs)], first, history)
         for n, coeffs_n, item in zip(nodes, coeffs.tolist(), items):
             if n >= 3:
                 history.push(means[n - 3])
@@ -168,24 +171,17 @@ def march(problem: OscillatorProblem, step, block=None) -> SolutionTrace:
     return SolutionTrace(t=grid.times(), u=u, udot=ud, uddot=q, alpha_used=alphas, udot_mean=means)
 
 
-def time_only_blocks(h: float, orders: np.ndarray):
-    """march's block hook for a time-only order, orders[n] being its value at node n.
+def _block_weights(h: float, alpha: np.ndarray, first: int, history: ExpSumHistory):
+    """(weights, alpha_n) of each node n of a block from node first, alpha holding their orders.
 
-    Gives each node n of the block (weights, alpha_n): weights is
-    (c_{n-1}, c_n, far) at alpha_n, the near pair a row of
-    coefficient_row(2, h, orders) (c_{n-1} = 0 at n = 1) and far a row of
+    weights is (c_{n-1}, c_n, far) at alpha_n: the near pair a row of
+    coefficient_row(2, h, alpha) (c_{n-1} = 0 at n = 1) and far a row of
     history.weights.
     """
-
-    def block(first: int, coeffs: np.ndarray, history: ExpSumHistory):
-        alpha = orders[first : first + len(coeffs)]
-        near = coefficient_row(2, h, alpha)
-        if first == 1:
-            near[0, 0] = 0.0
-        weights = zip(*near.T.tolist(), history.weights(h, alpha))
-        return zip(weights, alpha.tolist())
-
-    return block
+    near = coefficient_row(2, h, alpha)
+    if first == 1:
+        near[0, 0] = 0.0
+    return zip(zip(*near.T.tolist(), history.weights(h, alpha)), alpha.tolist())
 
 
 def solve(problem: OscillatorProblem) -> SolutionTrace:
@@ -209,7 +205,6 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             "solver for nonlinear terms"
         )
     h = problem.grid.h
-    half_h, quarter_hh = 0.5 * h, 0.25 * h * h
 
     def step(n, prev, coeffs, node, hist):
         weights, alpha = node
@@ -227,10 +222,7 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
                 f"acceleration {q_n!r} in step {n}: the state overflowed or p is not finite",
                 step=n,
             )
-        # state_from_q(q_n, prev, h), written out as in linear_part
-        q_prev, udot_prev, u_prev = prev
-        qsum = q_n + q_prev
-        udot_n = udot_prev + half_h * qsum
-        return (q_n, udot_n, u_prev + h * udot_n - quarter_hh * qsum), alpha
+        udot_n, u_n = state_from_q(q_n, prev, h)
+        return (q_n, udot_n, u_n), alpha
 
-    return march(problem, step, time_only_blocks(h, problem.time_only_orders))
+    return march(problem, step)

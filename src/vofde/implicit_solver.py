@@ -14,10 +14,10 @@ with them r0 and den, depend on the kind of order:
   The history is order-free (vo_core.ExpSumHistory), so a new trial order
   costs its two near weights in scalar math (vo_core.near_weights), one
   exp over the modes and one dot (ExpSumHistory.far_sum);
-- a time-only order is known before its step, so each step takes its
-  weights from march's block hook, time_only_blocks, as the explicit
-  stepper does, and its load, r0 and den once; the root solve evaluates
-  neither the order nor any weight.
+- a time-only order is known before its step, so each step takes the
+  weights march builds for it, as the explicit stepper does, and its load,
+  r0 and den once; the root solve evaluates neither the order nor any
+  weight.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import linear_part, load_term, march, state_from_q, time_only_blocks
+from .explicit_solver import linear_part, load_term, march, state_from_q
 from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
 from .vo_core import near_weights
 
@@ -176,8 +176,6 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     iters = np.zeros(problem.grid.N, dtype=int)
     h = problem.grid.h
     if problem.alpha.kind is AlphaKind.TIME_ONLY:
-        block = time_only_blocks(h, problem.time_only_orders)
-
         def step(n, prev, coeffs, node, hist):
             weights, alpha = node
             g = load_term(coeffs, n, weights, hist)
@@ -189,10 +187,8 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             return state, a_star
 
     else:
-        block = None
-
         def step(n, prev, coeffs, node, hist):
             state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
             return state, a_star
 
-    return replace(march(problem, step, block), iterations=iters)
+    return replace(march(problem, step), iterations=iters)

@@ -225,18 +225,21 @@ def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.n
     (0, 1) raises OrderDomainError naming its node; a non-finite step mean
     makes the residuals nan from its node on. Each residual is scaled by
     max(1, |largest term|), so the result is a relative measure wherever
-    the equation has size. A trace of another step count raises IndexError.
-    On the grid's own times a1, a2, a3 and p come from node_table, a1 check
-    included; on other times, as a trace read from a file may hold, they
-    are evaluated there.
+    the equation has size. a1, a2, a3 and p come from node_table, a1 check
+    included. A trace of another step count raises IndexError, and one
+    whose times are not the grid's raises ValueError naming the first node
+    off it: the history sums are built on the grid's h.
     """
-    N = problem.grid.N
-    if trace.N != N:
-        raise IndexError(f"trace has {trace.N} steps but the problem grid has {N}")
-    history = history_sums(trace.udot_mean, trace.alpha_used[1:], problem.grid.h)
-    on_grid = np.array_equal(trace.t, problem.grid.times())
-    fns = (problem.a1, problem.a2, problem.a3, problem.p)
-    a1, a2, a3, load = (problem.node_table if on_grid else _evaluate(fns, trace.t)).T
+    grid = problem.grid
+    if trace.N != grid.N:
+        raise IndexError(f"trace has {trace.N} steps but the problem grid has {grid.N}")
+    off = np.flatnonzero(trace.t != grid.times())
+    if off.size:
+        n = int(off[0])
+        t_n = float(trace.t[n])
+        raise ValueError(f"trace time {t_n!r} at node {n} is not the grid's {n * grid.h!r}")
+    history = history_sums(trace.udot_mean, trace.alpha_used[1:], grid.h)
+    a1, a2, a3, load = problem.node_table.T
     inertia = a1 * trace.uddot
     damping = a2 * np.append(0.0, history)  # no history at node 0; a non-finite a2 still shows
     restoring = a3 * trace.u
@@ -245,7 +248,7 @@ def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.n
         extra = np.fromiter(
             (problem.nonlinear_term(float(u), float(v)) for u, v in zip(trace.u, trace.udot)),
             float,
-            N + 1,
+            grid.N + 1,
         )
     res = inertia + damping
     res += restoring

@@ -352,18 +352,20 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _interpolation_points(lo: float, hi: float, N: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _interpolation_points(lo: float, hi: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev points of the first kind on [lo, hi], with their barycentric weights.
 
-    They interpolate the kernel t_k^(1-alpha) - t_{k-1}^(1-alpha), t_k = k h,
-    for k = 1 .. N and orders in [lo, hi]. Its m-th derivative in alpha is
-    at most (1 + m/L) L^m times int_{t_{k-1}}^{t_k} x^(-alpha) dx, with
-    L = max(|log h|, |log N h|, 1), and m points interpolate to 2 (w/4)^m / m!
-    times the largest m-th derivative on [lo, hi], w = hi - lo. So m is the
-    least count with 2 (L w/4)^m / m! (1 + m/L) <= 2^-53, and gives the
-    kernel to round-off; one point, lo itself, for w = 0.
+    They interpolate the kernel (t_k/tau)^(1-alpha) - (t_{k-1}/tau)^(1-alpha),
+    t_k = k h and tau = h sqrt(N), for k = 1 .. N and orders in [lo, hi].
+    Its m-th derivative in alpha is at most (1 + m/L) L^m times
+    int_{t_{k-1}}^{t_k} (x/tau)^(-alpha) dx/tau, with L = max(log(N)/2, 1)
+    the largest |log(t/tau)| on [h, N h], and m points interpolate to
+    2 (w/4)^m / m! times the largest m-th derivative on [lo, hi],
+    w = hi - lo. So m is the least count with
+    2 (L w/4)^m / m! (1 + m/L) <= 2^-53, and gives the kernel to round-off;
+    one point, lo itself, for w = 0. Centred at tau, the kernel needs no h.
     """
-    L = max(abs(math.log(h)), abs(math.log(N * h)), 1.0)
+    L = max(0.5 * math.log(N), 1.0)
     m, term = 1, L * (hi - lo) / 4.0
     while 2.0 * term * (1.0 + m / L) > 2.0 ** -53:
         m += 1
@@ -373,24 +375,23 @@ def _interpolation_points(lo: float, hi: float, N: int, h: float) -> tuple[np.nd
     return nodes, np.where(np.arange(m) % 2 == 0, 1.0, -1.0) * np.sin(angles)
 
 
-def _interpolated_convolutions(
-    means: np.ndarray, orders: np.ndarray, h: float, out: np.ndarray
-) -> None:
-    """Write -sum_{k=1..n} h^(1-alpha_n) d_k(alpha_n) m_{n-k+1} for n = 1 .. N into out.
+def _interpolated_convolutions(means: np.ndarray, orders: np.ndarray, out: np.ndarray) -> None:
+    """Write -sum_{k=1..n} N^((alpha_n-1)/2) d_k(alpha_n) m_{n-k+1} for n = 1 .. N into out.
 
-    The kernel h^(1-alpha) d_k(alpha) = t_k^(1-alpha) - t_{k-1}^(1-alpha),
-    t_k = k h, is interpolated in alpha at the _interpolation_points of
-    [min alpha, max alpha]: per point alpha_j one causal convolution of the
-    kernel with m by FFT, with the means' spectrum taken once; each node's
-    sum is the barycentric combination of the convolutions at its own
-    order. A single point (a constant order) gives its convolution as is.
+    The kernel N^((alpha-1)/2) d_k(alpha), which is
+    (t_k/tau)^(1-alpha) - (t_{k-1}/tau)^(1-alpha) with t_k = k h and
+    tau = h sqrt(N), is interpolated in alpha at the _interpolation_points
+    of [min alpha, max alpha]: per point alpha_j one causal convolution of
+    the kernel with m by FFT, with the means' spectrum taken once; each
+    node's sum is the barycentric combination of the convolutions at its
+    own order. A single point (a constant order) gives its convolution as is.
     The transform buffers are reused from point to point, and out holds
     the running numerator.
     """
     from numpy import fft  # loaded here, so that solving alone does not import it
 
     N = means.size
-    nodes, bary = _interpolation_points(float(orders.min()), float(orders.max()), N, h)
+    nodes, bary = _interpolation_points(float(orders.min()), float(orders.max()), N)
     nfft = _fft_length(2 * N - 1)
     buf = np.zeros(nfft)
     buf[:N] = means
@@ -403,7 +404,7 @@ def _interpolated_convolutions(
         # the kernel at one order into buf, then its product with the means'
         # spectrum back into buf; the first N entries are the sums
         _increments(logs, log1ms, node, buf[:N], work)  # -d, kept to round-off
-        buf[:N] *= h ** (1.0 - node)
+        buf[:N] *= N ** (0.5 * (node - 1.0))
         buf[N:] = 0.0
         fft.rfft(buf, out=spec)
         np.multiply(spec, mspec, out=spec)
@@ -440,15 +441,16 @@ def history_sums(means, orders, h: float) -> np.ndarray:
     1 .. N; S_n is entry n-1. With c_r^n = -f(alpha_n) d_k(alpha_n), where
     f(alpha) = h^(1-alpha) / (Gamma(1-alpha) (alpha-1)) and
     d_k(alpha) = k^(1-alpha) - (k-1)^(1-alpha) for k = n-r+1, the sum is a
-    convolution whose kernel depends on the order at n. The h-scaled kernel
-    h^(1-alpha) d_k(alpha) is entire in alpha, so it is interpolated at
-    Chebyshev points of [min alpha_n, max alpha_n], as many as an a-priori
-    bound asks for round-off (one for a constant order), and the sums are
-    combined from one FFT convolution per point: O(K N log N) work for K
-    points, against O(N^2) for the weight rows. Each node is then scaled
-    by 1/(Gamma(1-alpha_n) (alpha_n - 1)). This is the offline case of Hairer,
-    Lubich and Schlichte's fast convolution (SIAM J. Sci. Stat. Comput. 6
-    (1985) 532-541). The result agrees with the direct row sums to
+    convolution whose kernel depends on the order at n. The kernel
+    N^((alpha-1)/2) d_k(alpha), log-time centred at tau = h sqrt(N), is
+    entire in alpha, so it is interpolated at Chebyshev points of
+    [min alpha_n, max alpha_n], as many as an a-priori bound in N alone asks
+    for round-off (one for a constant order), and the sums are combined
+    from one FFT convolution per point: O(K N log N) work for K points,
+    against O(N^2) for the weight rows. Each node is then scaled by
+    tau^(1-alpha_n) / (Gamma(1-alpha_n) (alpha_n - 1)). This is the offline
+    case of Hairer, Lubich and Schlichte's fast convolution (SIAM J. Sci.
+    Stat. Comput. 6 (1985) 532-541). The result agrees with the direct row sums to
     round-off of the largest history sum, max_n sum_r |c_r^n m_r|.
 
     An order outside (0, 1) raises OrderDomainError naming its node. A
@@ -468,8 +470,8 @@ def history_sums(means, orders, h: float) -> np.ndarray:
     out = np.full(m.size, np.nan)
     if known:
         head = out[:known]
-        _interpolated_convolutions(m[:known], a[:known], h, head)
-        head *= _row_factor(1.0, a[:known])  # h^(1-alpha) is in the kernel
+        _interpolated_convolutions(m[:known], a[:known], head)
+        head *= _row_factor(h * math.sqrt(known), a[:known])  # the kernel has N^((alpha-1)/2)
     return out
 
 

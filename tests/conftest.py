@@ -7,7 +7,7 @@ captures stdout during the tests themselves.
 
 import numpy as np
 
-from vofde.explicit_solver import time_only_blocks
+from vofde.explicit_solver import _block_weights
 from vofde.vo_core import ExpSumHistory
 
 _acceptance_lines: list[str] = []
@@ -44,9 +44,8 @@ def history_of(endpoints, n_steps=None):
 
 
 def node_weights(n, h, alpha, hist):
-    """(c_{n-1}, c_n, far) of node n at one order, from a one-node block of march's hook."""
-    block = time_only_blocks(h, np.full(n + 1, float(alpha)))
-    (weights, _), = block(n, np.ones((1, 4)), hist[1])
+    """(c_{n-1}, c_n, far) of node n at one order, as march builds them for a one-node block."""
+    (weights, _), = _block_weights(h, np.array([float(alpha)]), n, hist[1])
     return weights
 
 

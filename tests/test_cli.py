@@ -12,11 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vofde.cli
 from vofde.cli import main
-from vofde.reference import SCENARIO_NAMES
+from vofde.reference import SCENARIO_NAMES, scenario
 
 
 def read_rows(path):
@@ -80,6 +81,18 @@ class TestScenarioTrace:
         out = tmp_path / "trace.csv"
         assert main(["scenario", "--name", "ex4", "--h", "0.1", "--T", "0.1", "--out", str(out)]) == 0
         assert [float(r[0]) for r in read_rows(out)[1:]] == [0.0, 0.1]
+
+    @pytest.mark.parametrize(
+        "name", [n for n in SCENARIO_NAMES if scenario(n, h=1.0).problem is not None]
+    )
+    def test_trace_read_back_is_on_the_grid(self, tmp_path, name):
+        # discrete_residuals refuses a trace off the grid, so a trace read
+        # back from its CSV is re-verified only if its times are the grid's
+        h = scenario(name, h=1.0).grid.T / 500
+        out = tmp_path / "trace.csv"
+        assert main(["scenario", "--name", name, "--h", repr(h), "--out", str(out)]) == 0
+        times = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+        np.testing.assert_array_equal(times, scenario(name, h).grid.times())
 
     def test_derivative_benchmark_has_no_trace(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -166,6 +179,11 @@ class TestConvergence:
         with pytest.raises(vofde.cli.ConfigError, match=rf"convergence_steps\[{bad}\] = "):
             vofde.cli.convergence_study("ex1ii", steps, T)
 
+    def test_study_reports_a_bad_horizon_under_its_key(self):
+        with pytest.raises(vofde.cli.ConfigError) as err:
+            vofde.cli.convergence_study("ex1ii", [0.01, 0.005], T=0)
+        assert str(err.value).startswith("T = 0: horizon T") and "h =" not in str(err.value)
+
     def test_requires_reference_solution(self, tmp_path):
         out = tmp_path / "conv.csv"
         code = main(
@@ -214,6 +232,23 @@ class TestScenarioFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and key in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_bad_horizon_is_reported_under_its_key(self, tmp_path, capsys, config):
+        # checked before the step, so the error names T and not h
+        out = tmp_path / "x.csv"
+        if config:
+            path = tmp_path / "run.json"
+            body = {"scenario": "ex1ii", "h": 0.01, "T": 0, "out_path": str(out)}
+            path.write_text(json.dumps(body))
+            code = main(["run", "--config", str(path)])
+        else:
+            argv = ["scenario", "--name", "ex1ii", "--h", "0.01", "--T", "0", "--out", str(out)]
+            code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: T = 0") and "horizon T" in err and "h =" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags,body",

@@ -155,8 +155,8 @@ class TestDiscreteResiduals:
             discrete_residuals(prob, trace)
 
     def test_vanishing_leading_coefficient_on_the_grid_is_degenerate(self):
-        # on the grid's own times the data come from node_table and its a1
-        # check; a trace off the grid is evaluated where it is
+        # the data come from node_table and its a1 check; a trace off the
+        # grid is refused at its first node off it, not evaluated where it is
         good = damped_problem(h=0.01, T=2.0)
         bad = replace(good, a1=lambda t: 1.0 - t)
         trace = solve_explicit(good)
@@ -164,7 +164,8 @@ class TestDiscreteResiduals:
             discrete_residuals(bad, trace)
         assert err.value.step == 100
         trace.t[1:] += 1e-3
-        assert np.isfinite(discrete_residuals(bad, trace)).all()
+        with pytest.raises(ValueError, match="at node 1 is not the grid's"):
+            discrete_residuals(bad, trace)
 
     def test_solved_trace_satisfies_the_equations(self):
         prob = damped_problem(h=0.01, T=0.5)
@@ -188,20 +189,23 @@ class TestDiscreteResiduals:
         assert discrete_residuals(prob, trace).tobytes() == node_residuals(prob, trace).tobytes()
 
     def test_nan_and_off_grid_times_match_node_loop(self):
-        # a trace read back from a file carries its own times; a nan step
-        # mean poisons the residuals from its node on
+        # a nan step mean poisons the residuals from its node on; a time off
+        # the grid, which the history sums on the grid's h cannot serve, is
+        # refused naming its node
         prob = OscillatorProblem.build(
             a1=1.0, a2=1.0, a3=25.0, p=lambda t: 10.0 * t,
             alpha=AlphaSpec.constant(0.5), u0=1.0, v0=10.0, T=0.5, h=0.01,
         )
         trace = solve_explicit(prob)
-        trace.t[5] += 1e-3
         trace.udot_mean[20] = math.nan
         trace.u[30] = math.inf
         res = discrete_residuals(prob, trace)
         np.testing.assert_array_equal(res, node_residuals(prob, trace))
         assert np.isnan(res[21:]).all() and np.isfinite(res[:21]).all()
-        assert abs(res[5]) > 1e-6
+        trace.t[5] += 1e-3
+        trace.t[8] = math.nan
+        with pytest.raises(ValueError, match="at node 5 is not the grid's"):
+            discrete_residuals(prob, trace)
 
     def test_trace_shapes(self):
         prob = damped_problem(h=0.01, T=0.5)
