@@ -1,4 +1,4 @@
-"""The step equation, the time loop, and the explicit stepper built on them.
+"""The step equation, the per-node time loop, and the explicit stepper built on them.
 
 At node n the governing equation, with the history sum split into the load
 g_n (load_term) and the terms carrying the two latest velocities, reads
@@ -11,18 +11,25 @@ node n (c_{n-1} = 0 at n = 1). The average-acceleration relations make
 udot_n and u_n affine in the new acceleration q_n (state_from_q), so
 without f_nl the equation is r0 + den q_n = 0, and linear_part gives its
 value r0 at q_n = 0 and its slope den: the one form of the step equation
-both steppers use. implicit_solver root-solves r0 + den q_n + f_nl = 0;
-for a linear problem with a time-only order, solve takes q_n = -r0 / den,
-one scalar body per node. Both steppers run in the one time loop, march,
-which walks the grid in blocks of _BLOCK nodes. Each block slices its a1,
-a2, a3 and p from the problem's read-only node_table (evaluated once per
-problem, the only check on a1) and, for a time-only order, builds the
-weights of its nodes at once from the problem's time_only_orders. The
-state passes between nodes as floats; march keeps the velocities and step
-means in the trace's arrays and advances one vo_core.ExpSumHistory per
-step, from which the load reads the known history in O(L) for L ~ 200
-exponential modes, so a solve costs O(N L), not the O(N^2) of one weight
-row per node.
+both steppers use. implicit_solver root-solves r0 + den q_n + f_nl = 0 in
+the time loop march, which walks the grid in blocks of _BLOCK nodes. Each
+block slices its a1, a2, a3 and p from the problem's read-only node_table
+(evaluated once per problem, the only check on a1) and, for a time-only
+order, builds the weights of its nodes at once from the problem's
+time_only_orders. The state passes between nodes as floats; march keeps
+the velocities and step means in the trace's arrays and advances one
+vo_core.ExpSumHistory per step, from which the load reads the known
+history in O(L) for L ~ 200 exponential modes, so a solve costs O(N L),
+not the O(N^2) of one weight row per node.
+
+For a linear problem with a time-only order, the step equations of a block
+couple only through earlier nodes, so solve takes the accelerations of
+_BLOCK nodes from one lower-triangular system: the same equations, with
+the velocities, displacements and step means written as maps of the
+block's accelerations (state_from_q on unit vectors), the weights of the
+block's own steps from one coefficient_row per block, and the far history
+from one product with the ExpSumHistory state, which advances once per
+block. No Python runs per node.
 """
 
 from __future__ import annotations
@@ -48,9 +55,9 @@ __all__ = [
 # the bound the stability sweep puts on its step matrices
 _COND_LIMIT = 1e14
 
-# nodes per block of march: a block's array of 64 x ~200 far weights stays
-# near 100 kB, where 256 nodes raised the peak RSS of a run of N = 500
-# solves by 0.7 MB
+# nodes per block of march and of solve: a block's array of 64 x ~200 far
+# weights stays near 100 kB, where 256 nodes raised the peak RSS of a run
+# of N = 500 solves by 0.7 MB
 _BLOCK = 64
 
 
@@ -115,42 +122,57 @@ def linear_part(coeffs, weights, g: float, prev, h: float) -> tuple[float, float
     return r0, a1 + damping + stiffness, abs(a1) + abs(damping) + abs(stiffness)
 
 
-def march(problem: OscillatorProblem, step) -> SolutionTrace:
-    """The time loop of both steppers, a block of _BLOCK nodes at a time.
+def _initial_trace(problem: OscillatorProblem) -> SolutionTrace:
+    """The trace's arrays, empty but for node 0, where t = 0, u0 and v0 are given.
 
-    Each block slices its rows (a1, a2, a3, p) from the problem's
-    node_table, built before the first step (so a1 is checked and a p that
-    raises raises there), as the read-only array coeffs. Per node,
-    step(n, prev, coeffs_n, item, hist) returns the state (q, udot, u) at
-    node n and the order used there. prev is the state it returned for
-    node n-1, StepState(q0, v0, u0) at n = 1; coeffs_n is node n's row of
-    coeffs as a list of floats; item is node n's (weights, alpha_n) from
-    _block_weights for a time-only order, whose time_only_orders are
-    evaluated before the table, and None for a state-dependent one; and
-    hist is (udot, history), the trace's velocity array, filled through
-    node n-1, and the run's ExpSumHistory, advanced to hold the step means
-    1 .. n-2. The history integral of a continuous velocity vanishes at
-    t = 0, so the initial acceleration is
-    q0 = (p(0) - a3(0) u0 - f_nl(u0, v0)) / a1(0), from row 0 of the table.
+    The history integral of a continuous velocity vanishes at t = 0, so the
+    initial acceleration is q0 = (p(0) - a3(0) u0 - f_nl(u0, v0)) / a1(0),
+    from row 0 of the problem's node_table. A time-only order's
+    time_only_orders are evaluated before that table.
     """
-    grid = problem.grid
-    N, h = grid.N, grid.h
-    orders = problem.time_only_orders if problem.alpha.kind is AlphaKind.TIME_ONLY else None
+    N = problem.grid.N
+    time_only = problem.alpha.kind is AlphaKind.TIME_ONLY
+    orders = problem.time_only_orders if time_only else None
     q, ud, u, alphas = np.empty((4, N + 1))
-    means = np.empty(N)
-    table = problem.node_table
-    a1_0, _, a3_0, p_0 = table[0].tolist()
-    q0 = (p_0 - a3_0 * problem.u0 - problem.nonlinear_term(problem.u0, problem.v0)) / a1_0
-    prev = StepState(q0, float(problem.v0), float(problem.u0))
-    q[0], ud[0], u[0] = prev
+    a1_0, _, a3_0, p_0 = problem.node_table[0].tolist()
+    q[0] = (p_0 - a3_0 * problem.u0 - problem.nonlinear_term(problem.u0, problem.v0)) / a1_0
+    ud[0], u[0] = problem.v0, problem.u0
     # reference only; never range-checked and never used in a weight
-    if orders is not None:
+    if time_only:
         alphas[0] = orders[0]
     else:
         try:
             alphas[0] = float(problem.alpha.eval(0.0, problem.u0, problem.v0))
         except Exception:
             alphas[0] = math.nan
+    return SolutionTrace(
+        t=problem.grid.times(), u=u, udot=ud, uddot=q, alpha_used=alphas, udot_mean=np.empty(N)
+    )
+
+
+def march(problem: OscillatorProblem, step) -> SolutionTrace:
+    """The time loop of the implicit solver, a block of _BLOCK nodes at a time.
+
+    Each block slices its rows (a1, a2, a3, p) from the problem's
+    node_table, built before the first step (so a1 is checked and a p that
+    raises raises there), as the read-only array coeffs. Per node,
+    step(n, prev, coeffs_n, item, hist) returns the state (q, udot, u) at
+    node n and the order used there. prev is the state it returned for
+    node n-1, node 0's from _initial_trace at n = 1; coeffs_n is node n's
+    row of coeffs as a list of floats; item is node n's (weights, alpha_n)
+    from _block_weights for a time-only order, whose time_only_orders are
+    evaluated before the table, and None for a state-dependent one; and
+    hist is (udot, history), the trace's velocity array, filled through
+    node n-1, and the run's ExpSumHistory, advanced to hold the step means
+    1 .. n-2.
+    """
+    grid = problem.grid
+    N, h = grid.N, grid.h
+    orders = problem.time_only_orders if problem.alpha.kind is AlphaKind.TIME_ONLY else None
+    trace = _initial_trace(problem)
+    q, ud, u, alphas, means = trace.uddot, trace.udot, trace.u, trace.alpha_used, trace.udot_mean
+    table = problem.node_table
+    prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
     history = ExpSumHistory(N)
     hist = (ud, history)
 
@@ -168,7 +190,7 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
             prev, alphas[n] = step(n, prev, coeffs_n, item, hist)
             q[n], ud[n], u[n] = prev
             means[n - 1] = 0.5 * (udot_prev + prev[1])
-    return SolutionTrace(t=grid.times(), u=u, udot=ud, uddot=q, alpha_used=alphas, udot_mean=means)
+    return trace
 
 
 def _block_weights(h: float, alpha: np.ndarray, first: int, history: ExpSumHistory):
@@ -184,15 +206,62 @@ def _block_weights(h: float, alpha: np.ndarray, first: int, history: ExpSumHisto
     return zip(zip(*near.T.tolist(), history.weights(h, alpha)), alpha.tolist())
 
 
-def solve(problem: OscillatorProblem) -> SolutionTrace:
-    """Integrate the problem over its whole grid.
+def _block_maps(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V, U and M: a block's velocities, displacements and step means as maps of z.
 
-    Only linear problems with a TIME_ONLY order are accepted. Each step
-    solves its step equation r0 + den q_n = 0 (linear_part) as
-    q_n = -r0 / den. A denominator that is zero or lost in rounding raises
-    StepFailureError naming its step, and so does a non-finite q_n past a
-    sound denominator, which only an overflowed state or a non-finite p can
-    give.
+    z holds the accelerations Q of the _BLOCK nodes s+1 .. s+_BLOCK, then
+    the state (q_s, udot_s, u_s) at node s; row j-1 of V and U gives node
+    s+j's value, and row j-1 of M the mean velocity of step s+j. They are
+    built by state_from_q on unit vectors, so the update relations stay
+    written there alone. Each map is lower triangular in Q.
+    """
+    eye = np.eye(_BLOCK + 3)
+    V, U = np.empty((2, _BLOCK, _BLOCK + 3))
+    prev = eye[_BLOCK:]
+    for j in range(_BLOCK):
+        V[j], U[j] = state_from_q(eye[j], prev, h)
+        prev = (eye[j], V[j], U[j])
+    return V, U, 0.5 * (np.vstack((eye[_BLOCK + 1], V[:-1])) + V)
+
+
+def _gather_index() -> tuple[np.ndarray, np.ndarray]:
+    """Where a block's weights sit in its rows of coefficient_row(_BLOCK + 1, h, alpha).
+
+    Entry (j-1, i), i = 0 .. j, of the index is the flat index of
+    c_{s+i}^{s+j}, the weight of step s+i at node s+j, in those rows: the
+    weight depends on n - r alone, so it is entry _BLOCK - j + i of row
+    j-1. Entries past i = j point at the row's last entry; the mask, the
+    second array, is 1 up to i = j and 0 past it.
+    """
+    j = np.arange(_BLOCK)[:, None]
+    index = j * (_BLOCK + 1) + np.minimum(_BLOCK - 1 - j + np.arange(_BLOCK + 1), _BLOCK)
+    return index, np.tri(_BLOCK, _BLOCK + 1, 1, dtype=bool)
+
+
+def solve(problem: OscillatorProblem) -> SolutionTrace:
+    """Integrate the problem over its whole grid, a block of _BLOCK nodes at a time.
+
+    Only linear problems with a TIME_ONLY order are accepted. The
+    accelerations Q of the nodes s+1 .. s+b of a block solve the b x b
+    lower-triangular system
+
+        (diag a1 + diag a2 C M + diag a3 U) Q
+            = p - a2 (far + c_s m_s + C m0) - a3 u0,
+
+    whose row j is node s+j's step equation: C holds the weights of the
+    block's own steps, c_s that of step s with its known mean m_s, far the
+    known history of steps 1 .. s-1, M and U are the Q-part of
+    _block_maps' step means and displacements, and m0 and u0 their values
+    at Q = 0. The system is solved reversed, where it is upper triangular,
+    so LAPACK's LU swaps no row and solves by substitution in node order;
+    with pivoting, a row swap mixes later nodes into earlier ones and a
+    fast-growing solution comes out wrong.
+
+    A step whose denominator den (linear_part) is zero or lost in rounding
+    raises StepFailureError naming it, and so does a non-finite q_n or
+    right-hand side, which only an overflowed state or a non-finite p can
+    give; the first such step of a block in node order is named, from a
+    solve of the block's nodes before it.
     """
     if problem.alpha.kind is not AlphaKind.TIME_ONLY:
         raise ValueError(
@@ -204,25 +273,64 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             "explicit stepping handles linear restoring only; use the implicit "
             "solver for nonlinear terms"
         )
-    h = problem.grid.h
+    N, h = problem.grid.N, problem.grid.h
+    trace = _initial_trace(problem)
+    q, ud, u, means = trace.uddot, trace.udot, trace.u, trace.udot_mean
+    orders = problem.time_only_orders
+    table = problem.node_table
+    trace.alpha_used[1:] = orders[1:]
+    V, U, M = _block_maps(h)
+    gather, lower = _gather_index()
+    history = ExpSumHistory(N)
 
-    def step(n, prev, coeffs, node, hist):
-        weights, alpha = node
-        g = load_term(coeffs, n, weights, hist)
-        r0, den, size = linear_part(coeffs, weights, g, prev, h)
-        if not abs(den) * _COND_LIMIT > size:
-            raise StepFailureError(
-                f"step equation singular or ill-conditioned (denominator {den:.3e} "
-                f"against term sizes {size:.3e})",
-                step=n,
-            )
-        q_n = -r0 / den
-        if not math.isfinite(q_n):
-            raise StepFailureError(
-                f"acceleration {q_n!r} in step {n}: the state overflowed or p is not finite",
-                step=n,
-            )
-        udot_n, u_n = state_from_q(q_n, prev, h)
-        return (q_n, udot_n, u_n), alpha
+    for s in range(0, N, _BLOCK):
+        b = min(_BLOCK, N - s)
+        nodes = slice(s + 1, s + 1 + b)
+        alpha = orders[nodes]
+        coeffs = table[nodes].T
+        a1, a2, a3, p = coeffs
+        weights = coefficient_row(_BLOCK + 1, h, alpha).take(gather[:b, : b + 1])
+        weights *= lower[:b, : b + 1]
+        c_s, C = weights[:, 0], weights[:, 1:]
+        _, den, size = linear_part(coeffs, (0.0, C.diagonal(), None), 0.0, (0.0, 0.0, 0.0), h)
+        x = np.array([q[s], ud[s], u[s]])
+        # the history holds steps 1 .. s-1; in the first block there is no
+        # step s, and its weight meets a zero mean
+        far = history.far_sums(h, alpha)
+        m_s = means[s - 1] if s else 0.0
+        rhs = p - a2 * (far + c_s * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * (U[:b, _BLOCK:] @ x)
+        sound = abs(den) * _COND_LIMIT > size
+        # the nodes before the block's first failing step, solved alone
+        good = sound & np.isfinite(rhs)
+        k = b if good.all() else int(np.argmin(good))
+        A = C[:k, :k] @ M[:k, :k]
+        A *= a2[:k, None]
+        A += a3[:k, None] * U[:k, :k]
+        A.flat[:: k + 1] += a1[:k]
+        Q = np.linalg.solve(A[::-1, ::-1], rhs[:k][::-1])[::-1]
+        finite = np.isfinite(Q)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise _overflow(s + 1 + i, Q[i])
+        if k < b:
+            if not sound[k]:
+                raise StepFailureError(
+                    f"step equation singular or ill-conditioned (denominator {den[k]:.3e} "
+                    f"against term sizes {size[k]:.3e})",
+                    step=s + 1 + k,
+                )
+            raise _overflow(s + 1 + k, rhs[k] / den[k])
+        q[nodes] = Q
+        ud[nodes] = V[:b, :b] @ Q + V[:b, _BLOCK:] @ x
+        u[nodes] = U[:b, :b] @ Q + U[:b, _BLOCK:] @ x
+        means[s : s + b] = 0.5 * (ud[s : s + b] + ud[s + 1 : s + b + 1])
+        if s + b < N:  # to steps 1 .. s+b-1 for the next block
+            history.advance(means[max(s - 1, 0) : s + b - 1])
+    return trace
 
-    return march(problem, step)
+
+def _overflow(n: int, q_n) -> StepFailureError:
+    return StepFailureError(
+        f"acceleration {float(q_n)!r} in step {n}: the state overflowed or p is not finite",
+        step=n,
+    )

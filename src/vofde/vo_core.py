@@ -10,11 +10,13 @@ approximated by the mean velocity on that step times the exact integral of
 the kernel, which gives the closed-form weights below (coefficient,
 coefficient_row), with Gamma taken from math. The steppers read the
 history online from an ExpSumHistory, an order-free sum of exponentials
-that one step mean at a time updates in O(L) work, with L about 200 modes;
-they take only the two latest weights of a node in closed form, as
+that one step mean at a time updates in O(L) work, with L about 200 modes,
+or a block of means at once (ExpSumHistory.advance). The rest they take
+in closed form: the implicit stepper the two latest weights of a node, as
 two-entry rows for a block of known orders or, one trial order at a time,
 in scalar math (near_weights), with the far sum of that order from one
-exp and one dot (ExpSumHistory.far_sum). history_sums gives every node's
+exp and one dot (ExpSumHistory.far_sum); the explicit stepper the weights
+of a block's own steps, from one row per order. history_sums gives every node's
 history sum at once by FFT convolution, for re-verification and
 vo_derivative_series, with the kernel interpolated in the order over the
 range of the orders given. The module needs numpy and
@@ -139,12 +141,17 @@ def _row_factor(h: float, alpha):
     # As alpha -> 1 the 1/Gamma(1-alpha) prefactor vanishes at exactly the
     # rate 1/(alpha-1) blows up; keeping them in one product (it equals
     # -h^(1-alpha)/Gamma(2-alpha)) makes the factor O(1) right up to the
-    # boundary, so no series fallback is needed. alpha may be an array.
+    # boundary, so no series fallback is needed. alpha may be an array. Its
+    # powers come from np.float_power, which gave the scalar h ** (1-alpha)
+    # bit for bit on 2e5 random orders, where np.power missed it by an ulp
+    # on 5% of them; so each entry is the scalar factor of its order.
     if isinstance(alpha, np.ndarray):
         gam = np.fromiter(map(gamma, 1.0 - alpha), float, alpha.size)
+        power = np.float_power(h, 1.0 - alpha)
     else:
         gam = gamma(1.0 - alpha)
-    return h ** (1.0 - alpha) / (gam * (alpha - 1.0))
+        power = h ** (1.0 - alpha)
+    return power / (gam * (alpha - 1.0))
 
 
 def coefficient(n: int, r: int, h: float, alpha):
@@ -207,15 +214,13 @@ def coefficient_row(n: int, h: float, alpha) -> np.ndarray:
     if not isinstance(n, int) or n < 1:
         raise IndexError(f"row index n must be an integer >= 1, got {n!r}")
     h = _check_positive(h)
-    # entries on the first axis and orders on the second; each order's
-    # factor by scalar math, as for that order alone
-    logs, log1ms = _log_table(np.arange(1.0, n + 1.0))
-    if isinstance(a, np.ndarray):
-        logs, log1ms = logs[:, None], log1ms[:, None]
-        factor = np.array([_row_factor(h, x) for x in a.tolist()])
-    else:
-        factor = _row_factor(h, a)
-    return (_increments(logs, log1ms, a)[::-1] * factor).T
+    # entries on the first axis and orders on the second; a scalar order
+    # goes through the same array code as one order of many, so both forms
+    # give identical rows
+    orders = np.reshape(a, -1)
+    logs, log1ms = _log_table(np.arange(1.0, n + 1.0))[:, :, None]
+    rows = (_increments(logs, log1ms, orders)[::-1] * _row_factor(h, orders)).T
+    return rows if isinstance(a, np.ndarray) else rows[0]
 
 
 _LOG_TWO = math.log(2.0)
@@ -259,13 +264,15 @@ class ExpSumHistory:
 
     state holds G_l = sum_{r<=size} e^(-s_l (size-r)) m_r for every mode,
     the constant mode last (its decay is 1, so it is the plain sum of the
-    means). push folds in one step mean in O(L). With size = n - 2 the
+    means). push folds in one step mean in O(L), advance a block of them
+    by one product with a table of decay powers. With size = n - 2 the
     known part of node n's history sum, sum_{r<=n-2} c_r^n m_r, is
     far_sum(h, alpha_n), or the row of weights(h, orders) at alpha_n dotted
     with state: the e^(-2 s_l) that takes G_l from node n-2 to node n is
     folded into the weights, and so is
     -f(alpha) (1-alpha) / Gamma(alpha) = h^(1-alpha) sin(pi alpha) / pi,
-    so the weights need no Gamma.
+    so the weights need no Gamma. far_sums gives the known parts of a block
+    of nodes from one size, the steps after it left out.
     """
 
     def __init__(self, n_steps: int):
@@ -280,6 +287,8 @@ class ExpSumHistory:
         self.factor = np.append(_SOE_STEP * -np.expm1(-s) / s * np.exp(-2.0 * s), _SOE_STEP)
         self.state = np.zeros(y.size)
         self.size = 0
+        # decay ** j, one row per j = 0, 1, ..., k, for blocks of up to k nodes
+        self._powers = np.ones((1, y.size))
         # state * factor for far_sum, and the size it was formed at
         self._scaled = np.zeros(y.size)
         self._scaled_size = 0
@@ -290,6 +299,35 @@ class ExpSumHistory:
         state *= self.decay
         state += mean
         self.size += 1
+
+    def advance(self, means: np.ndarray) -> None:
+        """Fold the step means given, oldest first, into the state at once.
+
+        The same as a push of each in turn, to round-off: the state decays
+        by decay^k for k means, and mean i adds decay^(k-1-i).
+        """
+        k = means.size
+        powers = self._decay_powers(k)
+        self.state = powers[k] * self.state + means @ powers[:k][::-1]
+        self.size += k
+
+    def far_sums(self, h: float, orders: np.ndarray) -> np.ndarray:
+        """sum_{r<=size} c_r^n m_r for the nodes n = size+2, size+3, ..., one per order.
+
+        Node size+1+j takes the row of weights(h, orders) at its order
+        times decay^(j-1), dotted with the state: each mode of the state
+        decays j-1 steps more on the way to the later node. Only steps
+        1 .. size are in the sums; steps size+1 .. n are the caller's.
+        """
+        w = self.weights(h, orders)
+        w *= self._decay_powers(orders.size)[: orders.size]
+        return w @ self.state
+
+    def _decay_powers(self, k: int) -> np.ndarray:
+        """decay ** j, one row per j = 0 .. k at least; kept for the next call."""
+        if len(self._powers) <= k:
+            self._powers = self.decay ** np.arange(k + 1.0)[:, None]
+        return self._powers
 
     def weights(self, h: float, orders: np.ndarray) -> np.ndarray:
         """Far weights, one row per order of a 1-d array.
@@ -303,7 +341,7 @@ class ExpSumHistory:
         w = np.multiply.outer(orders, self.y)
         np.exp(w, out=w)
         w *= self.factor
-        scale, geometric = np.array([_far_factors(h, a) for a in orders.tolist()]).T
+        scale, geometric = _far_factors(h, orders)
         w[:, -1] /= geometric
         w *= scale[:, None]
         return w
@@ -326,14 +364,16 @@ class ExpSumHistory:
         return scale * float(e @ self._scaled)
 
 
-def _far_factors(h: float, a: float) -> tuple[float, float]:
+def _far_factors(h: float, a):
     # h^(1-a) sin(pi a) / pi, with sin(pi a) taken as sin(pi (1-a)) above
     # 1/2, where it would lose digits as a -> 1, and the denominator
-    # 1 - e^(-a Delta) of the constant mode's geometric sum
-    return (
-        h ** (1.0 - a) * math.sin(math.pi * min(a, 1.0 - a)) / math.pi,
-        -math.expm1(-_SOE_STEP * a),
-    )
+    # 1 - e^(-a Delta) of the constant mode's geometric sum. a may be an
+    # array, which takes numpy's functions in the one formula.
+    if isinstance(a, np.ndarray):
+        sin, expm1, least = np.sin, np.expm1, np.minimum
+    else:
+        sin, expm1, least = math.sin, math.expm1, min
+    return h ** (1.0 - a) * sin(math.pi * least(a, 1.0 - a)) / math.pi, -expm1(-_SOE_STEP * a)
 
 
 def _fft_length(n: int) -> int:

@@ -18,8 +18,10 @@ full weight row per node, the direct O(N^2) route that history_sums is
 checked against. step_residual writes the step equation term by term,
 independently of the package's linear_part. solve_step is the explicit
 step node by node: the package's load_term and state_from_q, and
-step_residual at q_n = 0 divided by the step's slope, which the explicit
-stepper's block loop must match bit for bit. direct_solve is the direct
+step_residual at q_n = 0 divided by the step's slope, which each node of
+the explicit stepper's block solve must match, one step from the node
+before, to 1e-13 of each array's peak (the block solve sums the history
+in another order). direct_solve is the direct
 row stepper: that step and the implicit one in the package's time loop,
 with the known history read from full weight rows (DirectHistory) instead
 of the sum of exponentials, O(N^2) in all.

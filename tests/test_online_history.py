@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_solve
@@ -54,9 +54,13 @@ def test_block_rows_equal_single_order_weights():
 @given(orders, st.floats(1e-3, 0.5), st.integers(0, 400).flatmap(
     lambda size: st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)
 ))
+@example(1e-12, 0.01, [1.0, -2.0, 3.0])
+@example(1.0 - 1e-12, 0.01, [1.0, -2.0, 3.0])
 def test_far_sum_equals_the_weights_dotted_with_the_state(alpha, h, means):
     # the implicit stepper's one exp and one dot against the block weights,
-    # relative to the sum of the terms' sizes
+    # relative to the sum of the terms' sizes: far_sum takes its factors
+    # from _far_factors' scalar branch, weights from its array branch, and
+    # this bound of 4.5 ulps keeps the two one formula
     history = ExpSumHistory(max(len(means), 3))
     for mean in means:
         history.push(mean)
@@ -88,6 +92,32 @@ def test_online_state_matches_direct_rows(data, h):
         scale = max(scale, float(np.abs(row) @ np.abs(means[: n - 2])))
     for sums in (online, far):
         assert np.max(np.abs(np.subtract(sums, direct)), initial=0.0) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 150).flatmap(
+    lambda N: st.tuples(
+        st.lists(st.floats(-1e3, 1e3), min_size=N, max_size=N),
+        st.lists(orders, min_size=N, max_size=N),
+    )
+), st.floats(1e-3, 1.0), st.integers(1, 64))
+def test_block_state_matches_direct_rows(data, h, block):
+    # the explicit stepper's form: the state advances a block of means at a
+    # time, and far_sums gives the known sums of the nodes size + 2 on, at
+    # their own orders, from steps 1 .. size alone
+    means, alphas = (np.array(x) for x in data)
+    N = means.size
+    history = ExpSumHistory(N)
+    worst, scale = 0.0, 1.0
+    for size in range(0, N - 1, block):
+        assert history.size == size
+        nodes = np.arange(size + 2, min(size + 2 + block, N + 1))
+        for n, got in zip(nodes.tolist(), history.far_sums(h, alphas[nodes - 1]).tolist()):
+            row = coefficient_row(n, h, float(alphas[n - 1]))[:size]
+            worst = max(worst, abs(got - float(row @ means[:size])))
+            scale = max(scale, float(np.abs(row) @ np.abs(means[:size])))
+        history.advance(means[size : size + block])
+    assert worst <= 1e-13 * scale
 
 
 def registry_problems(kind):
