@@ -161,10 +161,12 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     node n-1, node 0's from _initial_trace at n = 1; coeffs_n is node n's
     row of coeffs as a list of floats; item is node n's (weights, alpha_n)
     from _block_weights for a time-only order, whose time_only_orders are
-    evaluated before the table, and None for a state-dependent one; and
-    hist is (udot, history), the trace's velocity array, filled through
-    node n-1, and the run's ExpSumHistory, advanced to hold the step means
-    1 .. n-2.
+    evaluated before the table, and None for a state-dependent one; hist
+    is (udot, history), the trace's velocity array, filled through node
+    n-1, and the run's ExpSumHistory, advanced to hold the step means
+    1 .. n-2; and start is the root solve's predicted q_n, the quadratic
+    through the three previous accelerations, 3 q_{n-1} - 3 q_{n-2} +
+    q_{n-3}, or q_{n-1} for n <= 2. It may overflow.
     """
     grid = problem.grid
     N, h = grid.N, grid.h
@@ -175,6 +177,8 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
     history = ExpSumHistory(N)
     hist = (ud, history)
+    # q_{n-3} and q_{n-2}, read only from n = 3 on
+    q_3 = q_2 = 0.0
 
     for first in range(1, N + 1, _BLOCK):
         coeffs = table[first : first + _BLOCK]
@@ -186,10 +190,12 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
         for n, coeffs_n, item in zip(nodes, coeffs.tolist(), items):
             if n >= 3:
                 history.push(means[n - 3])
-            udot_prev = prev[1]
-            prev, alphas[n] = step(n, prev, coeffs_n, item, hist)
+            q_1, udot_prev = prev[0], prev[1]
+            start = 3.0 * q_1 - 3.0 * q_2 + q_3 if n >= 3 else q_1
+            prev, alphas[n] = step(n, prev, coeffs_n, item, hist, start)
             q[n], ud[n], u[n] = prev
             means[n - 1] = 0.5 * (udot_prev + prev[1])
+            q_3, q_2 = q_2, q_1
     return trace
 
 

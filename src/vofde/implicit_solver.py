@@ -4,10 +4,14 @@ Each step solves the step equation of explicit_solver (the governing
 equation at t_n with velocity and displacement written as affine functions
 of the new acceleration q_n), r0 + den q_n + f_nl(u_n, udot_n) = 0 with
 r0 and den from explicit_solver.linear_part, by a secant iteration with
-bisection fallback inside explicit_solver.march's time loop. Its second
-iterate is a Newton step with slope den, so a linear problem with a
-time-only order takes two residual evaluations a step. The weights, and
-with them r0 and den, depend on the kind of order:
+bisection fallback inside explicit_solver.march's time loop. It starts
+from march's quadratic prediction of q_n through the three previous
+accelerations, O(h^3) from the root where the previous acceleration is
+O(h) away, and its first step is a Newton step with slope den: taken
+without an evaluation when the start already passes the tolerance, and
+evaluated otherwise. So a linear problem with a time-only order takes at
+most two residual evaluations a step. The weights, and with them r0 and
+den, depend on the kind of order:
 
 - a state-dependent order is re-read at every trial state, so the weights
   track the state exactly rather than being frozen at the previous step.
@@ -50,13 +54,13 @@ _MAX_ITERS = 50
 
 
 def solve_step_nonlinear(
-    n: int, problem: OscillatorProblem, prev: StepState, hist, coeffs
+    n: int, problem: OscillatorProblem, prev: StepState, hist, coeffs, start: float
 ) -> tuple[StepState, float, int]:
     """Advance one step; returns (new state, order used, residual evaluations).
 
     The order is read at each trial state, and its weights, load and
     linear part are rebuilt whenever it moves by _ALPHA_CACHE_TOL or more.
-    hist and coeffs are as march hands them; the root solve is
+    hist, coeffs and start are as march hands them; the root solve is
     _root_solve's.
     """
     h = problem.grid.h
@@ -76,17 +80,21 @@ def solve_step_nonlinear(
             cached = (a_star, r0, den)
         return cached
 
-    return _root_solve(n, problem, prev, coeffs, weigh)
+    return _root_solve(n, problem, prev, coeffs, weigh, start)
 
 
-def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, weigh):
+def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, weigh, start: float):
     """Root of node n's step residual in q_n; (new state, order used, evaluations).
 
     weigh(q, udot_n, u_n) gives the (order, r0, den) of a trial state, r0
     and den from linear_part, and the residual is r0 + den q +
-    f_nl(u_n, udot_n). Secant iteration started from the previous
-    acceleration and one Newton step from it with the first trial's den;
-    once a sign change is seen the iterate is kept inside the bracket,
+    f_nl(u_n, udot_n). The iteration starts from start, march's
+    predicted q_n, or from the previous acceleration if start is not
+    finite, and takes one Newton step from it with the start's den. If
+    the start's residual is already within tolerance, that step is
+    returned unevaluated (the start itself if den is zero or the step is
+    not finite); otherwise secant iteration goes on from it. Once a sign
+    change is seen the iterate is kept inside the bracket,
     falling back to bisection whenever the secant step leaves it or
     degenerates. A residual counts as zero within _TOL_RES of
     max(1, |p_n|, |a3 u_n|); a non-finite one raises StepFailureError.
@@ -110,14 +118,19 @@ def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, wei
     def done(q, a_star, evals):
         return StepState(q, *state_from_q(q, prev, h)), a_star, evals
 
-    x0 = prev.q
+    # an overflowing prediction falls back to the previous acceleration,
+    # so a state that overflows fails at the step it overflows in
+    x0 = start if math.isfinite(start) else prev.q
     f0, s0, a0, den = f(x0)
-    if abs(f0) <= _TOL_RES * s0:
-        return done(x0, a0, 1)
-    # an affine residual is solved here; a zero or non-finite quotient
-    # falls back to a probe beside x0
+    # an affine residual is solved here, so a start within tolerance is
+    # polished for free rather than returned with its residual; a zero or
+    # non-finite quotient keeps the start, or probes beside it
     newton = f0 / den if den != 0.0 else 0.0
-    x1 = x0 - newton if newton != 0.0 and math.isfinite(newton) else x0 * (1.0 + 1e-6) + 1e-6
+    if not math.isfinite(newton):
+        newton = 0.0
+    if abs(f0) <= _TOL_RES * s0:
+        return done(x0 - newton, a0, 1)
+    x1 = x0 - newton if newton != 0.0 else x0 * (1.0 + 1e-6) + 1e-6
     f1, s1, a1_, _ = f(x1)
     evals = 2
     bracket = (x0, f0, x1, f1) if f0 * f1 < 0.0 else None  # a sign change between
@@ -176,19 +189,21 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     iters = np.zeros(problem.grid.N, dtype=int)
     h = problem.grid.h
     if problem.alpha.kind is AlphaKind.TIME_ONLY:
-        def step(n, prev, coeffs, node, hist):
+        def step(n, prev, coeffs, node, hist, start):
             weights, alpha = node
             g = load_term(coeffs, n, weights, hist)
             r0, den, _ = linear_part(coeffs, weights, g, prev, h)
             fixed = (alpha, r0, den)
             state, a_star, iters[n - 1] = _root_solve(
-                n, problem, prev, coeffs, lambda q, udot_n, u_n: fixed
+                n, problem, prev, coeffs, lambda q, udot_n, u_n: fixed, start
             )
             return state, a_star
 
     else:
-        def step(n, prev, coeffs, node, hist):
-            state, a_star, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
+        def step(n, prev, coeffs, node, hist, start):
+            state, a_star, iters[n - 1] = solve_step_nonlinear(
+                n, problem, prev, hist, coeffs, start
+            )
             return state, a_star
 
     return replace(march(problem, step), iterations=iters)

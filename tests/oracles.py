@@ -197,11 +197,11 @@ def direct_solve(problem, implicit=False):
     alphas = None if implicit else problem.time_only_orders
     iters = np.zeros(problem.grid.N, dtype=int)
 
-    def step(n, prev, coeffs, _node, hist):
+    def step(n, prev, coeffs, _node, hist, start):
         udot, m = hist[0], max(n - 2, 0)
         hist = (udot, DirectHistory(0.5 * (udot[:m] + udot[1 : m + 1])))
         if implicit:
-            state, a, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs)
+            state, a, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs, start)
             return state, a
         a = float(alphas[n])
         row = coefficient_row(n, h, a)
