@@ -26,10 +26,11 @@ For a linear problem with a time-only order, the step equations of a block
 couple only through earlier nodes, so solve takes the accelerations of
 _BLOCK nodes from one lower-triangular system: the same equations, with
 the velocities, displacements and step means written as maps of the
-block's accelerations (state_from_q on unit vectors), the weights of the
-block's own steps from one coefficient_row per block, and the far history
+block's accelerations (state_from_q on unit vectors), and the far history
 from one product with the ExpSumHistory state, which advances once per
-block. No Python runs per node.
+block. What does not depend on the state, the weights of each block's own
+steps as the lower triangle they form and each node's den and guard, is
+built for a chunk of _CHUNK blocks at once. No Python runs per node.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import StepFailureError
 from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
-from .vo_core import ExpSumHistory, coefficient_row
+from .vo_core import ExpSumHistory, _increments, _log_table, coefficient_row
 
 __all__ = [
     "state_from_q",
@@ -59,6 +60,10 @@ _COND_LIMIT = 1e14
 # weights stays near 100 kB, where 256 nodes raised the peak RSS of a run
 # of N = 500 solves by 0.7 MB
 _BLOCK = 64
+
+# blocks per chunk of solve, whose weights and guards are formed at once:
+# the chunk's arrays, C and the triangle's two, take about 0.5 MB
+_CHUNK = 8
 
 
 def state_from_q(q_n: float, prev, h: float) -> tuple[float, float]:
@@ -164,9 +169,11 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     evaluated before the table, and None for a state-dependent one; hist
     is (udot, history), the trace's velocity array, filled through node
     n-1, and the run's ExpSumHistory, advanced to hold the step means
-    1 .. n-2; and start is the root solve's predicted q_n, the quadratic
-    through the three previous accelerations, 3 q_{n-1} - 3 q_{n-2} +
-    q_{n-3}, or q_{n-1} for n <= 2. It may overflow.
+    1 .. n-2; and start is the root solve's predicted q_n, the quartic
+    through the five previous accelerations, 5 q_{n-1} - 10 q_{n-2} +
+    10 q_{n-3} - 5 q_{n-4} + q_{n-5}, the quadratic through three,
+    3 q_{n-1} - 3 q_{n-2} + q_{n-3}, for n = 3, 4, or q_{n-1} for n <= 2.
+    It may overflow.
     """
     grid = problem.grid
     N, h = grid.N, grid.h
@@ -177,8 +184,8 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
     history = ExpSumHistory(N)
     hist = (ud, history)
-    # q_{n-3} and q_{n-2}, read only from n = 3 on
-    q_3 = q_2 = 0.0
+    # q_{n-5} .. q_{n-2}, read only from n = 3 on
+    q_5 = q_4 = q_3 = q_2 = 0.0
 
     for first in range(1, N + 1, _BLOCK):
         coeffs = table[first : first + _BLOCK]
@@ -191,11 +198,14 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
             if n >= 3:
                 history.push(means[n - 3])
             q_1, udot_prev = prev[0], prev[1]
-            start = 3.0 * q_1 - 3.0 * q_2 + q_3 if n >= 3 else q_1
+            if n >= 5:
+                start = 5.0 * q_1 - 10.0 * q_2 + 10.0 * q_3 - 5.0 * q_4 + q_5
+            else:
+                start = 3.0 * q_1 - 3.0 * q_2 + q_3 if n >= 3 else q_1
             prev, alphas[n] = step(n, prev, coeffs_n, item, hist, start)
             q[n], ud[n], u[n] = prev
             means[n - 1] = 0.5 * (udot_prev + prev[1])
-            q_3, q_2 = q_2, q_1
+            q_5, q_4, q_3, q_2 = q_4, q_3, q_2, q_1
     return trace
 
 
@@ -230,18 +240,50 @@ def _block_maps(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return V, U, 0.5 * (np.vstack((eye[_BLOCK + 1], V[:-1])) + V)
 
 
-def _gather_index() -> tuple[np.ndarray, np.ndarray]:
-    """Where a block's weights sit in its rows of coefficient_row(_BLOCK + 1, h, alpha).
+def _chunk_weights(h: float, blocks: int):
+    """The in-block weights of a chunk of up to blocks blocks, as a function of its orders.
 
-    Entry (j-1, i), i = 0 .. j, of the index is the flat index of
-    c_{s+i}^{s+j}, the weight of step s+i at node s+j, in those rows: the
-    weight depends on n - r alone, so it is entry _BLOCK - j + i of row
-    j-1. Entries past i = j point at the row's last entry; the mask, the
-    second array, is 1 up to i = j and 0 past it.
+    The returned function takes the orders alpha of the chunk's nodes, block
+    after block, the last block possibly partial, and gives (C, c_nn): C
+    holds per block the _BLOCK x (_BLOCK + 1) weights of its own steps,
+    entry (j-1, i) = c_{s+i}^{s+j} for i = 0 .. j at node s+j's order and 0
+    past i = j, and c_nn the diagonal weights c_n^n = -f(alpha_n), from
+    coefficient_row(1, h, alpha). A weight depends on its order and k =
+    j - i + 1 alone, so the 2144 entries of a block's lower triangle are
+    formed as they lie: the table of log k and log1p(-1/k), k = 1 ..
+    _BLOCK + 1, laid out in the triangle's pattern once, then exp and expm1
+    of whole chunk x 2144 arrays (_increments), scaled by f(alpha_n) =
+    -c_n^n and scattered into C. Each entry is then bit for bit the entry
+    of coefficient_row(_BLOCK + 1, h, alpha_n) at that k. C and the scratch
+    are reused from call to call: each call overwrites the last one's C,
+    and the rows of a partial block past its last node hold no weights of
+    it.
     """
-    j = np.arange(_BLOCK)[:, None]
-    index = j * (_BLOCK + 1) + np.minimum(_BLOCK - 1 - j + np.arange(_BLOCK + 1), _BLOCK)
-    return index, np.tri(_BLOCK, _BLOCK + 1, 1, dtype=bool)
+    rows, cols = np.tril_indices(_BLOCK, 1, _BLOCK + 1)
+    logs, log1ms = _log_table(np.arange(1.0, _BLOCK + 2.0))[:, rows - cols + 1]
+    flat = rows * (_BLOCK + 1) + cols
+    C = np.zeros((blocks, _BLOCK, _BLOCK + 1))
+    # the orders, then f(alpha_n), of the chunk's nodes by block; the rows
+    # of a partial block past its end keep valid orders from an earlier call
+    by_node = np.full((2, blocks, _BLOCK), 0.5)
+    x, work = np.empty((2, blocks, rows.size))
+
+    def weights(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = alpha.size
+        n = -(-m // _BLOCK)
+        c_nn = coefficient_row(1, h, alpha)[:, 0]
+        orders, f = by_node.reshape(2, -1)
+        orders[:m] = alpha
+        np.negative(c_nn, out=f[:m])
+        tri, scratch = x[:n], work[:n]
+        by_node[0, :n].take(rows, axis=1, out=tri)
+        _increments(logs, log1ms, tri, tri, scratch)
+        by_node[1, :n].take(rows, axis=1, out=scratch)
+        tri *= scratch
+        C.reshape(blocks, -1)[:n, flat] = tri
+        return C[:n], c_nn
+
+    return weights
 
 
 def solve(problem: OscillatorProblem) -> SolutionTrace:
@@ -263,11 +305,16 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     with pivoting, a row swap mixes later nodes into earlier ones and a
     fast-growing solution comes out wrong.
 
-    A step whose denominator den (linear_part) is zero or lost in rounding
-    raises StepFailureError naming it, and so does a non-finite q_n or
-    right-hand side, which only an overflowed state or a non-finite p can
-    give; the first such step of a block in node order is named, from a
-    solve of the block's nodes before it.
+    What does not depend on the state is formed a chunk of _CHUNK blocks at
+    a time: the weights C and c_s (_chunk_weights), and each node's
+    denominator den and its guard (linear_part). The blocks of a chunk are
+    then solved in turn, each with its far sums, right-hand side and solve.
+
+    A step whose denominator den is zero or lost in rounding raises
+    StepFailureError naming it, and so does a non-finite q_n or right-hand
+    side, which only an overflowed state or a non-finite p can give; the
+    first such step of a block in node order is named, from a solve of the
+    block's nodes before it, and only once the blocks before it are solved.
     """
     if problem.alpha.kind is not AlphaKind.TIME_ONLY:
         raise ValueError(
@@ -286,52 +333,54 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     table = problem.node_table
     trace.alpha_used[1:] = orders[1:]
     V, U, M = _block_maps(h)
-    gather, lower = _gather_index()
+    chunk_weights = _chunk_weights(h, min(_CHUNK, -(-N // _BLOCK)))
     history = ExpSumHistory(N)
 
-    for s in range(0, N, _BLOCK):
-        b = min(_BLOCK, N - s)
-        nodes = slice(s + 1, s + 1 + b)
-        alpha = orders[nodes]
-        coeffs = table[nodes].T
-        a1, a2, a3, p = coeffs
-        weights = coefficient_row(_BLOCK + 1, h, alpha).take(gather[:b, : b + 1])
-        weights *= lower[:b, : b + 1]
-        c_s, C = weights[:, 0], weights[:, 1:]
-        _, den, size = linear_part(coeffs, (0.0, C.diagonal(), None), 0.0, (0.0, 0.0, 0.0), h)
-        x = np.array([q[s], ud[s], u[s]])
-        # the history holds steps 1 .. s-1; in the first block there is no
-        # step s, and its weight meets a zero mean
-        far = history.far_sums(h, alpha)
-        m_s = means[s - 1] if s else 0.0
-        rhs = p - a2 * (far + c_s * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * (U[:b, _BLOCK:] @ x)
+    for first in range(0, N, _CHUNK * _BLOCK):
+        chunk = slice(first + 1, min(first + _CHUNK * _BLOCK, N) + 1)
+        weights, c_nn = chunk_weights(orders[chunk])
+        coeffs = table[chunk].T
+        _, den, size = linear_part(coeffs, (0.0, c_nn, None), 0.0, (0.0, 0.0, 0.0), h)
         sound = abs(den) * _COND_LIMIT > size
-        # the nodes before the block's first failing step, solved alone
-        good = sound & np.isfinite(rhs)
-        k = b if good.all() else int(np.argmin(good))
-        A = C[:k, :k] @ M[:k, :k]
-        A *= a2[:k, None]
-        A += a3[:k, None] * U[:k, :k]
-        A.flat[:: k + 1] += a1[:k]
-        Q = np.linalg.solve(A[::-1, ::-1], rhs[:k][::-1])[::-1]
-        finite = np.isfinite(Q)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise _overflow(s + 1 + i, Q[i])
-        if k < b:
-            if not sound[k]:
-                raise StepFailureError(
-                    f"step equation singular or ill-conditioned (denominator {den[k]:.3e} "
-                    f"against term sizes {size[k]:.3e})",
-                    step=s + 1 + k,
-                )
-            raise _overflow(s + 1 + k, rhs[k] / den[k])
-        q[nodes] = Q
-        ud[nodes] = V[:b, :b] @ Q + V[:b, _BLOCK:] @ x
-        u[nodes] = U[:b, :b] @ Q + U[:b, _BLOCK:] @ x
-        means[s : s + b] = 0.5 * (ud[s : s + b] + ud[s + 1 : s + b + 1])
-        if s + b < N:  # to steps 1 .. s+b-1 for the next block
-            history.advance(means[max(s - 1, 0) : s + b - 1])
+        for s, block in zip(range(first, N, _BLOCK), weights):
+            b = min(_BLOCK, N - s)
+            nodes = slice(s + 1, s + 1 + b)
+            at = slice(s - first, s - first + b)
+            a1, a2, a3, p = coeffs[:, at]
+            c_s, C = block[:b, 0], block[:b, 1 : b + 1]
+            x = np.array([q[s], ud[s], u[s]])
+            # the history holds steps 1 .. s-1; in the first block there is
+            # no step s, and its weight meets a zero mean
+            far = history.far_sums(h, orders[nodes])
+            m_s = means[s - 1] if s else 0.0
+            rhs = p - a2 * (far + c_s * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * (U[:b, _BLOCK:] @ x)
+            # the nodes before the block's first failing step, solved alone
+            good = sound[at] & np.isfinite(rhs)
+            k = b if good.all() else int(np.argmin(good))
+            A = C[:k, :k] @ M[:k, :k]
+            A *= a2[:k, None]
+            A += a3[:k, None] * U[:k, :k]
+            A.flat[:: k + 1] += a1[:k]
+            Q = np.linalg.solve(A[::-1, ::-1], rhs[:k][::-1])[::-1]
+            finite = np.isfinite(Q)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise _overflow(s + 1 + i, Q[i])
+            if k < b:
+                n = s - first + k
+                if not sound[n]:
+                    raise StepFailureError(
+                        f"step equation singular or ill-conditioned (denominator {den[n]:.3e} "
+                        f"against term sizes {size[n]:.3e})",
+                        step=s + 1 + k,
+                    )
+                raise _overflow(s + 1 + k, rhs[k] / den[n])
+            q[nodes] = Q
+            ud[nodes] = V[:b, :b] @ Q + V[:b, _BLOCK:] @ x
+            u[nodes] = U[:b, :b] @ Q + U[:b, _BLOCK:] @ x
+            means[s : s + b] = 0.5 * (ud[s : s + b] + ud[s + 1 : s + b + 1])
+            if s + b < N:  # to steps 1 .. s+b-1 for the next block
+                history.advance(means[max(s - 1, 0) : s + b - 1])
     return trace
 
 

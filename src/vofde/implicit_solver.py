@@ -5,8 +5,8 @@ equation at t_n with velocity and displacement written as affine functions
 of the new acceleration q_n), r0 + den q_n + f_nl(u_n, udot_n) = 0 with
 r0 and den from explicit_solver.linear_part, by a secant iteration with
 bisection fallback inside explicit_solver.march's time loop. It starts
-from march's quadratic prediction of q_n through the three previous
-accelerations, O(h^3) from the root where the previous acceleration is
+from march's quartic prediction of q_n through the five previous
+accelerations, O(h^5) from the root where the previous acceleration is
 O(h) away, and its first step is a Newton step with slope den: taken
 without an evaluation when the start already passes the tolerance, and
 evaluated otherwise. So a linear problem with a time-only order takes at

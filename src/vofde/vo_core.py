@@ -16,12 +16,14 @@ in closed form: the implicit stepper the two latest weights of a node, as
 two-entry rows for a block of known orders or, one trial order at a time,
 in scalar math (near_weights), with the far sum of that order from one
 exp and one dot (ExpSumHistory.far_sum); the explicit stepper the weights
-of a block's own steps, from one row per order. history_sums gives every node's
-history sum at once by FFT convolution, for re-verification and
-vo_derivative_series, with the kernel interpolated in the order over the
-range of the orders given. The module needs numpy and
-math only; the quadrature oracle that cross-checks the weights lives with
-the tests.
+of a block's own steps, from this module's log table and weight increments
+laid out in the block's lower triangle (_log_table, _increments), and the
+far sums of a block's nodes from one exp (ExpSumHistory.far_sums).
+history_sums gives every node's history sum at once by FFT convolution,
+for re-verification and vo_derivative_series, with the kernel interpolated
+in the order over the range of the orders given. The module needs numpy
+and math only; the quadrature oracle that cross-checks the weights lives
+with the tests.
 """
 
 from __future__ import annotations
@@ -195,11 +197,13 @@ def _increments(logs, log1ms, a, out=None, work=None) -> np.ndarray:
     k^(1-a) expm1((1-a) log1p(-1/k)): exact to relative round-off where the
     difference of two powers of size ~k would cancel, and exactly -1 at
     k = 1. The sign is the weights' own, c_r^n = f(a) (-d_k) with f < 0
-    from _row_factor. out and work, when given, take the result and scratch.
+    from _row_factor. out and work, when given, take the result and scratch;
+    out may be a itself.
     """
-    d = np.multiply(logs, 1.0 - a, out=out)
+    b = 1.0 - a
+    w = np.multiply(log1ms, b, out=work)
+    d = np.multiply(logs, b, out=out)
     np.exp(d, out=d)
-    w = np.multiply(log1ms, 1.0 - a, out=work)
     d *= np.expm1(w, out=w)
     return d
 
@@ -289,7 +293,13 @@ class ExpSumHistory:
         self.size = 0
         # decay ** j, one row per j = 0, 1, ..., k, for blocks of up to k nodes
         self._powers = np.ones((1, y.size))
-        # state * factor for far_sum, and the size it was formed at
+        # y_l and -s_l (0 for the constant mode), the pairs (alpha, j) of a
+        # block's nodes, j = 0 .. k-1, and the scratch far_sums forms its
+        # exponents in, for blocks of up to k nodes
+        self._modes = np.vstack((y, np.append(-s, 0.0)))
+        self._pairs = np.empty((0, 2))
+        self._exponents = np.empty((0, y.size))
+        # state * factor for far_sum and far_sums, and the size it was formed at
         self._scaled = np.zeros(y.size)
         self._scaled_size = 0
 
@@ -318,15 +328,32 @@ class ExpSumHistory:
         times decay^(j-1), dotted with the state: each mode of the state
         decays j-1 steps more on the way to the later node. Only steps
         1 .. size are in the sums; steps size+1 .. n are the caller's.
+        The rows are not formed: the sum at alpha_n is scale times
+        sum_l e^(alpha_n y_l - (j-1) s_l) S_l, with S the state times the
+        order-free factors as far_sum has it, so a block of b nodes takes
+        one b x L exponent matrix, the product of the pairs (alpha_n, j-1)
+        with the pairs (y_l, -s_l) in scratch kept for the next call, one
+        exp and one product with S; the constant mode's geometric factor
+        divides its column of b entries alone.
         """
-        w = self.weights(h, orders)
-        w *= self._decay_powers(orders.size)[: orders.size]
-        return w @ self.state
+        b = orders.size
+        if len(self._pairs) < b:
+            self._pairs = np.column_stack((np.empty(b), np.arange(b, dtype=float)))
+            self._exponents = np.empty((b, self.y.size))
+        pairs = self._pairs[:b]
+        pairs[:, 0] = orders
+        e = np.matmul(pairs, self._modes, out=self._exponents[:b])
+        np.exp(e, out=e)
+        scale, geometric = _far_factors(h, orders)
+        e[:, -1] /= geometric
+        return scale * (e @ self._scaled_state())
 
     def _decay_powers(self, k: int) -> np.ndarray:
-        """decay ** j, one row per j = 0 .. k at least; kept for the next call."""
-        if len(self._powers) <= k:
-            self._powers = self.decay ** np.arange(k + 1.0)[:, None]
+        """decay ** j, one row per j = 0 .. k at least; kept, and extended, for the next call."""
+        known = len(self._powers)
+        if known <= k:
+            more = self.decay ** np.arange(known, k + 1.0)[:, None]
+            self._powers = np.vstack((self._powers, more))
         return self._powers
 
     def weights(self, h: float, orders: np.ndarray) -> np.ndarray:
@@ -354,14 +381,18 @@ class ExpSumHistory:
         times the order-free factors, formed once per pushed mean. So a new
         order costs one exp over the modes and one dot, and no weight row.
         """
-        if self._scaled_size != self.size:
-            self._scaled = self.state * self.factor
-            self._scaled_size = self.size
         e = self.y * alpha
         np.exp(e, out=e)
         scale, geometric = _far_factors(h, alpha)
         e[-1] /= geometric
-        return scale * float(e @ self._scaled)
+        return scale * float(e @ self._scaled_state())
+
+    def _scaled_state(self) -> np.ndarray:
+        """The state times the order-free factors, formed once per size."""
+        if self._scaled_size != self.size:
+            self._scaled = self.state * self.factor
+            self._scaled_size = self.size
+        return self._scaled
 
 
 def _far_factors(h: float, a):

@@ -27,7 +27,7 @@ from vofde import (
     stability_report,
 )
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
-from vofde.explicit_solver import linear_part, load_term, state_from_q
+from vofde.explicit_solver import _BLOCK, _chunk_weights, linear_part, load_term, state_from_q
 from vofde.reference import scenario
 from vofde.vo_core import ExpSumHistory
 
@@ -175,6 +175,46 @@ def switch_at(k, h, before, after):
 BLOCK_EDGE_STEPS = (50, 1, 64, 65, 140)
 
 
+def gathered_weights(h, alpha):
+    """A block's in-block weights by one coefficient_row(_BLOCK + 1, h, alpha) per block.
+
+    Entry (j, i) of the block's C, c_{s+i}^{s+j+1}, is entry _BLOCK - 1 - j + i
+    of row j, for i <= j + 1, and 0 past it.
+    """
+    j, i = np.arange(alpha.size)[:, None], np.arange(alpha.size + 1)
+    index = np.minimum(_BLOCK - 1 - j + i, _BLOCK)
+    rows = coefficient_row(_BLOCK + 1, h, alpha)
+    return np.take_along_axis(rows, index, axis=1) * (i <= j + 1)
+
+
+class TestChunkWeights:
+    @pytest.mark.parametrize("b", [_BLOCK, 37, 1])
+    @pytest.mark.parametrize("alpha", [1e-12, 0.5, 1.0 - 1e-12, "random"])
+    def test_triangle_equals_the_gathered_row_bit_for_bit(self, b, alpha):
+        rng = np.random.default_rng(b)
+        h = 10.0 ** rng.uniform(-4.0, -1.0)
+        orders = rng.uniform(1e-6, 1.0 - 1e-6, b) if alpha == "random" else np.full(b, alpha)
+        C, c_nn = _chunk_weights(h, 1)(orders)
+        assert C.shape == (1, _BLOCK, _BLOCK + 1)
+        assert np.array_equal(C[0, :b, : b + 1], gathered_weights(h, orders))
+        assert np.array_equal(c_nn, C[0, :b, 1:].diagonal())
+
+    def test_every_block_of_a_partial_chunk(self):
+        # 7 full blocks and one of 37 nodes, after a call for a full chunk
+        # whose weights the partial one overwrites
+        rng = np.random.default_rng(5)
+        weights = _chunk_weights(1e-2, 8)
+        weights(rng.uniform(1e-6, 1.0 - 1e-6, 8 * _BLOCK))
+        orders = rng.uniform(1e-6, 1.0 - 1e-6, 7 * _BLOCK + 37)
+        C, c_nn = weights(orders)
+        assert C.shape == (8, _BLOCK, _BLOCK + 1)
+        for block, first in zip(C, range(0, orders.size, _BLOCK)):
+            alpha = orders[first : first + _BLOCK]
+            b = alpha.size
+            assert np.array_equal(block[:b, : b + 1], gathered_weights(1e-2, alpha))
+            assert np.array_equal(c_nn[first : first + b], block[:b, 1:].diagonal())
+
+
 class TestSolveStep:
     def test_zero_problem_fixed_point(self):
         prob = linear_problem(AlphaSpec.constant(0.5), u0=0.0, v0=0.0)
@@ -217,17 +257,25 @@ class TestSolveStep:
         assert worst <= 1e-12
 
     @pytest.mark.parametrize(
-        "name, h, T", [("ex2iii_d", 1e-3, 0.3), ("ex5", 1e-3, 0.3), ("ex2i", 1e-2, 2.0)]
+        "name, h, T",
+        [
+            ("ex2iii_d", 1e-3, 0.3),
+            ("ex5", 1e-3, 0.3),
+            ("ex2i", 1e-2, 2.0),
+            ("ex2iii_d", 1e-3, 1.1),
+            ("ex5", 1e-3, 1.1),
+        ],
     )
     def test_block_loop_equals_the_oracle_step_at_every_node(self, name, h, T):
         # N = 300 and 200 are no multiples of 64: the last block is partial;
-        # ex5's a1, a2 and a3 vary in time, so the blocks' den must track
-        # them. The block solve sums the history in another order than the
-        # step, so each node matches to 1e-13 of its array's peak, not bit
-        # for bit.
+        # N = 1100 also ends in a partial chunk of 8 blocks, 76 nodes, whose
+        # second block is partial. ex5's a1, a2 and a3 vary in time, so the
+        # blocks' den must track them. The block solve sums the history in
+        # another order than the step, so each node matches to 1e-13 of its
+        # array's peak, not bit for bit.
         prob = scenario(name, h, T=T).problem
         N = prob.grid.N
-        assert N in (200, 300)
+        assert N in (200, 300, 1100)
         trace = solve_explicit(prob)
         arrays = (trace.uddot, trace.udot, trace.u)
         peaks = np.array([np.max(np.abs(x)) for x in arrays])
@@ -467,6 +515,32 @@ class TestSolve:
             solve_explicit(prob)
         assert err.value.step == k
         assert str(err.value).startswith(f"acceleration nan in step {k}:")
+
+    def test_nan_load_at_the_first_step_of_a_chunk_names_it(self):
+        # the second chunk of 8 blocks starts at step 513: its weights and
+        # guards are formed before any of its blocks is solved
+        prob = linear_problem(AlphaSpec.constant(0.5), p=switch_at(513, 0.01, 0.0, math.nan), T=6.0)
+        with pytest.raises(StepFailureError) as err:
+            solve_explicit(prob)
+        assert err.value.step == 513
+        assert str(err.value).startswith("acceleration nan in step 513:")
+
+    @pytest.mark.parametrize("k, named", [(700, 639), (600, 600)])
+    def test_singular_step_is_named_only_when_its_block_is_reached(self, k, named):
+        # the blow-up oscillator, with a step equation singular from step k
+        # on (a2 = 0 and a1 + a3 h^2/4 = 0); steps 600, 639 and 700 lie in
+        # the chunk of steps 513 .. 1024, whose den are all judged before
+        # its first block is solved; the overflow at 639 comes first unless
+        # the singular step does
+        h = 0.01
+        prob = linear_problem(
+            AlphaSpec.constant(0.5), a2=switch_at(k, h, 1.0, 0.0),
+            a3=switch_at(k, h, -1e4, -4.0 / h ** 2), u0=1.0, v0=0.0, T=10.0,
+        )
+        with pytest.raises(StepFailureError) as err:
+            solve_explicit(prob)
+        assert err.value.step == named
+        assert ("singular" in str(err.value)) == (named == k)
 
     @pytest.mark.parametrize("k, named", [(640, 639), (639, 639), (620, 620)])
     def test_first_failure_of_a_block_is_named(self, k, named):
