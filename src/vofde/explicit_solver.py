@@ -12,8 +12,8 @@ udot_n and u_n affine in the new acceleration q_n (state_from_q), so
 without f_nl the equation is r0 + den q_n = 0, and linear_part gives its
 value r0 at q_n = 0 and its slope den: the one form of the step equation
 both steppers use. implicit_solver root-solves r0 + den q_n + f_nl = 0 in
-the time loop march, which walks the grid in blocks of _BLOCK nodes. Each
-block slices its a1, a2, a3 and p from the problem's read-only node_table
+the time loop march, which walks the grid in batches of _BATCH nodes. Each
+batch slices its a1, a2, a3 and p from the problem's read-only node_table
 (evaluated once per problem, the only check on a1) and, for a time-only
 order, builds the weights of its nodes at once from the problem's
 time_only_orders. The state passes between nodes as floats; march keeps
@@ -29,8 +29,9 @@ the velocities, displacements and step means written as maps of the
 block's accelerations (state_from_q on unit vectors), and the far history
 from one product with the ExpSumHistory state, which advances once per
 block. What does not depend on the state, the weights of each block's own
-steps as the lower triangle they form and each node's den and guard, is
-built for a chunk of _CHUNK blocks at once. No Python runs per node.
+steps as the lower triangle they form, each node's den and guard, and the
+order's factors of each node's far sum, is built for a chunk of _CHUNK
+blocks at once. No Python runs per node.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import StepFailureError
 from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
-from .vo_core import ExpSumHistory, _increments, _log_table, coefficient_row
+from .vo_core import ExpSumHistory, _far_factors, _increments, _log_table, coefficient_row
 
 __all__ = [
     "state_from_q",
@@ -56,13 +57,23 @@ __all__ = [
 # the bound the stability sweep puts on its step matrices
 _COND_LIMIT = 1e14
 
-# nodes per block of march and of solve: a block's array of 64 x ~200 far
-# weights stays near 100 kB, where 256 nodes raised the peak RSS of a run
-# of N = 500 solves by 0.7 MB
-_BLOCK = 64
+# nodes per batch of march, whose time-only weights are built at once: a
+# batch's array of 64 x ~200 far weights stays near 100 kB, where 256 nodes
+# raised the peak RSS of a run of N = 500 solves by 0.7 MB; ex4's implicit
+# solve at N = 1e4 ran 4% slower with 48 nodes and 6% slower with 32
+_BATCH = 64
 
-# blocks per chunk of solve, whose weights and guards are formed at once:
-# the chunk's arrays, C and the triangle's two, take about 0.5 MB
+# nodes per block of solve. Per node, a block of B nodes costs O(B^2) in its
+# LU (O(B^3) a block) and its C @ M product, O(B) in its in-block weights
+# and O(L) in its far sums, and its dozen or so numpy calls cost O(1/B): the
+# sum is least at a middle B. Timed on the explicit solve, 48 was fastest at
+# N = 25000 (3.19 us a node against 3.39 at 40, 3.54 at 32 and 3.61 at 64)
+# and as fast as 32 and 40 at N = 500, where 64 took 25% more
+_BLOCK = 48
+
+# blocks per chunk of solve, whose weights, guards and far-sum factors are
+# formed at once: the chunk's arrays, C and the triangle's two, take about
+# 0.3 MB
 _CHUNK = 8
 
 
@@ -156,16 +167,16 @@ def _initial_trace(problem: OscillatorProblem) -> SolutionTrace:
 
 
 def march(problem: OscillatorProblem, step) -> SolutionTrace:
-    """The time loop of the implicit solver, a block of _BLOCK nodes at a time.
+    """The time loop of the implicit solver, a batch of _BATCH nodes at a time.
 
-    Each block slices its rows (a1, a2, a3, p) from the problem's
+    Each batch slices its rows (a1, a2, a3, p) from the problem's
     node_table, built before the first step (so a1 is checked and a p that
     raises raises there), as the read-only array coeffs. Per node,
     step(n, prev, coeffs_n, item, hist) returns the state (q, udot, u) at
     node n and the order used there. prev is the state it returned for
     node n-1, node 0's from _initial_trace at n = 1; coeffs_n is node n's
     row of coeffs as a list of floats; item is node n's (weights, alpha_n)
-    from _block_weights for a time-only order, whose time_only_orders are
+    from _batch_weights for a time-only order, whose time_only_orders are
     evaluated before the table, and None for a state-dependent one; hist
     is (udot, history), the trace's velocity array, filled through node
     n-1, and the run's ExpSumHistory, advanced to hold the step means
@@ -187,13 +198,13 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     # q_{n-5} .. q_{n-2}, read only from n = 3 on
     q_5 = q_4 = q_3 = q_2 = 0.0
 
-    for first in range(1, N + 1, _BLOCK):
-        coeffs = table[first : first + _BLOCK]
+    for first in range(1, N + 1, _BATCH):
+        coeffs = table[first : first + _BATCH]
         nodes = range(first, first + len(coeffs))
         if orders is None:
             items = [None] * len(nodes)
         else:
-            items = _block_weights(h, orders[first : first + len(coeffs)], first, history)
+            items = _batch_weights(h, orders[first : first + len(coeffs)], first, history)
         for n, coeffs_n, item in zip(nodes, coeffs.tolist(), items):
             if n >= 3:
                 history.push(means[n - 3])
@@ -209,8 +220,8 @@ def march(problem: OscillatorProblem, step) -> SolutionTrace:
     return trace
 
 
-def _block_weights(h: float, alpha: np.ndarray, first: int, history: ExpSumHistory):
-    """(weights, alpha_n) of each node n of a block from node first, alpha holding their orders.
+def _batch_weights(h: float, alpha: np.ndarray, first: int, history: ExpSumHistory):
+    """(weights, alpha_n) of each node n of a batch from node first, alpha holding their orders.
 
     weights is (c_{n-1}, c_n, far) at alpha_n: the near pair a row of
     coefficient_row(2, h, alpha) (c_{n-1} = 0 at n = 1) and far a row of
@@ -249,15 +260,15 @@ def _chunk_weights(h: float, blocks: int):
     entry (j-1, i) = c_{s+i}^{s+j} for i = 0 .. j at node s+j's order and 0
     past i = j, and c_nn the diagonal weights c_n^n = -f(alpha_n), from
     coefficient_row(1, h, alpha). A weight depends on its order and k =
-    j - i + 1 alone, so the 2144 entries of a block's lower triangle are
-    formed as they lie: the table of log k and log1p(-1/k), k = 1 ..
-    _BLOCK + 1, laid out in the triangle's pattern once, then exp and expm1
-    of whole chunk x 2144 arrays (_increments), scaled by f(alpha_n) =
-    -c_n^n and scattered into C. Each entry is then bit for bit the entry
-    of coefficient_row(_BLOCK + 1, h, alpha_n) at that k. C and the scratch
-    are reused from call to call: each call overwrites the last one's C,
-    and the rows of a partial block past its last node hold no weights of
-    it.
+    j - i + 1 alone, so the _BLOCK (_BLOCK + 3) / 2 = 1224 entries of a
+    block's lower triangle are formed as they lie: the table of log k and
+    log1p(-1/k), k = 1 .. _BLOCK + 1, laid out in the triangle's pattern
+    once, then exp and expm1 of whole chunk x 1224 arrays (_increments),
+    scaled by f(alpha_n) = -c_n^n and scattered into C. Each entry is then
+    bit for bit the entry of coefficient_row(_BLOCK + 1, h, alpha_n) at
+    that k. C and the scratch are reused from call to call: each call
+    overwrites the last one's C, and the rows of a partial block past its
+    last node hold no weights of it.
     """
     rows, cols = np.tril_indices(_BLOCK, 1, _BLOCK + 1)
     logs, log1ms = _log_table(np.arange(1.0, _BLOCK + 2.0))[:, rows - cols + 1]
@@ -306,8 +317,9 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     fast-growing solution comes out wrong.
 
     What does not depend on the state is formed a chunk of _CHUNK blocks at
-    a time: the weights C and c_s (_chunk_weights), and each node's
-    denominator den and its guard (linear_part). The blocks of a chunk are
+    a time: the weights C and c_s (_chunk_weights), each node's
+    denominator den and its guard (linear_part), and the factors of each
+    node's far sum at its order (_far_factors). The blocks of a chunk are
     then solved in turn, each with its far sums, right-hand side and solve.
 
     A step whose denominator den is zero or lost in rounding raises
@@ -342,6 +354,7 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
         coeffs = table[chunk].T
         _, den, size = linear_part(coeffs, (0.0, c_nn, None), 0.0, (0.0, 0.0, 0.0), h)
         sound = abs(den) * _COND_LIMIT > size
+        factors = np.array(_far_factors(h, orders[chunk]))
         for s, block in zip(range(first, N, _BLOCK), weights):
             b = min(_BLOCK, N - s)
             nodes = slice(s + 1, s + 1 + b)
@@ -351,9 +364,10 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             x = np.array([q[s], ud[s], u[s]])
             # the history holds steps 1 .. s-1; in the first block there is
             # no step s, and its weight meets a zero mean
-            far = history.far_sums(h, orders[nodes])
+            far = history.far_sums(orders[nodes], factors[:, at])
             m_s = means[s - 1] if s else 0.0
-            rhs = p - a2 * (far + c_s * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * (U[:b, _BLOCK:] @ x)
+            u0 = U[:b, _BLOCK:] @ x
+            rhs = p - a2 * (far + c_s * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * u0
             # the nodes before the block's first failing step, solved alone
             good = sound[at] & np.isfinite(rhs)
             k = b if good.all() else int(np.argmin(good))
@@ -377,7 +391,7 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
                 raise _overflow(s + 1 + k, rhs[k] / den[n])
             q[nodes] = Q
             ud[nodes] = V[:b, :b] @ Q + V[:b, _BLOCK:] @ x
-            u[nodes] = U[:b, :b] @ Q + U[:b, _BLOCK:] @ x
+            u[nodes] = U[:b, :b] @ Q + u0
             means[s : s + b] = 0.5 * (ud[s : s + b] + ud[s + 1 : s + b + 1])
             if s + b < N:  # to steps 1 .. s+b-1 for the next block
                 history.advance(means[max(s - 1, 0) : s + b - 1])

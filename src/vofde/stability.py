@@ -113,7 +113,15 @@ def spectral_radius(a_mat):
 
 
 def _norm_inf(a: np.ndarray) -> np.ndarray:
-    return np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+    """Infinity norm of a 3x3 matrix, or of each matrix of a stack: its largest row sum.
+
+    Written out over the three columns and rows, which gives np.sum's and
+    np.max's reductions over the size-3 axes bit for bit (nan and inf
+    included) in a tenth of their time on a stack of 2048.
+    """
+    mag = np.abs(a)
+    rows = mag[..., 0] + mag[..., 1] + mag[..., 2]
+    return np.maximum(np.maximum(rows[..., 0], rows[..., 1]), rows[..., 2])
 
 
 def inv3(matrix) -> tuple[np.ndarray, np.ndarray]:

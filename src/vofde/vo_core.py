@@ -321,13 +321,16 @@ class ExpSumHistory:
         self.state = powers[k] * self.state + means @ powers[:k][::-1]
         self.size += k
 
-    def far_sums(self, h: float, orders: np.ndarray) -> np.ndarray:
+    def far_sums(self, orders: np.ndarray, factors) -> np.ndarray:
         """sum_{r<=size} c_r^n m_r for the nodes n = size+2, size+3, ..., one per order.
 
-        Node size+1+j takes the row of weights(h, orders) at its order
-        times decay^(j-1), dotted with the state: each mode of the state
-        decays j-1 steps more on the way to the later node. Only steps
-        1 .. size are in the sums; steps size+1 .. n are the caller's.
+        factors is _far_factors(h, orders), the pair (scale, geometric) of
+        each order's factors, which a caller that knows its orders in
+        advance forms for many blocks at once and slices per block. Node
+        size+1+j takes the row of weights(h, orders) at its order times
+        decay^(j-1), dotted with the state: each mode of the state decays
+        j-1 steps more on the way to the later node. Only steps 1 .. size
+        are in the sums; steps size+1 .. n are the caller's.
         The rows are not formed: the sum at alpha_n is scale times
         sum_l e^(alpha_n y_l - (j-1) s_l) S_l, with S the state times the
         order-free factors as far_sum has it, so a block of b nodes takes
@@ -344,7 +347,7 @@ class ExpSumHistory:
         pairs[:, 0] = orders
         e = np.matmul(pairs, self._modes, out=self._exponents[:b])
         np.exp(e, out=e)
-        scale, geometric = _far_factors(h, orders)
+        scale, geometric = factors
         e[:, -1] /= geometric
         return scale * (e @ self._scaled_state())
 
@@ -363,9 +366,13 @@ class ExpSumHistory:
         sum of node n without its two near steps. The orders take one exp
         for all of them, so a stepper that knows its orders in advance
         builds their weights in blocks; each row equals the row of its order
-        alone, bit for bit.
+        alone, bit for bit. The exponents alpha y_l come from one product of
+        the pairs (alpha, 0) with the pairs (y_l, -s_l), as in far_sums: the
+        zero term is exact, so each is the one rounding of alpha y_l.
         """
-        w = np.multiply.outer(orders, self.y)
+        pairs = np.zeros((orders.size, 2))
+        pairs[:, 0] = orders
+        w = pairs @ self._modes
         np.exp(w, out=w)
         w *= self.factor
         scale, geometric = _far_factors(h, orders)

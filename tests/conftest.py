@@ -7,7 +7,7 @@ captures stdout during the tests themselves.
 
 import numpy as np
 
-from vofde.explicit_solver import _block_weights
+from vofde.explicit_solver import _batch_weights
 from vofde.vo_core import ExpSumHistory
 
 _acceptance_lines: list[str] = []
@@ -44,8 +44,8 @@ def history_of(endpoints, n_steps=None):
 
 
 def node_weights(n, h, alpha, hist):
-    """(c_{n-1}, c_n, far) of node n at one order, as march builds them for a one-node block."""
-    (weights, _), = _block_weights(h, np.array([float(alpha)]), n, hist[1])
+    """(c_{n-1}, c_n, far) of node n at one order, as march builds them for a one-node batch."""
+    (weights, _), = _batch_weights(h, np.array([float(alpha)]), n, hist[1])
     return weights
 
 

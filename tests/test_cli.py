@@ -8,6 +8,7 @@ the packaging entry point.
 import ast
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vofde
 import vofde.cli
 from vofde.cli import main
 from vofde.reference import SCENARIO_NAMES, scenario
@@ -525,6 +527,46 @@ class TestRunConfig:
              "out_path": str(tmp_path / "x.csv"), "problem": body},
         )
         assert main(["run", "--config", str(cfg)]) == 3
+
+
+class TestCsvWriter:
+    # np.savetxt with the format the CLI's files have always had is the
+    # oracle; the writer formats _CSV_ROWS rows at a time, so the row counts
+    # straddle one chunk
+    VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.0, 7.0, -3.0,
+              1e300, 0.1, 2.0 ** 53, 1.0 / 3.0, 1e-310]
+
+    @staticmethod
+    def oracle(path, table, header):
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    def test_trace_bytes_equal_savetxt(self, tmp_path, extra):
+        rows = 1 if extra is None else vofde.cli._CSV_ROWS + extra
+        rng = np.random.default_rng(rows)
+        table = rng.choice(self.VALUES, size=(rows, 6))
+        table[:, :5] *= rng.uniform(0.5, 2.0, (rows, 5))  # inf * x and nan * x keep their class
+        trace = vofde.SolutionTrace(
+            t=table[:, 0], u=table[:, 1], udot=table[:, 2], uddot=table[:, 3],
+            alpha_used=table[:, 4], udot_mean=np.zeros(rows - 1),
+        )
+        vofde.cli.write_trace_csv(str(tmp_path / "trace.csv"), trace, rho=table[1:, 5])
+        table[0, 5] = math.nan  # node 0 has no radius
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert written == self.oracle(tmp_path / "oracle.csv", table, "t,u,udot,uddot,alpha,rho")
+        assert written.count(b"\n") == rows + 1
+        vofde.cli.write_trace_csv(str(tmp_path / "plain.csv"), trace)
+        assert (tmp_path / "plain.csv").read_bytes() == self.oracle(
+            tmp_path / "oracle.csv", table[:, :5], "t,u,udot,uddot,alpha"
+        )
+
+    def test_convergence_rows_with_integers_equal_savetxt(self, tmp_path):
+        rows = [(0.1, 10, 1e-3, math.nan), (0.05, 20, 2.5e-4, 4.0), (0.025, 40, -0.0, math.inf)]
+        vofde.cli.write_convergence_csv(str(tmp_path / "c.csv"), rows)
+        assert (tmp_path / "c.csv").read_bytes() == self.oracle(
+            tmp_path / "oracle.csv", rows, "h,N,max_abs_error,ratio"
+        )
 
 
 class TestImportWeight:

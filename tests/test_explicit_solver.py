@@ -27,7 +27,14 @@ from vofde import (
     stability_report,
 )
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
-from vofde.explicit_solver import _BLOCK, _chunk_weights, linear_part, load_term, state_from_q
+from vofde.explicit_solver import (
+    _BLOCK,
+    _CHUNK,
+    _chunk_weights,
+    linear_part,
+    load_term,
+    state_from_q,
+)
 from vofde.reference import scenario
 from vofde.vo_core import ExpSumHistory
 
@@ -170,9 +177,26 @@ def switch_at(k, h, before, after):
     return lambda t: before if t < (k - 0.5) * h else after
 
 
-# the first and last step of the first 64-node block, the first of the
-# second, one mid-block, and one in the partial block that ends N = 150
-BLOCK_EDGE_STEPS = (50, 1, 64, 65, 140)
+def span(n, size):
+    """First and last step of the run of size steps, counted from step 1, that holds step n."""
+    first = (n - 1) // size * size + 1
+    return first, first + size - 1
+
+
+# the block-edge tests run on N = 150 steps (T = 1.5, h = 0.01), which end
+# in a partial block
+EDGE_N = 150
+assert EDGE_N % _BLOCK >= 2 and EDGE_N > 2 * _BLOCK, (EDGE_N, _BLOCK)
+# one mid-block step, the first and last step of the first block, the first
+# of the second, and one inside the partial block that ends the grid
+BLOCK_EDGE_STEPS = (_BLOCK // 2, 1, _BLOCK, _BLOCK + 1, EDGE_N - 1)
+
+# the step where the blow-up oscillator's state overflows, and the first
+# and last step of its block and of its chunk
+OVERFLOW_STEP = 639
+OVERFLOW_BLOCK = span(OVERFLOW_STEP, _BLOCK)
+OVERFLOW_CHUNK = span(OVERFLOW_STEP, _BLOCK * _CHUNK)
+assert OVERFLOW_BLOCK[0] < OVERFLOW_STEP < OVERFLOW_BLOCK[1] < OVERFLOW_CHUNK[1]
 
 
 def gathered_weights(h, alpha):
@@ -200,14 +224,14 @@ class TestChunkWeights:
         assert np.array_equal(c_nn, C[0, :b, 1:].diagonal())
 
     def test_every_block_of_a_partial_chunk(self):
-        # 7 full blocks and one of 37 nodes, after a call for a full chunk
-        # whose weights the partial one overwrites
+        # _CHUNK - 1 full blocks and one of 37 nodes, after a call for a
+        # full chunk whose weights the partial one overwrites
         rng = np.random.default_rng(5)
-        weights = _chunk_weights(1e-2, 8)
-        weights(rng.uniform(1e-6, 1.0 - 1e-6, 8 * _BLOCK))
-        orders = rng.uniform(1e-6, 1.0 - 1e-6, 7 * _BLOCK + 37)
+        weights = _chunk_weights(1e-2, _CHUNK)
+        weights(rng.uniform(1e-6, 1.0 - 1e-6, _CHUNK * _BLOCK))
+        orders = rng.uniform(1e-6, 1.0 - 1e-6, (_CHUNK - 1) * _BLOCK + 37)
         C, c_nn = weights(orders)
-        assert C.shape == (8, _BLOCK, _BLOCK + 1)
+        assert C.shape == (_CHUNK, _BLOCK, _BLOCK + 1)
         for block, first in zip(C, range(0, orders.size, _BLOCK)):
             alpha = orders[first : first + _BLOCK]
             b = alpha.size
@@ -267,15 +291,16 @@ class TestSolveStep:
         ],
     )
     def test_block_loop_equals_the_oracle_step_at_every_node(self, name, h, T):
-        # N = 300 and 200 are no multiples of 64: the last block is partial;
-        # N = 1100 also ends in a partial chunk of 8 blocks, 76 nodes, whose
-        # second block is partial. ex5's a1, a2 and a3 vary in time, so the
-        # blocks' den must track them. The block solve sums the history in
-        # another order than the step, so each node matches to 1e-13 of its
-        # array's peak, not bit for bit.
+        # N = 300, 200 and 1100 are no multiples of _BLOCK: the last block
+        # is partial; N = 1100 also ends in a partial chunk, after two full
+        # ones. ex5's a1, a2 and a3 vary in time, so the blocks' den must
+        # track them. The block solve sums the history in another order than
+        # the step, so each node matches to 1e-13 of its array's peak, not
+        # bit for bit.
         prob = scenario(name, h, T=T).problem
         N = prob.grid.N
-        assert N in (200, 300, 1100)
+        assert N in (200, 300, 1100) and N % _BLOCK
+        assert N < 1100 or N // (_BLOCK * _CHUNK) >= 2 and N % (_BLOCK * _CHUNK)
         trace = solve_explicit(prob)
         arrays = (trace.uddot, trace.udot, trace.u)
         peaks = np.array([np.max(np.abs(x)) for x in arrays])
@@ -493,7 +518,7 @@ class TestSolve:
         prob = linear_problem(AlphaSpec.constant(0.5), a3=-1e4, u0=1.0, v0=0.0, T=10.0)
         with pytest.raises(StepFailureError) as err:
             solve(prob)
-        assert err.value.step == 639
+        assert err.value.step == OVERFLOW_STEP
         assert "singular" not in str(err.value)
 
     def test_growing_solution_follows_the_direct_stepper(self):
@@ -517,21 +542,26 @@ class TestSolve:
         assert str(err.value).startswith(f"acceleration nan in step {k}:")
 
     def test_nan_load_at_the_first_step_of_a_chunk_names_it(self):
-        # the second chunk of 8 blocks starts at step 513: its weights and
+        # the second chunk starts at step _CHUNK _BLOCK + 1: its weights and
         # guards are formed before any of its blocks is solved
-        prob = linear_problem(AlphaSpec.constant(0.5), p=switch_at(513, 0.01, 0.0, math.nan), T=6.0)
+        k = _CHUNK * _BLOCK + 1
+        prob = linear_problem(AlphaSpec.constant(0.5), p=switch_at(k, 0.01, 0.0, math.nan), T=6.0)
+        assert prob.grid.N > k
         with pytest.raises(StepFailureError) as err:
             solve_explicit(prob)
-        assert err.value.step == 513
-        assert str(err.value).startswith("acceleration nan in step 513:")
+        assert err.value.step == k
+        assert str(err.value).startswith(f"acceleration nan in step {k}:")
 
-    @pytest.mark.parametrize("k, named", [(700, 639), (600, 600)])
+    @pytest.mark.parametrize(
+        "k, named",
+        [(OVERFLOW_BLOCK[1] + 1, OVERFLOW_STEP), (OVERFLOW_BLOCK[0], OVERFLOW_BLOCK[0])],
+    )
     def test_singular_step_is_named_only_when_its_block_is_reached(self, k, named):
         # the blow-up oscillator, with a step equation singular from step k
-        # on (a2 = 0 and a1 + a3 h^2/4 = 0); steps 600, 639 and 700 lie in
-        # the chunk of steps 513 .. 1024, whose den are all judged before
-        # its first block is solved; the overflow at 639 comes first unless
-        # the singular step does
+        # on (a2 = 0 and a1 + a3 h^2/4 = 0): the first step of the block
+        # after the overflow's, or of the overflow's own. Both lie in the
+        # overflow's chunk, whose den are all judged before its first block
+        # is solved; the overflow comes first unless the singular step does
         h = 0.01
         prob = linear_problem(
             AlphaSpec.constant(0.5), a2=switch_at(k, h, 1.0, 0.0),
@@ -542,11 +572,19 @@ class TestSolve:
         assert err.value.step == named
         assert ("singular" in str(err.value)) == (named == k)
 
-    @pytest.mark.parametrize("k, named", [(640, 639), (639, 639), (620, 620)])
+    @pytest.mark.parametrize(
+        "k, named",
+        [
+            (OVERFLOW_STEP + 1, OVERFLOW_STEP),
+            (OVERFLOW_STEP, OVERFLOW_STEP),
+            (OVERFLOW_BLOCK[0], OVERFLOW_BLOCK[0]),
+        ],
+    )
     def test_first_failure_of_a_block_is_named(self, k, named):
-        # the blow-up oscillator overflows at step 639, in the block of steps
-        # 577 .. 640; a nan p from step k on fails the run at whichever of
-        # the two comes first, with the value printed as a float
+        # the blow-up oscillator overflows at OVERFLOW_STEP, inside the
+        # block OVERFLOW_BLOCK; a nan p from step k of that block on fails
+        # the run at whichever of the two comes first, with the value
+        # printed as a float
         prob = linear_problem(
             AlphaSpec.constant(0.5), a3=-1e4, u0=1.0, v0=0.0, T=10.0,
             p=switch_at(k, 0.01, 0.0, math.nan),

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from oracles import direct_solve
 from vofde import SCENARIO_NAMES, AlphaKind, coefficient_row, scenario, solve_explicit, solve_implicit
-from vofde.vo_core import ExpSumHistory
+from vofde.explicit_solver import _BLOCK, _CHUNK
+from vofde.vo_core import ExpSumHistory, _far_factors
 
 orders = st.floats(1e-12, 1.0 - 1e-12)
 
@@ -112,12 +113,31 @@ def test_block_state_matches_direct_rows(data, h, block):
     for size in range(0, N - 1, block):
         assert history.size == size
         nodes = np.arange(size + 2, min(size + 2 + block, N + 1))
-        for n, got in zip(nodes.tolist(), history.far_sums(h, alphas[nodes - 1]).tolist()):
+        block_orders = alphas[nodes - 1]
+        sums = history.far_sums(block_orders, _far_factors(h, block_orders))
+        for n, got in zip(nodes.tolist(), sums.tolist()):
             row = coefficient_row(n, h, float(alphas[n - 1]))[:size]
             worst = max(worst, abs(got - float(row @ means[:size])))
             scale = max(scale, float(np.abs(row) @ np.abs(means[:size])))
         history.advance(means[size : size + block])
     assert worst <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.37])
+def test_far_sums_from_a_chunks_factors_equal_the_blocks_own(h):
+    # the explicit solve forms _far_factors once per chunk of blocks and
+    # hands each block its slice; the sums equal those from the block's own
+    # factors bit for bit, partial last block included
+    rng = np.random.default_rng(11)
+    history = ExpSumHistory(5000)
+    history.advance(rng.uniform(-1e3, 1e3, 700))
+    extremes = [1e-12, 0.5, 1.0 - 1e-12]
+    chunk = np.concatenate((extremes, rng.uniform(1e-9, 1.0 - 1e-9, (_CHUNK - 1) * _BLOCK + 20)))
+    factors = np.array(_far_factors(h, chunk))
+    for first in range(0, chunk.size, _BLOCK):
+        block = slice(first, first + _BLOCK)
+        own = history.far_sums(chunk[block], _far_factors(h, chunk[block]))
+        assert np.array_equal(history.far_sums(chunk[block], factors[:, block]), own)
 
 
 def registry_problems(kind):

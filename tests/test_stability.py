@@ -24,7 +24,7 @@ from vofde import (
 )
 from vofde.errors import DegenerateProblemError, StepFailureError
 from vofde.reference import scenario
-from vofde.stability import eigenvalues3
+from vofde.stability import _norm_inf, eigenvalues3
 
 
 def rising_order(t):
@@ -72,6 +72,22 @@ class TestSpectralRadius:
         for _ in range(50):
             a = rng.normal(size=(3, 3))
             assert spectral_radius(a) <= np.max(np.sum(np.abs(a), axis=1)) + 1e-12
+
+    def test_norm_equals_the_reduction_form(self):
+        # the row sums written out against np.sum and np.max over the size-3
+        # axes, bit for bit, on stacks holding nan, inf and overflowing sums
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 2048, 3, 3)) * 10.0 ** rng.uniform(-300.0, 300.0, (4, 2048, 3, 3))
+        for value in (math.nan, math.inf, -math.inf, -0.0, 1e308):
+            a.flat[rng.integers(0, a.size, 300)] = value
+        for stack in (a, a[0], a[0, 0], np.zeros((0, 3, 3))):
+            with np.errstate(over="ignore"):  # sums of two 1e308 overflow, in both forms
+                expected = np.max(np.sum(np.abs(stack), axis=-1), axis=-1)
+                got = _norm_inf(stack)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.array_equal(np.isnan(got), np.isnan(expected))
+        assert np.isnan(_norm_inf(a)).any() and np.isinf(_norm_inf(a)).any()
 
     def test_stack_matches_numpy_on_every_branch(self):
         rng = np.random.default_rng(20261018)
