@@ -11,27 +11,30 @@ node n (c_{n-1} = 0 at n = 1). The average-acceleration relations make
 udot_n and u_n affine in the new acceleration q_n (state_from_q), so
 without f_nl the equation is r0 + den q_n = 0, and linear_part gives its
 value r0 at q_n = 0 and its slope den: the one form of the step equation
-both steppers use. implicit_solver root-solves r0 + den q_n + f_nl = 0 in
-the time loop march, which walks the grid in batches of _BATCH nodes. Each
-batch slices its a1, a2, a3 and p from the problem's read-only node_table
-(evaluated once per problem, the only check on a1) and, for a time-only
-order, builds the weights of its nodes at once from the problem's
-time_only_orders. The state passes between nodes as floats; march keeps
-the velocities and step means in the trace's arrays and advances one
-vo_core.ExpSumHistory per step, from which the load reads the known
-history in O(L) for L ~ 200 exponential modes, so a solve costs O(N L),
-not the O(N^2) of one weight row per node.
+both steppers use. Every coefficient comes from the problem's read-only
+node_table (evaluated once per problem, the only check on a1), and the
+known history from a vo_core.ExpSumHistory in O(L) for L ~ 200
+exponential modes, so a solve costs O(N L), not the O(N^2) of one weight
+row per node.
 
-For a linear problem with a time-only order, the step equations of a block
-couple only through earlier nodes, so solve takes the accelerations of
-_BLOCK nodes from one lower-triangular system: the same equations, with
-the velocities, displacements and step means written as maps of the
-block's accelerations (state_from_q on unit vectors), and the far history
-from one product with the ExpSumHistory state, which advances once per
-block. What does not depend on the state, the weights of each block's own
-steps as the lower triangle they form, each node's den and guard, and the
-order's factors of each node's far sum, is built for a chunk of _CHUNK
-blocks at once. No Python runs per node.
+A time-only order is known before the solve, so its steps are walked a
+block of _BLOCK nodes at a time (_blocks): what does not depend on the
+state, the weights of each block's own steps as the lower triangle they
+form, each node's den and guard, and the factors of each node's far sum
+at its order, is built for a chunk of _CHUNK blocks at once, and the far
+history of a block's nodes comes from one product with the history's
+state, which advances once per block. The step equations of a block
+couple only through earlier nodes, so for a linear problem solve takes
+the block's accelerations from one lower-triangular system: the same
+equations, with the velocities, displacements and step means written as
+maps of the block's accelerations (state_from_q on unit vectors). No
+Python runs per node. implicit_solver walks the same blocks node by node,
+with one root solve per node.
+
+For a state-dependent order, implicit_solver root-solves
+r0 + den q_n + f_nl = 0 in the time loop march, node by node: the state
+passes between nodes as floats, and march keeps the velocities and step
+means in the trace's arrays and pushes each step mean into the history.
 """
 
 from __future__ import annotations
@@ -57,21 +60,16 @@ __all__ = [
 # the bound the stability sweep puts on its step matrices
 _COND_LIMIT = 1e14
 
-# nodes per batch of march, whose time-only weights are built at once: a
-# batch's array of 64 x ~200 far weights stays near 100 kB, where 256 nodes
-# raised the peak RSS of a run of N = 500 solves by 0.7 MB; ex4's implicit
-# solve at N = 1e4 ran 4% slower with 48 nodes and 6% slower with 32
-_BATCH = 64
-
-# nodes per block of solve. Per node, a block of B nodes costs O(B^2) in its
-# LU (O(B^3) a block) and its C @ M product, O(B) in its in-block weights
-# and O(L) in its far sums, and its dozen or so numpy calls cost O(1/B): the
-# sum is least at a middle B. Timed on the explicit solve, 48 was fastest at
-# N = 25000 (3.19 us a node against 3.39 at 40, 3.54 at 32 and 3.61 at 64)
-# and as fast as 32 and 40 at N = 500, where 64 took 25% more
+# nodes per block of _blocks. Per node, a block of B nodes costs O(B^2) in
+# solve's LU (O(B^3) a block) and its C @ M product, O(B) in its in-block
+# weights and O(L) in its far sums, and its dozen or so numpy calls cost
+# O(1/B): the sum is least at a middle B. Timed on the explicit solve, 48
+# was fastest at N = 25000 (3.19 us a node against 3.39 at 40, 3.54 at 32
+# and 3.61 at 64) and as fast as 32 and 40 at N = 500, where 64 took 25%
+# more. march slices its node rows in batches of as many nodes
 _BLOCK = 48
 
-# blocks per chunk of solve, whose weights, guards and far-sum factors are
+# blocks per chunk of _blocks, whose weights, guards and far-sum factors are
 # formed at once: the chunk's arrays, C and the triangle's two, take about
 # 0.3 MB
 _CHUNK = 8
@@ -92,29 +90,19 @@ def state_from_q(q_n: float, prev, h: float) -> tuple[float, float]:
     return udot_n, u_prev + h * udot_n - 0.25 * h * h * qsum
 
 
-def load_term(coeffs, n: int, weights, hist) -> float:
+def load_term(coeffs, n: int, weights, udot) -> float:
     """Load g_n: the forcing minus the fully known part of the history sum.
 
     coeffs is node n's (a1, a2, a3, p), weights its (c_{n-1}, c_n, far) at
-    the order used, and hist the pair (udot, history) of the node
-    velocities, through node n-2 at least, and the history of step means
-    1 .. n-2 (an ExpSumHistory). far is either the far weights, a row of
-    history.weights, or the far sum they give, history.far_sum. The known
-    part is that sum over steps 1 .. n-2, far @ history.state for weights,
-    plus the half of step n-1's mean contributed by the velocity at node
-    n-2; the halves carrying udot_{n-1} and udot_n are left to the step
-    equation. Empty for n <= 1. A history of another length raises
-    IndexError.
+    the order used, with far the known history sum over steps 1 .. n-2,
+    and udot the node velocities, through node n-2 at least. The known
+    part is far plus the half of step n-1's mean contributed by the
+    velocity at node n-2; the halves carrying udot_{n-1} and udot_n are
+    left to the step equation. Empty for n <= 1.
     """
-    udot, history = hist
-    if history.size != max(n - 2, 0):
-        raise IndexError(f"node {n} needs the means of {max(n - 2, 0)} steps, got {history.size}")
     g = coeffs[3]
     if n >= 2:
-        far = weights[2]
-        if not isinstance(far, float):
-            far = float(far.dot(history.state))
-        g -= coeffs[1] * (far + 0.5 * weights[0] * float(udot[n - 2]))
+        g -= coeffs[1] * (weights[2] + 0.5 * weights[0] * float(udot[n - 2]))
     return g
 
 
@@ -144,7 +132,8 @@ def _initial_trace(problem: OscillatorProblem) -> SolutionTrace:
     The history integral of a continuous velocity vanishes at t = 0, so the
     initial acceleration is q0 = (p(0) - a3(0) u0 - f_nl(u0, v0)) / a1(0),
     from row 0 of the problem's node_table. A time-only order's
-    time_only_orders are evaluated before that table.
+    time_only_orders are evaluated before that table and are the trace's
+    orders at every node.
     """
     N = problem.grid.N
     time_only = problem.alpha.kind is AlphaKind.TIME_ONLY
@@ -153,10 +142,9 @@ def _initial_trace(problem: OscillatorProblem) -> SolutionTrace:
     a1_0, _, a3_0, p_0 = problem.node_table[0].tolist()
     q[0] = (p_0 - a3_0 * problem.u0 - problem.nonlinear_term(problem.u0, problem.v0)) / a1_0
     ud[0], u[0] = problem.v0, problem.u0
-    # reference only; never range-checked and never used in a weight
     if time_only:
-        alphas[0] = orders[0]
-    else:
+        alphas[:] = orders
+    else:  # reference only; never range-checked and never used in a weight
         try:
             alphas[0] = float(problem.alpha.eval(0.0, problem.u0, problem.v0))
         except Exception:
@@ -167,70 +155,51 @@ def _initial_trace(problem: OscillatorProblem) -> SolutionTrace:
 
 
 def march(problem: OscillatorProblem, step) -> SolutionTrace:
-    """The time loop of the implicit solver, a batch of _BATCH nodes at a time.
+    """The time loop of the implicit solver for a state-dependent order, node by node.
 
-    Each batch slices its rows (a1, a2, a3, p) from the problem's
-    node_table, built before the first step (so a1 is checked and a p that
-    raises raises there), as the read-only array coeffs. Per node,
-    step(n, prev, coeffs_n, item, hist) returns the state (q, udot, u) at
-    node n and the order used there. prev is the state it returned for
-    node n-1, node 0's from _initial_trace at n = 1; coeffs_n is node n's
-    row of coeffs as a list of floats; item is node n's (weights, alpha_n)
-    from _batch_weights for a time-only order, whose time_only_orders are
-    evaluated before the table, and None for a state-dependent one; hist
-    is (udot, history), the trace's velocity array, filled through node
-    n-1, and the run's ExpSumHistory, advanced to hold the step means
-    1 .. n-2; and start is the root solve's predicted q_n, the quartic
-    through the five previous accelerations, 5 q_{n-1} - 10 q_{n-2} +
-    10 q_{n-3} - 5 q_{n-4} + q_{n-5}, the quadratic through three,
-    3 q_{n-1} - 3 q_{n-2} + q_{n-3}, for n = 3, 4, or q_{n-1} for n <= 2.
-    It may overflow.
+    It walks the problem's node_table, built before the first step (so a1
+    is checked and a p that raises raises there), in batches of _BLOCK
+    rows. Per node, step(n, prev, coeffs_n, hist, start) returns the state
+    (q, udot, u) at node n and the order used there. prev is the state it
+    returned for node n-1, node 0's from _initial_trace at n = 1; coeffs_n
+    is node n's row (a1, a2, a3, p) as a list of floats; hist is (udot,
+    history), the trace's velocity array, filled through node n-1, and the
+    run's ExpSumHistory, advanced to hold the step means 1 .. n-2; and
+    start is _start's predicted q_n.
     """
-    grid = problem.grid
-    N, h = grid.N, grid.h
-    orders = problem.time_only_orders if problem.alpha.kind is AlphaKind.TIME_ONLY else None
+    N = problem.grid.N
     trace = _initial_trace(problem)
     q, ud, u, alphas, means = trace.uddot, trace.udot, trace.u, trace.alpha_used, trace.udot_mean
     table = problem.node_table
     prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
     history = ExpSumHistory(N)
     hist = (ud, history)
-    # q_{n-5} .. q_{n-2}, read only from n = 3 on
-    q_5 = q_4 = q_3 = q_2 = 0.0
-
-    for first in range(1, N + 1, _BATCH):
-        coeffs = table[first : first + _BATCH]
-        nodes = range(first, first + len(coeffs))
-        if orders is None:
-            items = [None] * len(nodes)
-        else:
-            items = _batch_weights(h, orders[first : first + len(coeffs)], first, history)
-        for n, coeffs_n, item in zip(nodes, coeffs.tolist(), items):
+    for first in range(1, N + 1, _BLOCK):
+        for n, coeffs_n in enumerate(table[first : first + _BLOCK].tolist(), first):
             if n >= 3:
                 history.push(means[n - 3])
-            q_1, udot_prev = prev[0], prev[1]
-            if n >= 5:
-                start = 5.0 * q_1 - 10.0 * q_2 + 10.0 * q_3 - 5.0 * q_4 + q_5
-            else:
-                start = 3.0 * q_1 - 3.0 * q_2 + q_3 if n >= 3 else q_1
-            prev, alphas[n] = step(n, prev, coeffs_n, item, hist, start)
+            udot_prev = prev[1]
+            prev, alphas[n] = step(n, prev, coeffs_n, hist, _start(q, n))
             q[n], ud[n], u[n] = prev
             means[n - 1] = 0.5 * (udot_prev + prev[1])
-            q_5, q_4, q_3, q_2 = q_4, q_3, q_2, q_1
     return trace
 
 
-def _batch_weights(h: float, alpha: np.ndarray, first: int, history: ExpSumHistory):
-    """(weights, alpha_n) of each node n of a batch from node first, alpha holding their orders.
+def _start(q: np.ndarray, n: int) -> float:
+    """A root solve's predicted q_n, from the accelerations q[0] .. q[n-1] solved so far.
 
-    weights is (c_{n-1}, c_n, far) at alpha_n: the near pair a row of
-    coefficient_row(2, h, alpha) (c_{n-1} = 0 at n = 1) and far a row of
-    history.weights.
+    The quartic through the five previous accelerations, 5 q_{n-1} -
+    10 q_{n-2} + 10 q_{n-3} - 5 q_{n-4} + q_{n-5}, O(h^5) from the root;
+    the quadratic through three, 3 q_{n-1} - 3 q_{n-2} + q_{n-3}, for
+    n = 3, 4; q_{n-1} for n <= 2. A Python float, which may overflow.
     """
-    near = coefficient_row(2, h, alpha)
-    if first == 1:
-        near[0, 0] = 0.0
-    return zip(zip(*near.T.tolist(), history.weights(h, alpha)), alpha.tolist())
+    if n >= 5:
+        q_5, q_4, q_3, q_2, q_1 = q[n - 5 : n].tolist()
+        return 5.0 * q_1 - 10.0 * q_2 + 10.0 * q_3 - 5.0 * q_4 + q_5
+    if n >= 3:
+        q_3, q_2, q_1 = q[n - 3 : n].tolist()
+        return 3.0 * q_1 - 3.0 * q_2 + q_3
+    return float(q[n - 1])
 
 
 def _block_maps(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,30 +266,59 @@ def _chunk_weights(h: float, blocks: int):
     return weights
 
 
+def _blocks(problem: OscillatorProblem, means: np.ndarray):
+    """The state-free data of each block of _BLOCK nodes of a time-only order, in node order.
+
+    Yields (s, coeffs, c_s, C, far, den, size) for the block of nodes
+    s+1 .. s+b: coeffs the b columns (a1, a2, a3, p) of its nodes from the
+    problem's node_table; C the b x b weights of the block's own steps,
+    entry (j-1, i-1) = c_{s+i}^{s+j} at node s+j's order and 0 past i = j;
+    c_s the weights c_s^{s+j} of step s (met by a zero mean in the first
+    block, s = 0); far the known history sums of the nodes over steps
+    1 .. s-1; and den and size each node's step-equation slope and the
+    scale of its terms (linear_part). All but far come a chunk of _CHUNK
+    blocks at a time (_chunk_weights), and so do the far sums' factors at
+    each node's order (_far_factors). Before asking for the next block,
+    the consumer writes the block's step means m_{s+1} .. m_{s+b} into
+    means[s : s+b]; the history then advances by steps s .. s+b-1, in one
+    product (ExpSumHistory.advance).
+    """
+    N, h = problem.grid.N, problem.grid.h
+    orders = problem.time_only_orders
+    table = problem.node_table
+    chunk_weights = _chunk_weights(h, min(_CHUNK, -(-N // _BLOCK)))
+    history = ExpSumHistory(N)
+    for first in range(0, N, _CHUNK * _BLOCK):
+        chunk = slice(first + 1, min(first + _CHUNK * _BLOCK, N) + 1)
+        weights, c_nn = chunk_weights(orders[chunk])
+        coeffs = table[chunk].T
+        _, den, size = linear_part(coeffs, (0.0, c_nn, None), 0.0, (0.0, 0.0, 0.0), h)
+        factors = np.array(_far_factors(h, orders[chunk]))
+        for s, block in zip(range(first, N, _BLOCK), weights):
+            b = min(_BLOCK, N - s)
+            at = slice(s - first, s - first + b)
+            far = history.far_sums(orders[s + 1 : s + 1 + b], factors[:, at])
+            yield s, coeffs[:, at], block[:b, 0], block[:b, 1 : b + 1], far, den[at], size[at]
+            if s + b < N:  # to steps 1 .. s+b-1 for the next block
+                history.advance(means[max(s - 1, 0) : s + b - 1])
+
+
 def solve(problem: OscillatorProblem) -> SolutionTrace:
     """Integrate the problem over its whole grid, a block of _BLOCK nodes at a time.
 
     Only linear problems with a TIME_ONLY order are accepted. The
-    accelerations Q of the nodes s+1 .. s+b of a block solve the b x b
-    lower-triangular system
+    accelerations Q of the nodes s+1 .. s+b of a block from _blocks solve
+    the b x b lower-triangular system
 
         (diag a1 + diag a2 C M + diag a3 U) Q
             = p - a2 (far + c_s m_s + C m0) - a3 u0,
 
-    whose row j is node s+j's step equation: C holds the weights of the
-    block's own steps, c_s that of step s with its known mean m_s, far the
-    known history of steps 1 .. s-1, M and U are the Q-part of
-    _block_maps' step means and displacements, and m0 and u0 their values
-    at Q = 0. The system is solved reversed, where it is upper triangular,
-    so LAPACK's LU swaps no row and solves by substitution in node order;
-    with pivoting, a row swap mixes later nodes into earlier ones and a
-    fast-growing solution comes out wrong.
-
-    What does not depend on the state is formed a chunk of _CHUNK blocks at
-    a time: the weights C and c_s (_chunk_weights), each node's
-    denominator den and its guard (linear_part), and the factors of each
-    node's far sum at its order (_far_factors). The blocks of a chunk are
-    then solved in turn, each with its far sums, right-hand side and solve.
+    whose row j is node s+j's step equation: m_s is step s's known mean,
+    M and U are the Q-part of _block_maps' step means and displacements,
+    and m0 and u0 their values at Q = 0. The system is solved reversed,
+    where it is upper triangular, so LAPACK's LU swaps no row and solves
+    by substitution in node order; with pivoting, a row swap mixes later
+    nodes into earlier ones and a fast-growing solution comes out wrong.
 
     A step whose denominator den is zero or lost in rounding raises
     StepFailureError naming it, and so does a non-finite q_n or right-hand
@@ -338,63 +336,42 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             "explicit stepping handles linear restoring only; use the implicit "
             "solver for nonlinear terms"
         )
-    N, h = problem.grid.N, problem.grid.h
     trace = _initial_trace(problem)
     q, ud, u, means = trace.uddot, trace.udot, trace.u, trace.udot_mean
-    orders = problem.time_only_orders
-    table = problem.node_table
-    trace.alpha_used[1:] = orders[1:]
-    V, U, M = _block_maps(h)
-    chunk_weights = _chunk_weights(h, min(_CHUNK, -(-N // _BLOCK)))
-    history = ExpSumHistory(N)
-
-    for first in range(0, N, _CHUNK * _BLOCK):
-        chunk = slice(first + 1, min(first + _CHUNK * _BLOCK, N) + 1)
-        weights, c_nn = chunk_weights(orders[chunk])
-        coeffs = table[chunk].T
-        _, den, size = linear_part(coeffs, (0.0, c_nn, None), 0.0, (0.0, 0.0, 0.0), h)
+    V, U, M = _block_maps(problem.grid.h)
+    for s, coeffs, c_s, C, far, den, size in _blocks(problem, means):
+        b = far.size
+        nodes = slice(s + 1, s + 1 + b)
+        a1, a2, a3, p = coeffs
+        x = np.array([q[s], ud[s], u[s]])
+        m_s = means[s - 1] if s else 0.0
+        u0 = U[:b, _BLOCK:] @ x
+        rhs = p - a2 * (far + c_s * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * u0
+        # the nodes before the block's first failing step, solved alone
         sound = abs(den) * _COND_LIMIT > size
-        factors = np.array(_far_factors(h, orders[chunk]))
-        for s, block in zip(range(first, N, _BLOCK), weights):
-            b = min(_BLOCK, N - s)
-            nodes = slice(s + 1, s + 1 + b)
-            at = slice(s - first, s - first + b)
-            a1, a2, a3, p = coeffs[:, at]
-            c_s, C = block[:b, 0], block[:b, 1 : b + 1]
-            x = np.array([q[s], ud[s], u[s]])
-            # the history holds steps 1 .. s-1; in the first block there is
-            # no step s, and its weight meets a zero mean
-            far = history.far_sums(orders[nodes], factors[:, at])
-            m_s = means[s - 1] if s else 0.0
-            u0 = U[:b, _BLOCK:] @ x
-            rhs = p - a2 * (far + c_s * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * u0
-            # the nodes before the block's first failing step, solved alone
-            good = sound[at] & np.isfinite(rhs)
-            k = b if good.all() else int(np.argmin(good))
-            A = C[:k, :k] @ M[:k, :k]
-            A *= a2[:k, None]
-            A += a3[:k, None] * U[:k, :k]
-            A.flat[:: k + 1] += a1[:k]
-            Q = np.linalg.solve(A[::-1, ::-1], rhs[:k][::-1])[::-1]
-            finite = np.isfinite(Q)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise _overflow(s + 1 + i, Q[i])
-            if k < b:
-                n = s - first + k
-                if not sound[n]:
-                    raise StepFailureError(
-                        f"step equation singular or ill-conditioned (denominator {den[n]:.3e} "
-                        f"against term sizes {size[n]:.3e})",
-                        step=s + 1 + k,
-                    )
-                raise _overflow(s + 1 + k, rhs[k] / den[n])
-            q[nodes] = Q
-            ud[nodes] = V[:b, :b] @ Q + V[:b, _BLOCK:] @ x
-            u[nodes] = U[:b, :b] @ Q + u0
-            means[s : s + b] = 0.5 * (ud[s : s + b] + ud[s + 1 : s + b + 1])
-            if s + b < N:  # to steps 1 .. s+b-1 for the next block
-                history.advance(means[max(s - 1, 0) : s + b - 1])
+        good = sound & np.isfinite(rhs)
+        k = b if good.all() else int(np.argmin(good))
+        A = C[:k, :k] @ M[:k, :k]
+        A *= a2[:k, None]
+        A += a3[:k, None] * U[:k, :k]
+        A.flat[:: k + 1] += a1[:k]
+        Q = np.linalg.solve(A[::-1, ::-1], rhs[:k][::-1])[::-1]
+        finite = np.isfinite(Q)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise _overflow(s + 1 + i, Q[i])
+        if k < b:
+            if not sound[k]:
+                raise StepFailureError(
+                    f"step equation singular or ill-conditioned (denominator {den[k]:.3e} "
+                    f"against term sizes {size[k]:.3e})",
+                    step=s + 1 + k,
+                )
+            raise _overflow(s + 1 + k, rhs[k] / den[k])
+        q[nodes] = Q
+        ud[nodes] = V[:b, :b] @ Q + V[:b, _BLOCK:] @ x
+        u[nodes] = U[:b, :b] @ Q + u0
+        means[s : s + b] = 0.5 * (ud[s : s + b] + ud[s + 1 : s + b + 1])
     return trace
 
 

@@ -4,24 +4,24 @@ Each step solves the step equation of explicit_solver (the governing
 equation at t_n with velocity and displacement written as affine functions
 of the new acceleration q_n), r0 + den q_n + f_nl(u_n, udot_n) = 0 with
 r0 and den from explicit_solver.linear_part, by a secant iteration with
-bisection fallback inside explicit_solver.march's time loop. It starts
-from march's quartic prediction of q_n through the five previous
-accelerations, O(h^5) from the root where the previous acceleration is
-O(h) away, and its first step is a Newton step with slope den: taken
-without an evaluation when the start already passes the tolerance, and
-evaluated otherwise. So a linear problem with a time-only order takes at
-most two residual evaluations a step. The weights, and with them r0 and
-den, depend on the kind of order:
+bisection fallback. It starts from explicit_solver._start's quartic
+prediction of q_n through the five previous accelerations, O(h^5) from
+the root where the previous acceleration is O(h) away, and its first step
+is a Newton step with slope den: taken without an evaluation when the
+start already passes the tolerance, and evaluated otherwise. So a linear
+problem with a time-only order takes at most two residual evaluations a
+step. The weights, and with them r0 and den, depend on the kind of order:
 
-- a state-dependent order is re-read at every trial state, so the weights
-  track the state exactly rather than being frozen at the previous step.
-  The history is order-free (vo_core.ExpSumHistory), so a new trial order
-  costs its two near weights in scalar math (vo_core.near_weights), one
-  exp over the modes and one dot (ExpSumHistory.far_sum);
-- a time-only order is known before its step, so each step takes the
-  weights march builds for it, as the explicit stepper does, and its load,
-  r0 and den once; the root solve evaluates neither the order nor any
-  weight.
+- a state-dependent order is re-read at every trial state, in the time
+  loop explicit_solver.march, so the weights track the state exactly
+  rather than being frozen at the previous step. The history is
+  order-free (vo_core.ExpSumHistory), so a new trial order costs its two
+  near weights in scalar math (vo_core.near_weights), one exp over the
+  modes and one dot (ExpSumHistory.far_sum);
+- a time-only order is known before its step, so the steps walk the
+  explicit stepper's blocks (explicit_solver._blocks): each node takes
+  its weights and far sum from its block's, and its load, r0 and den
+  once; the root solve evaluates neither the order nor any weight.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import StepFailureError
-from .explicit_solver import linear_part, load_term, march, state_from_q
+from .explicit_solver import (
+    _blocks, _initial_trace, _start, linear_part, load_term, march, state_from_q
+)
 from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
 from .vo_core import near_weights
 
@@ -61,11 +63,14 @@ def solve_step_nonlinear(
     The order is read at each trial state, and its weights, load and
     linear part are rebuilt whenever it moves by _ALPHA_CACHE_TOL or more.
     hist, coeffs and start are as march hands them; the root solve is
-    _root_solve's.
+    _root_solve's. A history that does not hold the means of steps
+    1 .. n-2 raises IndexError.
     """
     h = problem.grid.h
     tn = n * h
-    history = hist[1]
+    udot, history = hist
+    if history.size != max(n - 2, 0):
+        raise IndexError(f"node {n} needs the means of {max(n - 2, 0)} steps, got {history.size}")
     # order, r0 and den of the last order seen
     cached = (math.nan, 0.0, 0.0)
 
@@ -75,7 +80,7 @@ def solve_step_nonlinear(
         if not abs(a_star - cached[0]) < _ALPHA_CACHE_TOL:
             c_nm1, c_n = near_weights(h, a_star)
             weights = (c_nm1 if n >= 2 else 0.0, c_n, history.far_sum(h, a_star))
-            g = load_term(coeffs, n, weights, hist)
+            g = load_term(coeffs, n, weights, udot)
             r0, den, _ = linear_part(coeffs, weights, g, prev, h)
             cached = (a_star, r0, den)
         return cached
@@ -187,23 +192,53 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     the residual evaluation count of each step.
     """
     iters = np.zeros(problem.grid.N, dtype=int)
-    h = problem.grid.h
     if problem.alpha.kind is AlphaKind.TIME_ONLY:
-        def step(n, prev, coeffs, node, hist, start):
-            weights, alpha = node
-            g = load_term(coeffs, n, weights, hist)
-            r0, den, _ = linear_part(coeffs, weights, g, prev, h)
-            fixed = (alpha, r0, den)
-            state, a_star, iters[n - 1] = _root_solve(
-                n, problem, prev, coeffs, lambda q, udot_n, u_n: fixed, start
-            )
-            return state, a_star
-
+        trace = _solve_time_only(problem, iters)
     else:
-        def step(n, prev, coeffs, node, hist, start):
+        def step(n, prev, coeffs, hist, start):
             state, a_star, iters[n - 1] = solve_step_nonlinear(
                 n, problem, prev, hist, coeffs, start
             )
             return state, a_star
 
-    return replace(march(problem, step), iterations=iters)
+        trace = march(problem, step)
+    return replace(trace, iterations=iters)
+
+
+def _solve_time_only(problem: OscillatorProblem, iters: np.ndarray) -> SolutionTrace:
+    """The root solve of a time-only order, node by node over explicit_solver._blocks.
+
+    Node n = s+1+j of a block takes its near weights from the block's C
+    (c_{n-1} from c_s at j = 0) and, as its known history sum over steps
+    1 .. n-2, the block's far sum, plus c_s m_s from j = 1 on, plus C[j]
+    dotted with the means of steps s+1 .. s+j-1 from j = 2 on; then its
+    load, r0 and den once. _root_solve, started from _start, evaluates
+    neither the order nor any weight. It is handed Python floats only: one
+    numpy scalar would make every later state one, slower and warning
+    where the state overflows.
+    """
+    h = problem.grid.h
+    trace = _initial_trace(problem)
+    q, ud, u, means = trace.uddot, trace.udot, trace.u, trace.udot_mean
+    prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
+    for s, coeffs, c_s, C, far, _, _ in _blocks(problem, means):
+        m_s = float(means[s - 1]) if s else 0.0
+        # the first node's step s is its near step c_{n-1}, not history
+        known = (far + c_s * m_s).tolist()
+        known[0] = float(far[0])
+        c_n = C.diagonal().tolist()
+        c_nm1 = [float(c_s[0]) if s else 0.0] + C.diagonal(-1).tolist()
+        for j, coeffs_n in enumerate(coeffs.T.tolist()):
+            n, k = s + 1 + j, max(j - 1, 0)
+            weights = (c_nm1[j], c_n[j], known[j] + float(C[j, :k].dot(means[s : s + k])))
+            g = load_term(coeffs_n, n, weights, ud)
+            r0, den, _ = linear_part(coeffs_n, weights, g, prev, h)
+            # the order is already the trace's; the root solve only hands it back
+            fixed = (None, r0, den)
+            udot_prev = prev[1]
+            prev, _, iters[n - 1] = _root_solve(
+                n, problem, prev, coeffs_n, lambda q_n, udot_n, u_n: fixed, _start(q, n)
+            )
+            q[n], ud[n], u[n] = prev
+            means[n - 1] = 0.5 * (udot_prev + prev[1])
+    return trace

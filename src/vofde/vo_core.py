@@ -12,13 +12,14 @@ coefficient_row), with Gamma taken from math. The steppers read the
 history online from an ExpSumHistory, an order-free sum of exponentials
 that one step mean at a time updates in O(L) work, with L about 200 modes,
 or a block of means at once (ExpSumHistory.advance). The rest they take
-in closed form: the implicit stepper the two latest weights of a node, as
-two-entry rows for a block of known orders or, one trial order at a time,
-in scalar math (near_weights), with the far sum of that order from one
-exp and one dot (ExpSumHistory.far_sum); the explicit stepper the weights
-of a block's own steps, from this module's log table and weight increments
-laid out in the block's lower triangle (_log_table, _increments), and the
-far sums of a block's nodes from one exp (ExpSumHistory.far_sums).
+in closed form. For a time-only order both take a block of nodes at once:
+the weights of the block's own steps, from this module's log table and
+weight increments laid out in the block's lower triangle (_log_table,
+_increments), and the far sums of its nodes from one exp
+(ExpSumHistory.far_sums). For a state-dependent order the implicit
+stepper takes, one trial order at a time, the two latest weights of a
+node in scalar math (near_weights) and the far sum of that order from one
+exp and one dot (ExpSumHistory.far_sum).
 history_sums gives every node's history sum at once by FFT convolution,
 for re-verification and vo_derivative_series, with the kernel interpolated
 in the order over the range of the orders given. The module needs numpy
@@ -271,9 +272,9 @@ class ExpSumHistory:
     means). push folds in one step mean in O(L), advance a block of them
     by one product with a table of decay powers. With size = n - 2 the
     known part of node n's history sum, sum_{r<=n-2} c_r^n m_r, is
-    far_sum(h, alpha_n), or the row of weights(h, orders) at alpha_n dotted
-    with state: the e^(-2 s_l) that takes G_l from node n-2 to node n is
-    folded into the weights, and so is
+    far_sum(h, alpha_n), the far weights w_l(alpha_n) dotted with state:
+    the e^(-2 s_l) that takes G_l from node n-2 to node n is folded into
+    the weights, and so is
     -f(alpha) (1-alpha) / Gamma(alpha) = h^(1-alpha) sin(pi alpha) / pi,
     so the weights need no Gamma. far_sums gives the known parts of a block
     of nodes from one size, the steps after it left out.
@@ -327,9 +328,9 @@ class ExpSumHistory:
         factors is _far_factors(h, orders), the pair (scale, geometric) of
         each order's factors, which a caller that knows its orders in
         advance forms for many blocks at once and slices per block. Node
-        size+1+j takes the row of weights(h, orders) at its order times
-        decay^(j-1), dotted with the state: each mode of the state decays
-        j-1 steps more on the way to the later node. Only steps 1 .. size
+        size+1+j takes the far weights at its order times decay^(j-1),
+        dotted with the state: each mode of the state decays j-1 steps more
+        on the way to the later node. Only steps 1 .. size
         are in the sums; steps size+1 .. n are the caller's.
         The rows are not formed: the sum at alpha_n is scale times
         sum_l e^(alpha_n y_l - (j-1) s_l) S_l, with S the state times the
@@ -359,34 +360,14 @@ class ExpSumHistory:
             self._powers = np.vstack((self._powers, more))
         return self._powers
 
-    def weights(self, h: float, orders: np.ndarray) -> np.ndarray:
-        """Far weights, one row per order of a 1-d array.
-
-        Dotted with the state, the row at alpha_n gives the known history
-        sum of node n without its two near steps. The orders take one exp
-        for all of them, so a stepper that knows its orders in advance
-        builds their weights in blocks; each row equals the row of its order
-        alone, bit for bit. The exponents alpha y_l come from one product of
-        the pairs (alpha, 0) with the pairs (y_l, -s_l), as in far_sums: the
-        zero term is exact, so each is the one rounding of alpha y_l.
-        """
-        pairs = np.zeros((orders.size, 2))
-        pairs[:, 0] = orders
-        w = pairs @ self._modes
-        np.exp(w, out=w)
-        w *= self.factor
-        scale, geometric = _far_factors(h, orders)
-        w[:, -1] /= geometric
-        w *= scale[:, None]
-        return w
-
     def far_sum(self, h: float, alpha: float) -> float:
-        """The known history sum at one order: weights(h, [alpha])[0] @ state.
+        """sum_{r<=size} c_r^n m_r for the one node n = size+2 at order alpha.
 
-        Taken as scale (e^(alpha y) @ S) with the constant mode's entry of
-        e^(alpha y) divided by its geometric factor, where S is the state
-        times the order-free factors, formed once per pushed mean. So a new
-        order costs one exp over the modes and one dot, and no weight row.
+        The first of far_sums, in scalar math: scale (e^(alpha y) @ S) with
+        the constant mode's entry of e^(alpha y) divided by its geometric
+        factor, where S is the state times the order-free factors, formed
+        once per pushed mean. So a new order costs one exp over the modes
+        and one dot, and no weight row.
         """
         e = self.y * alpha
         np.exp(e, out=e)

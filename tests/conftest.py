@@ -7,8 +7,7 @@ captures stdout during the tests themselves.
 
 import numpy as np
 
-from vofde.explicit_solver import _batch_weights
-from vofde.vo_core import ExpSumHistory
+from vofde.vo_core import ExpSumHistory, coefficient_row
 
 _acceptance_lines: list[str] = []
 
@@ -44,9 +43,15 @@ def history_of(endpoints, n_steps=None):
 
 
 def node_weights(n, h, alpha, hist):
-    """(c_{n-1}, c_n, far) of node n at one order, as march builds them for a one-node batch."""
-    (weights, _), = _batch_weights(h, np.array([float(alpha)]), n, hist[1])
-    return weights
+    """(c_{n-1}, c_n, far) of node n at one order, far from the history of hist.
+
+    The near pair is the row coefficient_row(2, h, alpha), with c_{n-1} = 0
+    at n = 1, and far the history's far_sum, the known history sum over the
+    steps it holds.
+    """
+    alpha = float(alpha)
+    c_nm1, c_n = coefficient_row(2, h, alpha).tolist()
+    return (c_nm1 if n >= 2 else 0.0, c_n, hist[1].far_sum(h, alpha))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -138,7 +138,7 @@ def solve_step(problem, n, weights, hist, prev, coeffs):
     stiffness = 0.25 * h * h * a3
     den = a1 + damping + stiffness
     size = abs(a1) + abs(damping) + abs(stiffness)
-    g = load_term(coeffs, n, weights, hist)
+    g = load_term(coeffs, n, weights, hist[0])
     trial = (0.0, *state_from_q(0.0, prev, h))
     residual = step_residual(problem, n, trial, weights, g, prev, coeffs)
     if not abs(den) * _COND_LIMIT > size:
@@ -197,7 +197,7 @@ def direct_solve(problem, implicit=False):
     alphas = None if implicit else problem.time_only_orders
     iters = np.zeros(problem.grid.N, dtype=int)
 
-    def step(n, prev, coeffs, _node, hist, start):
+    def step(n, prev, coeffs, hist, start):
         udot, m = hist[0], max(n - 2, 0)
         hist = (udot, DirectHistory(0.5 * (udot[:m] + udot[1 : m + 1])))
         if implicit:
@@ -205,7 +205,8 @@ def direct_solve(problem, implicit=False):
             return state, a
         a = float(alphas[n])
         row = coefficient_row(n, h, a)
-        weights = (float(row[-2]) if n >= 2 else 0.0, float(row[-1]), row[: n - 2])
+        far = float(row[: n - 2] @ hist[1].state)
+        weights = (float(row[-2]) if n >= 2 else 0.0, float(row[-1]), far)
         return solve_step(problem, n, weights, hist, prev, coeffs), a
 
     trace = march(problem, step)

@@ -35,6 +35,7 @@ from vofde.explicit_solver import (
     load_term,
     state_from_q,
 )
+from vofde.implicit_solver import solve_step_nonlinear
 from vofde.reference import scenario
 from vofde.vo_core import ExpSumHistory
 
@@ -101,7 +102,7 @@ class TestLoadTerm:
         prob = linear_problem(AlphaSpec.constant(0.5), p=lambda t: 7.0 + t)
         hist = history_of([prob.v0])
         weights = node_weights(1, prob.grid.h, 0.5, hist)
-        assert load_term(node_coeffs(prob, 1), 1, weights, hist) == pytest.approx(7.0 + prob.grid.h)
+        assert load_term(node_coeffs(prob, 1), 1, weights, hist[0]) == pytest.approx(7.0 + prob.grid.h)
 
     def test_history_split_matches_direct_sum(self):
         # g_n must equal p_n - a2 * (full history sum minus the two terms
@@ -117,15 +118,16 @@ class TestLoadTerm:
         full = float(row[: n] @ means[: n])
         kept = 0.5 * row[n - 1] * (vels[n - 1] + vels[n])
         kept += 0.5 * row[n - 2] * vels[n - 1]
-        g = load_term(node_coeffs(prob, n), n, node_weights(n, h, 0.4, hist), hist)
+        g = load_term(node_coeffs(prob, n), n, node_weights(n, h, 0.4, hist), hist[0])
         assert g == pytest.approx(0.0 - 2.5 * (full - kept), abs=1e-12)
 
     def test_history_too_short(self):
-        prob = linear_problem(AlphaSpec.constant(0.5))
+        # the load's known history must cover steps 1 .. n-2; the step that
+        # reads it from a history, the state-dependent one, checks its length
+        prob = linear_problem(AlphaSpec.of_state(lambda t, u, udot: 0.5))
         hist = history_of(np.ones(3))
-        weights = node_weights(5, prob.grid.h, 0.5, hist)
         with pytest.raises(IndexError):
-            load_term(node_coeffs(prob, 5), 5, weights, hist)
+            solve_step_nonlinear(5, prob, StepState(1.0, 1.0, 1.0), hist, node_coeffs(prob, 5), 1.0)
 
 
 class TestLinearPart:
@@ -168,7 +170,7 @@ def dense_step(prob, n, weights, hist, prev):
     """Solution of the 3x3 step system L x = R x_prev + g e1 by LAPACK."""
     left, right = step_matrices(prob, n, near_row(n, weights))
     rhs = right @ np.array(prev)
-    rhs[0] += load_term(node_coeffs(prob, n), n, weights, hist)
+    rhs[0] += load_term(node_coeffs(prob, n), n, weights, hist[0])
     return np.linalg.solve(left, rhs)
 
 
@@ -257,7 +259,7 @@ class TestSolveStep:
         prev = StepState(-25.0, 10.0, 1.0)
         state = solve_step(prob, 1, weights, hist, prev, node_coeffs(prob, 1))
         left, right = step_matrices(prob, 1, row)
-        g = load_term(node_coeffs(prob, 1), 1, weights, hist)
+        g = load_term(node_coeffs(prob, 1), 1, weights, hist[0])
         rhs = right @ np.array(prev)
         rhs[0] += g
         res = left @ np.array(state) - rhs
@@ -381,6 +383,19 @@ class TestSolveStep:
                 else:
                     trace = solve_explicit(prob)
                     assert np.all(np.isfinite(trace.uddot)) and trace.uddot[k] != 0.0
+
+
+def assert_nan_load_fails_at(prob, k):
+    """Both solvers stop at step k, each with its own message."""
+    with pytest.raises(StepFailureError) as err:
+        solve_explicit(prob)
+    assert err.value.step == k
+    assert str(err.value).startswith(f"acceleration nan in step {k}:")
+    with pytest.raises(StepFailureError) as err:
+        solve_implicit(prob)
+    assert err.value.step == k
+    assert str(err.value).startswith("residual nan at trial q ")
+    assert str(err.value).endswith(f" in step {k}")
 
 
 class TestSolve:
@@ -534,12 +549,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("k", BLOCK_EDGE_STEPS)
     def test_nan_load_names_its_step(self, k):
-        # p is nan from step k on; the nodes of k's block before it are solved
+        # p is nan from step k on; the nodes of k's block before it are
+        # solved. The implicit solver walks the same blocks node by node
         prob = linear_problem(AlphaSpec.constant(0.5), p=switch_at(k, 0.01, 0.0, math.nan), T=1.5)
-        with pytest.raises(StepFailureError) as err:
-            solve_explicit(prob)
-        assert err.value.step == k
-        assert str(err.value).startswith(f"acceleration nan in step {k}:")
+        assert_nan_load_fails_at(prob, k)
 
     def test_nan_load_at_the_first_step_of_a_chunk_names_it(self):
         # the second chunk starts at step _CHUNK _BLOCK + 1: its weights and
@@ -547,10 +560,7 @@ class TestSolve:
         k = _CHUNK * _BLOCK + 1
         prob = linear_problem(AlphaSpec.constant(0.5), p=switch_at(k, 0.01, 0.0, math.nan), T=6.0)
         assert prob.grid.N > k
-        with pytest.raises(StepFailureError) as err:
-            solve_explicit(prob)
-        assert err.value.step == k
-        assert str(err.value).startswith(f"acceleration nan in step {k}:")
+        assert_nan_load_fails_at(prob, k)
 
     @pytest.mark.parametrize(
         "k, named",

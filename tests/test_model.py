@@ -134,7 +134,8 @@ class TestNodeData:
         stability_report_along_trace(prob, trace)
         discrete_residuals(prob, trace)
         assert [calls[name] for name in ("a1", "a2", "a3", "p")] == [N + 1] * 4
-        # a time-only order as well: march reads node 0 from time_only_orders
+        # a time-only order as well: the trace takes every node, node 0 too,
+        # from time_only_orders
         assert calls["alpha"] == N + 1
 
     def test_cached_arrays_are_read_only(self):

@@ -33,22 +33,13 @@ def exact_d(k, alpha):
 def test_kernel_matches_d_k_to_round_off(alpha, N, place):
     k = 3 + round(place * (N - 3))
     history = ExpSumHistory(N)
-    # at h = 1 the weights are d's modes times 1/Gamma(2 - alpha); the
-    # state carries the e^(-s (k-3)) of k - 3 steps back
-    modes = history.weights(1.0, np.array([alpha]))[0]
-    modes[:-1] *= np.exp(-np.exp(history.y[:-1]) * (k - 3))
-    d = float(np.sum(modes)) * math.gamma(2.0 - alpha)
+    # one unit mean k - 3 steps back: each mode of the state has decayed by
+    # e^(-s (k-3)), and at h = 1 the far sum is d_k / Gamma(2 - alpha)
+    history.push(1.0)
+    history.state[:-1] = np.exp(-np.exp(history.y[:-1]) * (k - 3))
+    d = history.far_sum(1.0, alpha) * math.gamma(2.0 - alpha)
     exact = exact_d(k, alpha)
     assert abs(d - float(exact)) <= 1e-14 * float(exact)
-
-
-def test_block_rows_equal_single_order_weights():
-    history = ExpSumHistory(5000)
-    alphas = np.concatenate(([1e-12, 0.5, 1.0 - 1e-12], np.linspace(0.01, 0.99, 61)))
-    block = history.weights(1e-3, alphas)
-    assert block.shape == (alphas.size, history.y.size)
-    for row, alpha in zip(block, alphas.tolist()):
-        assert np.array_equal(row, history.weights(1e-3, np.array([alpha]))[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -57,17 +48,21 @@ def test_block_rows_equal_single_order_weights():
 ))
 @example(1e-12, 0.01, [1.0, -2.0, 3.0])
 @example(1.0 - 1e-12, 0.01, [1.0, -2.0, 3.0])
-def test_far_sum_equals_the_weights_dotted_with_the_state(alpha, h, means):
-    # the implicit stepper's one exp and one dot against the block weights,
-    # relative to the sum of the terms' sizes: far_sum takes its factors
-    # from _far_factors' scalar branch, weights from its array branch, and
-    # this bound of 4.5 ulps keeps the two one formula
+def test_far_sum_equals_far_sums_at_one_node(alpha, h, means):
+    # the implicit stepper's one exp and one dot against the first node of
+    # a block, relative to the sum of the terms' sizes: far_sum takes its
+    # factors from _far_factors' scalar branch, far_sums from its array
+    # branch, and this bound of 4.5 ulps keeps the two one formula
     history = ExpSumHistory(max(len(means), 3))
     for mean in means:
         history.push(mean)
-    weights = history.weights(h, np.array([alpha]))[0]
-    gap = abs(history.far_sum(h, alpha) - float(weights @ history.state))
-    assert gap <= 1e-15 * float(np.abs(weights) @ np.abs(history.state))
+    block = np.array([alpha])
+    gap = abs(history.far_sum(h, alpha) - float(history.far_sums(block, _far_factors(h, block))[0]))
+    # the far weights, all positive, as the class docstring writes them
+    scale, geometric = _far_factors(h, alpha)
+    weights = np.exp(alpha * history.y) * history.factor * scale
+    weights[-1] /= geometric
+    assert gap <= 1e-15 * float(weights @ np.abs(history.state))
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,16 +78,14 @@ def test_online_state_matches_direct_rows(data, h):
     means, alphas = (np.array(x) for x in data)
     N = means.size
     history = ExpSumHistory(N)
-    online, far, direct, scale = [], [], [], 1.0
+    far, direct, scale = [], [], 1.0
     for n in range(3, N + 1):
         history.push(means[n - 3])
-        online.append(float(history.weights(h, alphas[n - 1 : n])[0] @ history.state))
         far.append(history.far_sum(h, float(alphas[n - 1])))
         row = coefficient_row(n, h, float(alphas[n - 1]))[: n - 2]
         direct.append(float(row @ means[: n - 2]))
         scale = max(scale, float(np.abs(row) @ np.abs(means[: n - 2])))
-    for sums in (online, far):
-        assert np.max(np.abs(np.subtract(sums, direct)), initial=0.0) <= 1e-13 * scale
+    assert np.max(np.abs(np.subtract(far, direct)), initial=0.0) <= 1e-13 * scale
 
 
 @settings(max_examples=60, deadline=None)
