@@ -10,26 +10,23 @@ with every coefficient at t_n and c_{n-1}, c_n the two near weights of
 node n (c_{n-1} = 0 at n = 1). The average-acceleration relations make
 udot_n and u_n affine in the new acceleration q_n (state_from_q), so
 without f_nl the equation is r0 + den q_n = 0, and linear_part gives its
-value r0 at q_n = 0 and its slope den: the one form of the step equation
-both steppers use. Every coefficient comes from the problem's read-only
-node_table (evaluated once per problem, the only check on a1), and the
-known history from a vo_core.ExpSumHistory in O(L) for L ~ 200
-exponential modes, so a solve costs O(N L), not the O(N^2) of one weight
-row per node.
+value r0 at q_n = 0 and its slope den at one node. Every coefficient
+comes from the problem's read-only node_table (evaluated and checked once
+per problem), and the known history from a vo_core.ExpSumHistory in O(L)
+for L ~ 200 exponential modes, so a solve costs O(N L), not the O(N^2) of
+one weight row per node.
 
 A time-only order is known before the solve, so its steps are walked a
-block of _BLOCK nodes at a time (_blocks): what does not depend on the
-state, the weights of each block's own steps as the lower triangle they
-form, each node's den and guard, and the factors of each node's far sum
-at its order, is built for a chunk of _CHUNK blocks at once, and the far
+block of _BLOCK nodes at a time, and the step equations of a block,
+coupled only through earlier nodes, are formed in one place (_blocks) as
+one lower-triangular system A Q = rhs in the block's accelerations Q,
+with the velocities, displacements and step means written as maps of Q
+and of the state before the block (_block_maps). What does not depend on
+the state is built a chunk of _CHUNK blocks at a time, and the far
 history of a block's nodes comes from one product with the history's
-state, which advances once per block. The step equations of a block
-couple only through earlier nodes, so for a linear problem solve takes
-the block's accelerations from one lower-triangular system: the same
-equations, with the velocities, displacements and step means written as
-maps of the block's accelerations (state_from_q on unit vectors). No
-Python runs per node. implicit_solver walks the same blocks node by node,
-with one root solve per node.
+state, which advances once per block. solve takes a linear problem's Q
+from one LU of the system, with no Python per node; implicit_solver
+root-solves its rows node by node.
 
 For a state-dependent order, implicit_solver root-solves
 r0 + den q_n + f_nl = 0 in the time loop march, node by node: the state
@@ -207,17 +204,25 @@ def _block_maps(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     z holds the accelerations Q of the _BLOCK nodes s+1 .. s+_BLOCK, then
     the state (q_s, udot_s, u_s) at node s; row j-1 of V and U gives node
-    s+j's value, and row j-1 of M the mean velocity of step s+j. They are
-    built by state_from_q on unit vectors, so the update relations stay
-    written there alone. Each map is lower triangular in Q.
+    s+j's value, and row j-1 of M the mean velocity of step s+j. They walk
+    state_from_q, where alone the update relations are written, in floats
+    from four unit starts: q_{s+1} = 1, whose values at lag j - i fill the
+    lower triangular Toeplitz Q-part, and q_s, udot_s and u_s = 1 in turn,
+    with zero accelerations, for the last three columns.
     """
-    eye = np.eye(_BLOCK + 3)
-    V, U = np.empty((2, _BLOCK, _BLOCK + 3))
-    prev = eye[_BLOCK:]
-    for j in range(_BLOCK):
-        V[j], U[j] = state_from_q(eye[j], prev, h)
-        prev = (eye[j], V[j], U[j])
-    return V, U, 0.5 * (np.vstack((eye[_BLOCK + 1], V[:-1])) + V)
+    walks = []
+    for q_n, *prev in np.eye(4).tolist():  # q_{s+1}, then the state at node s
+        for _ in range(_BLOCK):
+            udot_n, u_n = state_from_q(q_n, prev, h)
+            walks += udot_n, u_n
+            prev, q_n = (q_n, udot_n, u_n), 0.0
+    walks = np.array(walks).reshape(4, _BLOCK, 2).transpose(2, 0, 1)  # (udot, u), walk, node
+    lagged = np.zeros((2, 2 * _BLOCK - 1))  # the first walk at lags 1 - _BLOCK .. _BLOCK - 1
+    lagged[:, _BLOCK - 1 :] = walks[:, 0]
+    V, U = maps = np.empty((2, _BLOCK, _BLOCK + 3))
+    maps[:, :, :_BLOCK] = np.lib.stride_tricks.sliding_window_view(lagged, _BLOCK, 1)[..., ::-1]
+    maps[:, :, _BLOCK:] = walks[:, 1:].transpose(0, 2, 1)
+    return V, U, 0.5 * (np.vstack((np.eye(1, _BLOCK + 3, _BLOCK + 1), V[:-1])) + V)
 
 
 def _chunk_weights(h: float, blocks: int):
@@ -266,26 +271,30 @@ def _chunk_weights(h: float, blocks: int):
     return weights
 
 
-def _blocks(problem: OscillatorProblem, means: np.ndarray):
-    """The state-free data of each block of _BLOCK nodes of a time-only order, in node order.
+def _blocks(problem: OscillatorProblem, trace: SolutionTrace, V, U, M):
+    """The step system of each block of _BLOCK nodes of a time-only order, in node order.
 
-    Yields (s, coeffs, c_s, C, far, den, size) for the block of nodes
-    s+1 .. s+b: coeffs the b columns (a1, a2, a3, p) of its nodes from the
-    problem's node_table; C the b x b weights of the block's own steps,
-    entry (j-1, i-1) = c_{s+i}^{s+j} at node s+j's order and 0 past i = j;
-    c_s the weights c_s^{s+j} of step s (met by a zero mean in the first
-    block, s = 0); far the known history sums of the nodes over steps
-    1 .. s-1; and den and size each node's step-equation slope and the
-    scale of its terms (linear_part). All but far come a chunk of _CHUNK
-    blocks at a time (_chunk_weights), and so do the far sums' factors at
-    each node's order (_far_factors). Before asking for the next block,
-    the consumer writes the block's step means m_{s+1} .. m_{s+b} into
-    means[s : s+b]; the history then advances by steps s .. s+b-1, in one
-    product (ExpSumHistory.advance).
+    Yields (s, coeffs, A, rhs, den, size, at_zero) for the block of nodes
+    s+1 .. s+b, whose accelerations Q solve the lower-triangular system
+    A Q = rhs, row j node s+1+j's step equation without f_nl:
+
+        A = diag a1 + diag a2 C M + diag a3 U,  rhs = p - a2 (far + c_s m_s + C m0) - a3 u0.
+
+    coeffs are the nodes' (a1, a2, a3, p) from the node_table; C the
+    weights of the block's own steps, entry (j-1, i-1) = c_{s+i}^{s+j} at
+    node s+j's order, and c_s those of step s, whose mean m_s is 0 at s = 0;
+    far the known history sums over steps 1 .. s-1; M and U in A the Q-parts
+    of _block_maps' V, U and M; at_zero the velocities and displacements
+    (udot0, u0) at Q = 0, and m0 the step means, from the state at node s; den
+    and size each node's slope and term scale (linear_part). The weights,
+    den, size and far-sum factors come a chunk of _CHUNK blocks at a time.
+    Once the consumer has written the block's state and means into the
+    trace, the history advances by steps s .. s+b-1 in one product.
     """
     N, h = problem.grid.N, problem.grid.h
     orders = problem.time_only_orders
     table = problem.node_table
+    q, ud, u, means = trace.uddot, trace.udot, trace.u, trace.udot_mean
     chunk_weights = _chunk_weights(h, min(_CHUNK, -(-N // _BLOCK)))
     history = ExpSumHistory(N)
     for first in range(0, N, _CHUNK * _BLOCK):
@@ -298,7 +307,17 @@ def _blocks(problem: OscillatorProblem, means: np.ndarray):
             b = min(_BLOCK, N - s)
             at = slice(s - first, s - first + b)
             far = history.far_sums(orders[s + 1 : s + 1 + b], factors[:, at])
-            yield s, coeffs[:, at], block[:b, 0], block[:b, 1 : b + 1], far, den[at], size[at]
+            a1, a2, a3, p = rows = coeffs[:, at]
+            C = block[:b, 1 : b + 1]
+            x = np.array([q[s], ud[s], u[s]])
+            m_s = means[s - 1] if s else 0.0
+            u0 = U[:b, _BLOCK:] @ x
+            rhs = p - a2 * (far + block[:b, 0] * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * u0
+            A = C @ M[:b, :b]
+            A *= a2[:, None]
+            A += a3[:, None] * U[:b, :b]
+            A.flat[:: b + 1] += a1
+            yield s, rows, A, rhs, den[at], size[at], (V[:b, _BLOCK:] @ x, u0)
             if s + b < N:  # to steps 1 .. s+b-1 for the next block
                 history.advance(means[max(s - 1, 0) : s + b - 1])
 
@@ -306,19 +325,12 @@ def _blocks(problem: OscillatorProblem, means: np.ndarray):
 def solve(problem: OscillatorProblem) -> SolutionTrace:
     """Integrate the problem over its whole grid, a block of _BLOCK nodes at a time.
 
-    Only linear problems with a TIME_ONLY order are accepted. The
-    accelerations Q of the nodes s+1 .. s+b of a block from _blocks solve
-    the b x b lower-triangular system
-
-        (diag a1 + diag a2 C M + diag a3 U) Q
-            = p - a2 (far + c_s m_s + C m0) - a3 u0,
-
-    whose row j is node s+j's step equation: m_s is step s's known mean,
-    M and U are the Q-part of _block_maps' step means and displacements,
-    and m0 and u0 their values at Q = 0. The system is solved reversed,
-    where it is upper triangular, so LAPACK's LU swaps no row and solves
-    by substitution in node order; with pivoting, a row swap mixes later
-    nodes into earlier ones and a fast-growing solution comes out wrong.
+    Only linear problems with a TIME_ONLY order are accepted. Each block's
+    system A Q = rhs from _blocks is solved reversed, where it is upper
+    triangular, so LAPACK's LU swaps no row and solves by substitution in
+    node order (with pivoting, a row swap mixes later nodes into earlier
+    ones and a fast-growing solution comes out wrong); u' and u follow
+    from Q by _block_maps' V and U, built once per solve.
 
     A step whose denominator den is zero or lost in rounding raises
     StepFailureError naming it, and so does a non-finite q_n or right-hand
@@ -339,23 +351,14 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     trace = _initial_trace(problem)
     q, ud, u, means = trace.uddot, trace.udot, trace.u, trace.udot_mean
     V, U, M = _block_maps(problem.grid.h)
-    for s, coeffs, c_s, C, far, den, size in _blocks(problem, means):
-        b = far.size
+    for s, _, A, rhs, den, size, (ud0, u0) in _blocks(problem, trace, V, U, M):
+        b = rhs.size
         nodes = slice(s + 1, s + 1 + b)
-        a1, a2, a3, p = coeffs
-        x = np.array([q[s], ud[s], u[s]])
-        m_s = means[s - 1] if s else 0.0
-        u0 = U[:b, _BLOCK:] @ x
-        rhs = p - a2 * (far + c_s * m_s + C @ (M[:b, _BLOCK:] @ x)) - a3 * u0
         # the nodes before the block's first failing step, solved alone
         sound = abs(den) * _COND_LIMIT > size
         good = sound & np.isfinite(rhs)
         k = b if good.all() else int(np.argmin(good))
-        A = C[:k, :k] @ M[:k, :k]
-        A *= a2[:k, None]
-        A += a3[:k, None] * U[:k, :k]
-        A.flat[:: k + 1] += a1[:k]
-        Q = np.linalg.solve(A[::-1, ::-1], rhs[:k][::-1])[::-1]
+        Q = np.linalg.solve(A[:k, :k][::-1, ::-1], rhs[:k][::-1])[::-1]
         finite = np.isfinite(Q)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -369,7 +372,7 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
                 )
             raise _overflow(s + 1 + k, rhs[k] / den[k])
         q[nodes] = Q
-        ud[nodes] = V[:b, :b] @ Q + V[:b, _BLOCK:] @ x
+        ud[nodes] = V[:b, :b] @ Q + ud0
         u[nodes] = U[:b, :b] @ Q + u0
         means[s : s + b] = 0.5 * (ud[s : s + b] + ud[s + 1 : s + b + 1])
     return trace

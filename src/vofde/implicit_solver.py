@@ -2,26 +2,26 @@
 
 Each step solves the step equation of explicit_solver (the governing
 equation at t_n with velocity and displacement written as affine functions
-of the new acceleration q_n), r0 + den q_n + f_nl(u_n, udot_n) = 0 with
-r0 and den from explicit_solver.linear_part, by a secant iteration with
-bisection fallback. It starts from explicit_solver._start's quartic
-prediction of q_n through the five previous accelerations, O(h^5) from
-the root where the previous acceleration is O(h) away, and its first step
-is a Newton step with slope den: taken without an evaluation when the
-start already passes the tolerance, and evaluated otherwise. So a linear
-problem with a time-only order takes at most two residual evaluations a
-step. The weights, and with them r0 and den, depend on the kind of order:
+of the new acceleration q_n), r0 + den q_n + f_nl(u_n, udot_n) = 0, by a
+secant iteration with bisection fallback. It starts from
+explicit_solver._start's quartic prediction of q_n through the five
+previous accelerations, O(h^5) from the root where the previous
+acceleration is O(h) away, and its first step is a Newton step with slope
+den: taken without an evaluation when the start already passes the
+tolerance, and evaluated otherwise. So a linear problem with a time-only
+order takes at most two residual evaluations a step. r0 and den depend on
+the kind of order:
 
 - a state-dependent order is re-read at every trial state, in the time
   loop explicit_solver.march, so the weights track the state exactly
   rather than being frozen at the previous step. The history is
   order-free (vo_core.ExpSumHistory), so a new trial order costs its two
   near weights in scalar math (vo_core.near_weights), one exp over the
-  modes and one dot (ExpSumHistory.far_sum);
-- a time-only order is known before its step, so the steps walk the
-  explicit stepper's blocks (explicit_solver._blocks): each node takes
-  its weights and far sum from its block's, and its load, r0 and den
-  once; the root solve evaluates neither the order nor any weight.
+  modes and one dot (ExpSumHistory.far_sum), and explicit_solver's
+  load_term and linear_part;
+- a time-only order is known before its step, so node s+1+j reads r0 and
+  den from row j of its block's system A Q = rhs (explicit_solver._blocks);
+  the root solve evaluates neither the order nor any weight.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import StepFailureError
 from .explicit_solver import (
-    _blocks, _initial_trace, _start, linear_part, load_term, march, state_from_q
+    _block_maps, _blocks, _initial_trace, _start, linear_part, load_term, march, state_from_q
 )
 from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
 from .vo_core import near_weights
@@ -92,7 +92,7 @@ def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, wei
     """Root of node n's step residual in q_n; (new state, order used, evaluations).
 
     weigh(q, udot_n, u_n) gives the (order, r0, den) of a trial state, r0
-    and den from linear_part, and the residual is r0 + den q +
+    and den the step equation's linear part, and the residual is r0 + den q +
     f_nl(u_n, udot_n). The iteration starts from start, march's
     predicted q_n, or from the previous acceleration if start is not
     finite, and takes one Newton step from it with the start's den. If
@@ -208,37 +208,29 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
 def _solve_time_only(problem: OscillatorProblem, iters: np.ndarray) -> SolutionTrace:
     """The root solve of a time-only order, node by node over explicit_solver._blocks.
 
-    Node n = s+1+j of a block takes its near weights from the block's C
-    (c_{n-1} from c_s at j = 0) and, as its known history sum over steps
-    1 .. n-2, the block's far sum, plus c_s m_s from j = 1 on, plus C[j]
-    dotted with the means of steps s+1 .. s+j-1 from j = 2 on; then its
-    load, r0 and den once. _root_solve, started from _start, evaluates
-    neither the order nor any weight. It is handed Python floats only: one
-    numpy scalar would make every later state one, slower and warning
-    where the state overflows.
+    Once the nodes of a block before n = s+1+j are solved, row j of its
+    system A Q = rhs is node n's linear part, r0 = A[j, :j] . q[s+1 .. s+j]
+    - rhs[j] and den = A[j, j]. _root_solve, started from _start, is handed
+    Python floats only: one numpy scalar would make every later state one,
+    slower and warning where the state overflows.
     """
-    h = problem.grid.h
     trace = _initial_trace(problem)
     q, ud, u, means = trace.uddot, trace.udot, trace.u, trace.udot_mean
     prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
-    for s, coeffs, c_s, C, far, _, _ in _blocks(problem, means):
-        m_s = float(means[s - 1]) if s else 0.0
-        # the first node's step s is its near step c_{n-1}, not history
-        known = (far + c_s * m_s).tolist()
-        known[0] = float(far[0])
-        c_n = C.diagonal().tolist()
-        c_nm1 = [float(c_s[0]) if s else 0.0] + C.diagonal(-1).tolist()
-        for j, coeffs_n in enumerate(coeffs.T.tolist()):
-            n, k = s + 1 + j, max(j - 1, 0)
-            weights = (c_nm1[j], c_n[j], known[j] + float(C[j, :k].dot(means[s : s + k])))
-            g = load_term(coeffs_n, n, weights, ud)
-            r0, den, _ = linear_part(coeffs_n, weights, g, prev, h)
-            # the order is already the trace's; the root solve only hands it back
-            fixed = (None, r0, den)
-            udot_prev = prev[1]
-            prev, _, iters[n - 1] = _root_solve(
-                n, problem, prev, coeffs_n, lambda q_n, udot_n, u_n: fixed, _start(q, n)
-            )
-            q[n], ud[n], u[n] = prev
-            means[n - 1] = 0.5 * (udot_prev + prev[1])
+    for s, coeffs, A, rhs, _, _, _ in _blocks(problem, trace, *_block_maps(problem.grid.h)):
+        dens, rhs = A.diagonal().tolist(), rhs.tolist()
+        # a row product overflows where the state does, and the root solve
+        # reports the non-finite residual; one scope a block (one a node
+        # costs 1 us) also silences f_nl's overflow warnings
+        with np.errstate(over="ignore"):
+            for j, coeffs_n in enumerate(coeffs.T.tolist()):
+                n = s + 1 + j
+                # the order is already the trace's; the root solve only hands it back
+                fixed = (None, float(A[j, :j].dot(q[s + 1 : n])) - rhs[j], dens[j])
+                udot_prev = prev[1]
+                prev, _, iters[n - 1] = _root_solve(
+                    n, problem, prev, coeffs_n, lambda q_n, udot_n, u_n: fixed, _start(q, n)
+                )
+                q[n], ud[n], u[n] = prev
+                means[n - 1] = 0.5 * (udot_prev + prev[1])
     return trace

@@ -8,7 +8,7 @@ with initial displacement u0 and velocity v0, where D^alpha is the
 variable-order history derivative from vo_core. The problem evaluates its
 data at the grid nodes once, into two read-only cached properties that the
 steppers, the stability sweep and discrete_residuals share: node_table,
-the rows (a1, a2, a3, p) and the one a1 check, and time_only_orders. So
+the rows (a1, a2, a3, p) and their one check, and time_only_orders. So
 the user's functions must be pure, and one that raises does so before the
 first step. discrete_residuals re-verifies a finished trace, with its
 history sums from vo_core.history_sums rather than from weight rows.
@@ -129,20 +129,24 @@ class OscillatorProblem:
     def node_table(self) -> np.ndarray:
         """a1, a2, a3 and p at every node t_n = n h, as the rows of a read-only (N+1, 4) array.
 
-        Fails at the first node whose a1 is not finite, zero, or of the other
-        sign to a1(0): a stepper run through a zero of a1 goes on without
-        complaint while its solution grows without bound. The error's step
-        is that node, or None when a1(0) itself is bad.
+        Fails at the first node, node 0 included, whose a1 is not finite,
+        zero, or of the other sign to a1(0), or whose a2 or a3 is not finite:
+        a stepper run through a zero of a1 goes on while its solution grows
+        without bound, and an infinite a2 or a3 meets a zero in a step's
+        sums, at node 0 in discrete_residuals'. The error's step is that
+        node, or None at node 0.
         """
         table = _evaluate((self.a1, self.a2, self.a3, self.p), self.grid.times())
         a1 = table[:, 0]
-        bad = ~(np.isfinite(a1) & (a1 != 0.0) & ((a1 > 0.0) == (a1[0] > 0.0)))
-        if bad.any():
-            n = int(np.argmax(bad))
+        ok = np.isfinite(table[:, :3])
+        ok[:, 0] &= (a1 != 0.0) & ((a1 > 0.0) == (a1[0] > 0.0))
+        if not ok.all():
+            n, j = np.argwhere(~ok)[0].tolist()  # the first bad node and column
+            name = ("leading coefficient a1", "coefficient a2", "coefficient a3")[j]
+            sign = "" if j else f", nonzero and of the sign of a1(0) = {float(a1[0])!r}"
             raise DegenerateProblemError(
-                f"leading coefficient a1 = {float(a1[n])!r} at step {n} "
-                f"(t = {n * self.grid.h!r}) is not finite, nonzero and of the sign "
-                f"of a1(0) = {float(a1[0])!r}",
+                f"{name} = {float(table[n, j])!r} at step {n} (t = {n * self.grid.h!r}) "
+                f"is not finite{sign}",
                 step=n or None,
             )
         return table
@@ -225,7 +229,7 @@ def discrete_residuals(problem: OscillatorProblem, trace: SolutionTrace) -> np.n
     (0, 1) raises OrderDomainError naming its node; a non-finite step mean
     makes the residuals nan from its node on. Each residual is scaled by
     max(1, |largest term|), so the result is a relative measure wherever
-    the equation has size. a1, a2, a3 and p come from node_table, a1 check
+    the equation has size. a1, a2, a3 and p come from node_table, its check
     included. A trace of another step count raises IndexError, and one
     whose times are not the grid's raises ValueError naming the first node
     off it: the history sums are built on the grid's h.

@@ -26,7 +26,9 @@ row stepper: that step and the implicit one in the package's time loop,
 with the known history read from full weight rows (DirectHistory) instead
 of the sum of exponentials, O(N^2) in all.
 node_residuals is discrete_residuals written as one loop over the nodes,
-the form the array version must match bit for bit.
+the form the array version must match bit for bit. block_maps_by_unit_vectors
+builds the explicit stepper's block maps by state_from_q on whole unit
+vectors, the form the package's walks must match bit for bit.
 """
 
 import math
@@ -38,7 +40,7 @@ from scipy.integrate import quad, solve_ivp
 
 from vofde import coefficient_row, history_sums
 from vofde.errors import OrderDomainError, StepFailureError
-from vofde.explicit_solver import _COND_LIMIT, load_term, march, state_from_q
+from vofde.explicit_solver import _BLOCK, _COND_LIMIT, load_term, march, state_from_q
 from vofde.implicit_solver import solve_step_nonlinear
 from vofde.model import StepState
 from vofde.stability import amplification_from_matrices
@@ -102,6 +104,17 @@ def check_scenario_consistency(scn, n_samples=8, tol=1e-10):
         )
         worst = max(worst, abs(res))
     return worst
+
+
+def block_maps_by_unit_vectors(h):
+    """V, U and M of explicit_solver._block_maps, one state_from_q call per node on unit vectors."""
+    eye = np.eye(_BLOCK + 3)
+    V, U = np.empty((2, _BLOCK, _BLOCK + 3))
+    prev = eye[_BLOCK:]
+    for j in range(_BLOCK):
+        V[j], U[j] = state_from_q(eye[j], prev, h)
+        prev = (eye[j], V[j], U[j])
+    return V, U, 0.5 * (np.vstack((eye[_BLOCK + 1], V[:-1])) + V)
 
 
 def step_residual(problem, n, trial, weights, g, prev, coeffs):

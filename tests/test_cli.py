@@ -493,6 +493,22 @@ class TestRunConfig:
         assert main(["run", "--config", str(cfg)]) == 3
         assert not (tmp_path / "x.csv").exists()
 
+    def test_infinite_damping_is_solver_error_without_warnings(self, tmp_path, capsys):
+        # a2 = 1 + 1e308 t + 1e308 t^2 overflows to inf at t = 0.8: the
+        # node_table check names that step before any step is solved
+        body = self.inline_problem()
+        body["a2"] = {"form": "polynomial", "params": {"coeffs": [1.0, 1e308, 1e308]}}
+        cfg = self.write_config(
+            tmp_path,
+            {"h": 1e-2, "T": 1.0, "outputs": ["trace"],
+             "out_path": str(tmp_path / "x.csv"), "problem": body},
+        )
+        assert main(["run", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficient a2 = inf at step 80 (t = 0.8) is not finite\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_overflow_in_forcing_is_solver_error(self, tmp_path, capsys):
         body = self.inline_problem()
         body["p"] = {"form": "exp_decay", "params": {"offset": 0, "scale": 1, "rate": -1000}}

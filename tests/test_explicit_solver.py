@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import history_of, node_coeffs, node_weights, step_means
-from oracles import direct_solve, solve_step, step_matrices, step_residual
+from oracles import (
+    block_maps_by_unit_vectors, direct_solve, solve_step, step_matrices, step_residual
+)
 from vofde import (
     AlphaSpec,
     OscillatorProblem,
@@ -30,6 +32,7 @@ from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureEr
 from vofde.explicit_solver import (
     _BLOCK,
     _CHUNK,
+    _block_maps,
     _chunk_weights,
     linear_part,
     load_term,
@@ -239,6 +242,15 @@ class TestChunkWeights:
             b = alpha.size
             assert np.array_equal(block[:b, : b + 1], gathered_weights(1e-2, alpha))
             assert np.array_equal(c_nn[first : first + b], block[:b, 1:].diagonal())
+
+
+class TestBlockMaps:
+    @pytest.mark.parametrize("h", [1e-2, 1e-3, 2e-4, 5e-5, 1.0 / 3.0, 0.37])
+    def test_walks_equal_the_unit_vector_maps_bit_for_bit(self, h):
+        for walked, reference in zip(_block_maps(h), block_maps_by_unit_vectors(h)):
+            assert walked.shape == reference.shape == (_BLOCK, _BLOCK + 3)
+            assert walked.flags.c_contiguous
+            assert np.array_equal(walked, reference)
 
 
 class TestSolveStep:
@@ -524,6 +536,21 @@ class TestSolve:
         with pytest.raises(DegenerateProblemError) as err:
             solve_explicit(prob)
         assert err.value.step == 100
+
+    @pytest.mark.parametrize("k", BLOCK_EDGE_STEPS)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", ["a2", "a3"])
+    def test_non_finite_damping_or_stiffness_names_step(self, name, value, k):
+        # the node_table check stops both solvers and the stability sweep
+        # at step k, before any step is solved, and without a warning
+        prob = linear_problem(
+            AlphaSpec.constant(0.5), T=1.5, **{name: switch_at(k, 0.01, 1.0, value)}
+        )
+        for run in (solve_explicit, solve_implicit, stability_report):
+            with pytest.raises(DegenerateProblemError) as err:
+                run(prob)
+            assert err.value.step == k
+            assert f"coefficient {name} = {value!r} at step {k} " in str(err.value)
 
     @pytest.mark.parametrize("solve", [solve_explicit, solve_implicit], ids=["explicit", "implicit"])
     def test_blow_up_stops_where_the_state_overflows(self, solve):

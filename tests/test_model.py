@@ -138,6 +138,15 @@ class TestNodeData:
         # from time_only_orders
         assert calls["alpha"] == N + 1
 
+    @pytest.mark.parametrize("name", ["a2", "a3"])
+    def test_non_finite_coefficient_at_node_zero_is_degenerate(self, name):
+        # discrete_residuals multiplies a2 at node 0 by a zero history, so
+        # node 0 is checked too, and named as None like a bad a1(0)
+        prob = replace(damped_problem(), **{name: lambda t: math.inf if t == 0.0 else 1.0})
+        with pytest.raises(DegenerateProblemError, match=f"coefficient {name} = inf at step 0 ") as err:
+            prob.node_table
+        assert err.value.step is None
+
     def test_cached_arrays_are_read_only(self):
         prob = damped_problem()
         assert prob.node_table.shape == (prob.grid.N + 1, 4)
