@@ -2,10 +2,10 @@
 
 The fractional term is the Caputo-type history derivative whose order may
 change with time or with the state itself. vo_core holds the discrete
-derivative machinery, explicit_solver the step equation, the time loop and
-the explicit stepping for time-only orders, implicit_solver its root solve for
-state-dependent orders and nonlinear restoring forces, stability the
-spectral-radius check, and reference the benchmark scenarios.
+derivative machinery, explicit_solver the step equation, its block system
+and the explicit stepping for time-only orders, implicit_solver the root
+solve in two node loops for state-dependent orders and nonlinear forces,
+stability the spectral-radius check, and reference the benchmark scenarios.
 """
 
 from .errors import DegenerateProblemError, OrderDomainError, StepFailureError

@@ -1,4 +1,4 @@
-"""The step equation, the per-node time loop, and the explicit stepper built on them.
+"""The step equation, the block step system, and the explicit stepper built on them.
 
 At node n the governing equation, with the history sum split into the load
 g_n (load_term) and the terms carrying the two latest velocities, reads
@@ -27,11 +27,6 @@ history of a block's nodes comes from one product with the history's
 state, which advances once per block. solve takes a linear problem's Q
 from one LU of the system, with no Python per node; implicit_solver
 root-solves its rows node by node.
-
-For a state-dependent order, implicit_solver root-solves
-r0 + den q_n + f_nl = 0 in the time loop march, node by node: the state
-passes between nodes as floats, and march keeps the velocities and step
-means in the trace's arrays and pushes each step mean into the history.
 """
 
 from __future__ import annotations
@@ -41,14 +36,13 @@ import math
 import numpy as np
 
 from .errors import StepFailureError
-from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
+from .model import AlphaKind, OscillatorProblem, SolutionTrace
 from .vo_core import ExpSumHistory, _far_factors, _increments, _log_table, coefficient_row
 
 __all__ = [
     "state_from_q",
     "load_term",
     "linear_part",
-    "march",
     "solve",
 ]
 
@@ -63,7 +57,8 @@ _COND_LIMIT = 1e14
 # O(1/B): the sum is least at a middle B. Timed on the explicit solve, 48
 # was fastest at N = 25000 (3.19 us a node against 3.39 at 40, 3.54 at 32
 # and 3.61 at 64) and as fast as 32 and 40 at N = 500, where 64 took 25%
-# more. march slices its node rows in batches of as many nodes
+# more. implicit_solver's state-dependent loop slices its node rows in
+# batches of as many nodes
 _BLOCK = 48
 
 # blocks per chunk of _blocks, whose weights, guards and far-sum factors are
@@ -111,7 +106,7 @@ def linear_part(coeffs, weights, g: float, prev, h: float) -> tuple[float, float
     value at q_n = 0, at the state state_from_q gives there; den = a1 +
     a2 c_n h/4 + a3 h^2/4 is its slope in q_n, since udot_n and u_n grow by
     h/2 and h^2/4 per unit of q_n; size = |a1| + |a2 c_n h/4| + |a3 h^2/4|
-    is the scale of den's terms, against which _COND_LIMIT judges den.
+    is the scale of den's terms, against which _sound judges den.
     """
     a1, a2, a3, _ = coeffs
     c_nm1, c_n, _ = weights
@@ -149,54 +144,6 @@ def _initial_trace(problem: OscillatorProblem) -> SolutionTrace:
     return SolutionTrace(
         t=problem.grid.times(), u=u, udot=ud, uddot=q, alpha_used=alphas, udot_mean=np.empty(N)
     )
-
-
-def march(problem: OscillatorProblem, step) -> SolutionTrace:
-    """The time loop of the implicit solver for a state-dependent order, node by node.
-
-    It walks the problem's node_table, built before the first step (so a1
-    is checked and a p that raises raises there), in batches of _BLOCK
-    rows. Per node, step(n, prev, coeffs_n, hist, start) returns the state
-    (q, udot, u) at node n and the order used there. prev is the state it
-    returned for node n-1, node 0's from _initial_trace at n = 1; coeffs_n
-    is node n's row (a1, a2, a3, p) as a list of floats; hist is (udot,
-    history), the trace's velocity array, filled through node n-1, and the
-    run's ExpSumHistory, advanced to hold the step means 1 .. n-2; and
-    start is _start's predicted q_n.
-    """
-    N = problem.grid.N
-    trace = _initial_trace(problem)
-    q, ud, u, alphas, means = trace.uddot, trace.udot, trace.u, trace.alpha_used, trace.udot_mean
-    table = problem.node_table
-    prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
-    history = ExpSumHistory(N)
-    hist = (ud, history)
-    for first in range(1, N + 1, _BLOCK):
-        for n, coeffs_n in enumerate(table[first : first + _BLOCK].tolist(), first):
-            if n >= 3:
-                history.push(means[n - 3])
-            udot_prev = prev[1]
-            prev, alphas[n] = step(n, prev, coeffs_n, hist, _start(q, n))
-            q[n], ud[n], u[n] = prev
-            means[n - 1] = 0.5 * (udot_prev + prev[1])
-    return trace
-
-
-def _start(q: np.ndarray, n: int) -> float:
-    """A root solve's predicted q_n, from the accelerations q[0] .. q[n-1] solved so far.
-
-    The quartic through the five previous accelerations, 5 q_{n-1} -
-    10 q_{n-2} + 10 q_{n-3} - 5 q_{n-4} + q_{n-5}, O(h^5) from the root;
-    the quadratic through three, 3 q_{n-1} - 3 q_{n-2} + q_{n-3}, for
-    n = 3, 4; q_{n-1} for n <= 2. A Python float, which may overflow.
-    """
-    if n >= 5:
-        q_5, q_4, q_3, q_2, q_1 = q[n - 5 : n].tolist()
-        return 5.0 * q_1 - 10.0 * q_2 + 10.0 * q_3 - 5.0 * q_4 + q_5
-    if n >= 3:
-        q_3, q_2, q_1 = q[n - 3 : n].tolist()
-        return 3.0 * q_1 - 3.0 * q_2 + q_3
-    return float(q[n - 1])
 
 
 def _block_maps(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,7 +302,7 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
         b = rhs.size
         nodes = slice(s + 1, s + 1 + b)
         # the nodes before the block's first failing step, solved alone
-        sound = abs(den) * _COND_LIMIT > size
+        sound = _sound(den, size)
         good = sound & np.isfinite(rhs)
         k = b if good.all() else int(np.argmin(good))
         Q = np.linalg.solve(A[:k, :k][::-1, ::-1], rhs[:k][::-1])[::-1]
@@ -365,11 +312,7 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
             raise _overflow(s + 1 + i, Q[i])
         if k < b:
             if not sound[k]:
-                raise StepFailureError(
-                    f"step equation singular or ill-conditioned (denominator {den[k]:.3e} "
-                    f"against term sizes {size[k]:.3e})",
-                    step=s + 1 + k,
-                )
+                raise _singular(s + 1 + k, den[k], size[k])
             raise _overflow(s + 1 + k, rhs[k] / den[k])
         q[nodes] = Q
         ud[nodes] = V[:b, :b] @ Q + ud0
@@ -381,5 +324,18 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
 def _overflow(n: int, q_n) -> StepFailureError:
     return StepFailureError(
         f"acceleration {float(q_n)!r} in step {n}: the state overflowed or p is not finite",
+        step=n,
+    )
+
+
+def _sound(den, size):
+    # a ratio, not |den| * _COND_LIMIT: |den| <= size up to rounding, so it cannot overflow
+    return abs(den) / size > 1.0 / _COND_LIMIT
+
+
+def _singular(n: int, den, size) -> StepFailureError:
+    return StepFailureError(
+        f"step equation singular or ill-conditioned (denominator {den:.3e} "
+        f"against term sizes {size:.3e})",
         step=n,
     )

@@ -1,27 +1,23 @@
-"""Per-step root solve for state-dependent orders and nonlinear restoring.
+"""The implicit stepper: a root solve per step, in one of two node loops.
 
-Each step solves the step equation of explicit_solver (the governing
-equation at t_n with velocity and displacement written as affine functions
-of the new acceleration q_n), r0 + den q_n + f_nl(u_n, udot_n) = 0, by a
-secant iteration with bisection fallback. It starts from
-explicit_solver._start's quartic prediction of q_n through the five
-previous accelerations, O(h^5) from the root where the previous
-acceleration is O(h) away, and its first step is a Newton step with slope
-den: taken without an evaluation when the start already passes the
-tolerance, and evaluated otherwise. So a linear problem with a time-only
-order takes at most two residual evaluations a step. r0 and den depend on
-the kind of order:
+Each step solves the step equation of explicit_solver, r0 + den q_n +
+f_nl(u_n, udot_n) = 0 with udot_n and u_n affine in the new acceleration
+q_n, by a secant iteration with bisection fallback. It starts from
+_start's quartic prediction of q_n, O(h^5) from the root, and its first
+step is a Newton step with slope den: taken without an evaluation when
+the start already passes the tolerance, and evaluated otherwise. So a
+linear problem with a time-only order takes at most two residual
+evaluations a step. solve walks the nodes by the kind of order:
 
-- a state-dependent order is re-read at every trial state, in the time
-  loop explicit_solver.march, so the weights track the state exactly
-  rather than being frozen at the previous step. The history is
-  order-free (vo_core.ExpSumHistory), so a new trial order costs its two
-  near weights in scalar math (vo_core.near_weights), one exp over the
-  modes and one dot (ExpSumHistory.far_sum), and explicit_solver's
-  load_term and linear_part;
-- a time-only order is known before its step, so node s+1+j reads r0 and
-  den from row j of its block's system A Q = rhs (explicit_solver._blocks);
-  the root solve evaluates neither the order nor any weight.
+- a state-dependent order is re-read at every trial state, in
+  _solve_state_dependent, so the weights track the state exactly. The
+  history is order-free (vo_core.ExpSumHistory), so a new trial order
+  costs its two near weights in scalar math (vo_core.near_weights), one
+  exp over the modes and one dot (ExpSumHistory.far_sum), and
+  explicit_solver's load_term and linear_part;
+- a time-only order is known before its step, so in _solve_time_only node
+  s+1+j reads r0 and den from row j of its block's system A Q = rhs
+  (explicit_solver._blocks); the root solve evaluates no order or weight.
 """
 
 from __future__ import annotations
@@ -33,10 +29,11 @@ import numpy as np
 
 from .errors import StepFailureError
 from .explicit_solver import (
-    _block_maps, _blocks, _initial_trace, _start, linear_part, load_term, march, state_from_q
+    _BLOCK, _block_maps, _blocks, _initial_trace, _singular, _sound, linear_part, load_term,
+    state_from_q,
 )
 from .model import AlphaKind, OscillatorProblem, SolutionTrace, StepState
-from .vo_core import near_weights
+from .vo_core import ExpSumHistory, near_weights
 
 __all__ = [
     "solve_step_nonlinear",
@@ -61,10 +58,12 @@ def solve_step_nonlinear(
     """Advance one step; returns (new state, order used, residual evaluations).
 
     The order is read at each trial state, and its weights, load and
-    linear part are rebuilt whenever it moves by _ALPHA_CACHE_TOL or more.
-    hist, coeffs and start are as march hands them; the root solve is
-    _root_solve's. A history that does not hold the means of steps
-    1 .. n-2 raises IndexError.
+    linear part are rebuilt whenever it moves by _ALPHA_CACHE_TOL or more;
+    without f_nl, a den that fails _sound raises StepFailureError. hist is
+    (udot, history), the velocities through node n-1 and the ExpSumHistory
+    of the means of steps 1 .. n-2 (else IndexError), coeffs node n's
+    (a1, a2, a3, p) and start its predicted q_n; the root solve is
+    _root_solve's.
     """
     h = problem.grid.h
     tn = n * h
@@ -81,7 +80,9 @@ def solve_step_nonlinear(
             c_nm1, c_n = near_weights(h, a_star)
             weights = (c_nm1 if n >= 2 else 0.0, c_n, history.far_sum(h, a_star))
             g = load_term(coeffs, n, weights, udot)
-            r0, den, _ = linear_part(coeffs, weights, g, prev, h)
+            r0, den, size = linear_part(coeffs, weights, g, prev, h)
+            if problem.f_nl is None and not _sound(den, size):
+                raise _singular(n, den, size)
             cached = (a_star, r0, den)
         return cached
 
@@ -93,7 +94,7 @@ def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, wei
 
     weigh(q, udot_n, u_n) gives the (order, r0, den) of a trial state, r0
     and den the step equation's linear part, and the residual is r0 + den q +
-    f_nl(u_n, udot_n). The iteration starts from start, march's
+    f_nl(u_n, udot_n). The iteration starts from start, _start's
     predicted q_n, or from the previous acceleration if start is not
     finite, and takes one Newton step from it with the start's den. If
     the start's residual is already within tolerance, that step is
@@ -102,15 +103,19 @@ def _root_solve(n: int, problem: OscillatorProblem, prev: StepState, coeffs, wei
     change is seen the iterate is kept inside the bracket,
     falling back to bisection whenever the secant step leaves it or
     degenerates. A residual counts as zero within _TOL_RES of
-    max(1, |p_n|, |a3 u_n|); a non-finite one raises StepFailureError.
+    max(1, |p_n|, |a3 u_n|); a non-finite one raises StepFailureError, and
+    so does an OverflowError while the order or f_nl is evaluated.
     """
     h = problem.grid.h
     _, _, a3, p_n = coeffs
 
     def f(q):
         udot_n, u_n = state_from_q(q, prev, h)
-        a_star, r0, den = weigh(q, udot_n, u_n)
-        value = r0 + den * q + problem.nonlinear_term(u_n, udot_n)
+        try:
+            a_star, r0, den = weigh(q, udot_n, u_n)
+            value = r0 + den * q + problem.nonlinear_term(u_n, udot_n)
+        except OverflowError:  # a float power of the trial state, say
+            value = math.inf
         if not math.isfinite(value):
             raise StepFailureError(
                 f"residual {value!r} at trial q {q!r} in step {n}",
@@ -192,17 +197,33 @@ def solve(problem: OscillatorProblem) -> SolutionTrace:
     the residual evaluation count of each step.
     """
     iters = np.zeros(problem.grid.N, dtype=int)
-    if problem.alpha.kind is AlphaKind.TIME_ONLY:
-        trace = _solve_time_only(problem, iters)
-    else:
-        def step(n, prev, coeffs, hist, start):
-            state, a_star, iters[n - 1] = solve_step_nonlinear(
-                n, problem, prev, hist, coeffs, start
-            )
-            return state, a_star
+    time_only = problem.alpha.kind is AlphaKind.TIME_ONLY
+    walk = _solve_time_only if time_only else _solve_state_dependent
+    return replace(walk(problem, iters), iterations=iters)
 
-        trace = march(problem, step)
-    return replace(trace, iterations=iters)
+
+def _solve_state_dependent(problem: OscillatorProblem, iters: np.ndarray) -> SolutionTrace:
+    """The root solve of a state-dependent order, node by node by solve_step_nonlinear.
+
+    The problem's node_table, built before the first step (so a1 is
+    checked and a p that raises raises there), is read _BLOCK rows at a time.
+    """
+    N = problem.grid.N
+    trace = _initial_trace(problem)
+    q, ud, u, alphas, means = trace.uddot, trace.udot, trace.u, trace.alpha_used, trace.udot_mean
+    prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
+    history = ExpSumHistory(N)
+    for first in range(1, N + 1, _BLOCK):
+        for n, coeffs_n in enumerate(problem.node_table[first : first + _BLOCK].tolist(), first):
+            if n >= 3:
+                history.push(means[n - 3])
+            udot_prev = prev[1]
+            prev, alphas[n], iters[n - 1] = solve_step_nonlinear(
+                n, problem, prev, (ud, history), coeffs_n, _start(q, n)
+            )
+            q[n], ud[n], u[n] = prev
+            means[n - 1] = 0.5 * (udot_prev + prev[1])
+    return trace
 
 
 def _solve_time_only(problem: OscillatorProblem, iters: np.ndarray) -> SolutionTrace:
@@ -210,20 +231,24 @@ def _solve_time_only(problem: OscillatorProblem, iters: np.ndarray) -> SolutionT
 
     Once the nodes of a block before n = s+1+j are solved, row j of its
     system A Q = rhs is node n's linear part, r0 = A[j, :j] . q[s+1 .. s+j]
-    - rhs[j] and den = A[j, j]. _root_solve, started from _start, is handed
-    Python floats only: one numpy scalar would make every later state one,
-    slower and warning where the state overflows.
+    - rhs[j] and den = A[j, j]; without f_nl, the first node whose den from
+    _blocks fails _sound raises instead. _root_solve, started from _start,
+    is handed Python floats only: one numpy scalar would make every later
+    state one, slower and warning where the state overflows.
     """
     trace = _initial_trace(problem)
     q, ud, u, means = trace.uddot, trace.udot, trace.u, trace.udot_mean
     prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
-    for s, coeffs, A, rhs, _, _, _ in _blocks(problem, trace, *_block_maps(problem.grid.h)):
+    for s, coeffs, A, rhs, den, size, _ in _blocks(problem, trace, *_block_maps(problem.grid.h)):
+        k = rhs.size
+        if problem.f_nl is None and not (sound := _sound(den, size)).all():
+            k = int(np.argmin(sound))
         dens, rhs = A.diagonal().tolist(), rhs.tolist()
         # a row product overflows where the state does, and the root solve
         # reports the non-finite residual; one scope a block (one a node
         # costs 1 us) also silences f_nl's overflow warnings
         with np.errstate(over="ignore"):
-            for j, coeffs_n in enumerate(coeffs.T.tolist()):
+            for j, coeffs_n in enumerate(coeffs.T[:k].tolist()):
                 n = s + 1 + j
                 # the order is already the trace's; the root solve only hands it back
                 fixed = (None, float(A[j, :j].dot(q[s + 1 : n])) - rhs[j], dens[j])
@@ -233,4 +258,22 @@ def _solve_time_only(problem: OscillatorProblem, iters: np.ndarray) -> SolutionT
                 )
                 q[n], ud[n], u[n] = prev
                 means[n - 1] = 0.5 * (udot_prev + prev[1])
+        if k < len(rhs):
+            raise _singular(s + 1 + k, den[k], size[k])
     return trace
+
+
+def _start(q: np.ndarray, n: int) -> float:
+    """A root solve's predicted q_n, from the accelerations q[0] .. q[n-1] solved so far.
+
+    The quartic through the five previous accelerations, O(h^5) from the
+    root, the quadratic through three for n = 3, 4, and q_{n-1} for n <= 2:
+    a Python float, which may overflow.
+    """
+    if n >= 5:
+        q_5, q_4, q_3, q_2, q_1 = q[n - 5 : n].tolist()
+        return 5.0 * q_1 - 10.0 * q_2 + 10.0 * q_3 - 5.0 * q_4 + q_5
+    if n >= 3:
+        q_3, q_2, q_1 = q[n - 3 : n].tolist()
+        return 3.0 * q_1 - 3.0 * q_2 + q_3
+    return float(q[n - 1])

@@ -17,7 +17,7 @@ def record_acceptance(line: str) -> None:
 
 
 def node_coeffs(problem, n):
-    """(a1, a2, a3, p) at t_n, evaluated one by one, as march hands them to a step."""
+    """(a1, a2, a3, p) at t_n, evaluated one by one, as a node loop hands them to a step."""
     tn = n * problem.grid.h
     return tuple(float(fn(tn)) for fn in (problem.a1, problem.a2, problem.a3, problem.p))
 
@@ -31,9 +31,9 @@ def step_means(endpoints):
 def history_of(endpoints, n_steps=None):
     """The (udot, history) of the given node velocities, node 0 first.
 
-    As march hands it to the step at the node after the last velocity: the
-    history holds every step mean but the last. n_steps sizes its kernel
-    (default: one step per velocity).
+    As implicit_solver's state-dependent loop hands it to the step at the
+    node after the last velocity: the history holds every step mean but
+    the last. n_steps sizes its kernel (default: one step per velocity).
     """
     udot = np.array(endpoints, dtype=float)
     history = ExpSumHistory(n_steps or udot.size)

@@ -22,9 +22,9 @@ step_residual at q_n = 0 divided by the step's slope, which each node of
 the explicit stepper's block solve must match, one step from the node
 before, to 1e-13 of each array's peak (the block solve sums the history
 in another order). direct_solve is the direct
-row stepper: that step and the implicit one in the package's time loop,
-with the known history read from full weight rows (DirectHistory) instead
-of the sum of exponentials, O(N^2) in all.
+row stepper: that step or the package's implicit one in a node loop of its
+own, with the known history read from full weight rows (DirectHistory)
+instead of the sum of exponentials, O(N^2) in all.
 node_residuals is discrete_residuals written as one loop over the nodes,
 the form the array version must match bit for bit. block_maps_by_unit_vectors
 builds the explicit stepper's block maps by state_from_q on whole unit
@@ -40,8 +40,8 @@ from scipy.integrate import quad, solve_ivp
 
 from vofde import coefficient_row, history_sums
 from vofde.errors import OrderDomainError, StepFailureError
-from vofde.explicit_solver import _BLOCK, _COND_LIMIT, load_term, march, state_from_q
-from vofde.implicit_solver import solve_step_nonlinear
+from vofde.explicit_solver import _BLOCK, _COND_LIMIT, _initial_trace, load_term, state_from_q
+from vofde.implicit_solver import _start, solve_step_nonlinear
 from vofde.model import StepState
 from vofde.stability import amplification_from_matrices
 
@@ -202,27 +202,31 @@ class DirectHistory:
 def direct_solve(problem, implicit=False):
     """Trace of the explicit (or implicit) stepper with direct history sums.
 
-    Each step gets a DirectHistory of the trace's own step means; the
-    explicit steps take all their weights from node n's full row. The
-    implicit trace carries its evaluation counts.
+    Node by node from the package's node 0, each step gets a DirectHistory
+    of the trace's own step means; the explicit steps take all their
+    weights from node n's full row, and the implicit ones start from the
+    package's predicted q_n. The implicit trace carries its evaluation
+    counts.
     """
     h = problem.grid.h
-    alphas = None if implicit else problem.time_only_orders
+    trace = _initial_trace(problem)
+    q, udot, u, alphas = trace.uddot, trace.udot, trace.u, trace.alpha_used
     iters = np.zeros(problem.grid.N, dtype=int)
-
-    def step(n, prev, coeffs, hist, start):
-        udot, m = hist[0], max(n - 2, 0)
+    for n, coeffs in enumerate(problem.node_table[1:].tolist(), 1):
+        prev = StepState(float(q[n - 1]), float(udot[n - 1]), float(u[n - 1]))
+        m = max(n - 2, 0)
         hist = (udot, DirectHistory(0.5 * (udot[:m] + udot[1 : m + 1])))
         if implicit:
-            state, a, iters[n - 1] = solve_step_nonlinear(n, problem, prev, hist, coeffs, start)
-            return state, a
-        a = float(alphas[n])
-        row = coefficient_row(n, h, a)
-        far = float(row[: n - 2] @ hist[1].state)
-        weights = (float(row[-2]) if n >= 2 else 0.0, float(row[-1]), far)
-        return solve_step(problem, n, weights, hist, prev, coeffs), a
-
-    trace = march(problem, step)
+            state, alphas[n], iters[n - 1] = solve_step_nonlinear(
+                n, problem, prev, hist, coeffs, _start(q, n)
+            )
+        else:
+            row = coefficient_row(n, h, float(alphas[n]))
+            far = float(row[:m] @ hist[1].state)
+            weights = (float(row[-2]) if n >= 2 else 0.0, float(row[-1]), far)
+            state = solve_step(problem, n, weights, hist, prev, coeffs)
+        q[n], udot[n], u[n] = state
+    trace.udot_mean[:] = 0.5 * (udot[:-1] + udot[1:])
     if implicit:
         trace.iterations = iters
     return trace

@@ -534,6 +534,21 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflow_in_nonlinear_term_at_a_trial_state_names_its_step(self, tmp_path, capsys):
+        # the blow-up oscillator with a cubic of coefficient 0: the float
+        # power overflows at a trial state of step 217, a solver failure
+        body = self.inline_problem()
+        body.update(a3=-1e4, v0=0.0, nonlinear={"form": "cubic", "params": {"coeff": 0.0}})
+        cfg = self.write_config(
+            tmp_path,
+            {"h": 1e-2, "T": 10.0, "outputs": ["trace"],
+             "out_path": str(tmp_path / "x.csv"), "problem": body},
+        )
+        assert main(["run", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: residual inf at trial q ") and err.endswith(" in step 217\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_order_outside_domain_is_solver_error(self, tmp_path):
         body = self.inline_problem()
         body["alpha"] = {"form": "polynomial", "params": {"coeffs": [0.5, 2.0]}}

@@ -203,6 +203,20 @@ OVERFLOW_BLOCK = span(OVERFLOW_STEP, _BLOCK)
 OVERFLOW_CHUNK = span(OVERFLOW_STEP, _BLOCK * _CHUNK)
 assert OVERFLOW_BLOCK[0] < OVERFLOW_STEP < OVERFLOW_BLOCK[1] < OVERFLOW_CHUNK[1]
 
+# the three routes a linear problem can take: the explicit block solve and
+# the root solve's time-only and state-dependent loops, the last with an
+# order that reads the state and is 0.5 everywhere; each names a singular
+# step alike
+LINEAR_ROUTES = pytest.mark.parametrize(
+    "solve, order",
+    [
+        (solve_explicit, AlphaSpec.constant(0.5)),
+        (solve_implicit, AlphaSpec.constant(0.5)),
+        (solve_implicit, AlphaSpec.of_state(lambda t, u, udot: 0.5)),
+    ],
+    ids=["explicit", "implicit", "implicit_state"],
+)
+
 
 def gathered_weights(h, alpha):
     """A block's in-block weights by one coefficient_row(_BLOCK + 1, h, alpha) per block.
@@ -337,28 +351,28 @@ class TestSolveStep:
             solve_step(prob, 9, weights, hist, StepState(1.0, 1.0, 1.0), node_coeffs(prob, 9))
         assert err.value.step == 9
 
-    def test_vanishing_coefficients_mid_run_report_step(self):
+    @LINEAR_ROUTES
+    def test_vanishing_coefficients_mid_run_report_step(self, solve, order):
         h = 0.01
         for k in BLOCK_EDGE_STEPS:
             # a1 = a2 = a3 = 0 from step k on: the a1 check stops the run there
             switch = switch_at(k, h, 1.0, 0.0)
             prob = linear_problem(
-                AlphaSpec.constant(0.5), a1=switch, a2=lambda t: 0.2 * switch(t), a3=switch,
-                T=1.5,
+                order, a1=switch, a2=lambda t: 0.2 * switch(t), a3=switch, T=1.5,
             )
             with pytest.raises(DegenerateProblemError) as err:
-                solve_explicit(prob)
+                solve(prob)
             assert err.value.step == k
             # a1 = 1, a2 = 0, a3 = -4/h^2 from step k on: a1 is fine, but the
             # step equation loses q_n, since its denominator a1 + a3 h^2/4 is 0
             prob = linear_problem(
-                AlphaSpec.constant(0.5),
+                order,
                 a2=lambda t: 0.2 * switch(t),
                 a3=switch_at(k, h, 25.0, -4.0 / h ** 2),
                 T=1.5,
             )
             with pytest.raises(StepFailureError) as err:
-                solve_explicit(prob)
+                solve(prob)
             assert err.value.step == k
             assert "singular" in str(err.value)
 
@@ -379,21 +393,27 @@ class TestSolveStep:
             else:
                 state = solve_step(prob, 1, weights, hist, prev, node_coeffs(prob, 1))
                 assert math.isfinite(state.q)
-            # the same a1 with a3 = 1 at step k alone and 0 elsewhere, through
-            # the block loop: q_n = 0 before k, and the guard holds or fails at k
+
+    @LINEAR_ROUTES
+    def test_denominator_lost_in_rounding_names_its_step(self, solve, order):
+        # a3 = 1 at step k alone and 0 elsewhere, where a1 cancels a3 h^2/4
+        # up to 1e-15 (below the 1e-14 guard) or 1e-12 of the terms: q_n = 0
+        # before k, and the guard fails or holds at k
+        h = 0.01
+        for gap, fails in ((1e-15, True), (1e-12, False)):
             for k in BLOCK_EDGE_STEPS:
                 prob = linear_problem(
-                    AlphaSpec.constant(0.5), a1=-0.25 * h * h * (1.0 + gap), a2=0.0,
+                    order, a1=-0.25 * h * h * (1.0 + gap), a2=0.0,
                     a3=lambda t, k=k: 1.0 if abs(t - k * h) < 0.5 * h else 0.0, u0=1.0, v0=1.0,
                     T=1.5,
                 )
                 if fails:
                     with pytest.raises(StepFailureError) as err:
-                        solve_explicit(prob)
+                        solve(prob)
                     assert err.value.step == k
                     assert "singular" in str(err.value)
                 else:
-                    trace = solve_explicit(prob)
+                    trace = solve(prob)
                     assert np.all(np.isfinite(trace.uddot)) and trace.uddot[k] != 0.0
 
 
@@ -563,6 +583,15 @@ class TestSolve:
         assert err.value.step == OVERFLOW_STEP
         assert "singular" not in str(err.value)
 
+    @LINEAR_ROUTES
+    def test_huge_damping_judges_its_denominator_without_overflow(self, solve, order):
+        # a2 = 1e300: |den| 1e14 would overflow with a RuntimeWarning, which
+        # the tests' warning filter turns into a failure; |den| / size
+        # cannot. Its residual is far above round-off, which no solver
+        # refuses yet, so the trace is not re-verified here
+        trace = solve(linear_problem(order, a2=1e300))
+        assert np.all(np.isfinite(trace.u))
+
     def test_growing_solution_follows_the_direct_stepper(self):
         # the same oscillator up to node 600: its block systems' entries below
         # the diagonal far outgrow the diagonal, where a pivoting LU swaps rows
@@ -589,11 +618,12 @@ class TestSolve:
         assert prob.grid.N > k
         assert_nan_load_fails_at(prob, k)
 
+    @LINEAR_ROUTES
     @pytest.mark.parametrize(
         "k, named",
         [(OVERFLOW_BLOCK[1] + 1, OVERFLOW_STEP), (OVERFLOW_BLOCK[0], OVERFLOW_BLOCK[0])],
     )
-    def test_singular_step_is_named_only_when_its_block_is_reached(self, k, named):
+    def test_singular_step_is_named_only_when_its_block_is_reached(self, k, named, solve, order):
         # the blow-up oscillator, with a step equation singular from step k
         # on (a2 = 0 and a1 + a3 h^2/4 = 0): the first step of the block
         # after the overflow's, or of the overflow's own. Both lie in the
@@ -601,11 +631,11 @@ class TestSolve:
         # is solved; the overflow comes first unless the singular step does
         h = 0.01
         prob = linear_problem(
-            AlphaSpec.constant(0.5), a2=switch_at(k, h, 1.0, 0.0),
+            order, a2=switch_at(k, h, 1.0, 0.0),
             a3=switch_at(k, h, -1e4, -4.0 / h ** 2), u0=1.0, v0=0.0, T=10.0,
         )
         with pytest.raises(StepFailureError) as err:
-            solve_explicit(prob)
+            solve(prob)
         assert err.value.step == named
         assert ("singular" in str(err.value)) == (named == k)
 

@@ -339,6 +339,27 @@ class TestSolve:
             solve_explicit(prob)
         assert err.value.step == 51
 
+    @pytest.mark.parametrize(
+        "order",
+        [AlphaSpec.constant(0.5), AlphaSpec.of_state(lambda t, u, udot: 0.5)],
+        ids=["time_only", "state"],
+    )
+    def test_overflowing_nonlinear_term_fails_its_step(self, order):
+        # the blow-up oscillator (a3 = -1e4) with f_nl = 0 u^3: the float
+        # power raises OverflowError at a trial state of step 217, long
+        # before the state itself overflows; both node loops report it as
+        # a non-finite residual of that step
+        prob = OscillatorProblem.build(
+            a1=1.0, a2=1.0, a3=-1e4, p=0.0, alpha=order, f_nl=lambda u, udot: 0.0 * u ** 3,
+            u0=1.0, v0=0.0, T=10.0, h=1e-2,
+        )
+        with pytest.raises(StepFailureError) as err:
+            solve_implicit(prob)
+        assert err.value.step == 217
+        assert err.value.residual == math.inf
+        assert str(err.value).startswith("residual inf at trial q ")
+        assert str(err.value).endswith(" in step 217")
+
     def test_recorded_order_tracks_velocity(self):
         scn = scenario("ex3iii", 1e-2, T=1.0)
         trace = solve_implicit(scn.problem)
