@@ -133,10 +133,13 @@ def inv3(matrix) -> tuple[np.ndarray, np.ndarray]:
     own step context to the failure.
     """
     a = np.asarray(matrix, dtype=float)
-    r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
-    # the columns of the inverse are the cross products of row pairs over det
-    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
-    det = np.sum(r0 * adj[..., 0], axis=-1)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = np.moveaxis(a, (-2, -1), (0, 1))
+    # the columns of the inverse are the cross products 1 x 2, 2 x 0 and 0 x 1 of rows over det
+    adj = np.stack([a11 * a22 - a12 * a21, a21 * a02 - a22 * a01, a01 * a12 - a02 * a11,
+                    a12 * a20 - a10 * a22, a22 * a00 - a20 * a02, a02 * a10 - a00 * a12,
+                    a10 * a21 - a11 * a20, a20 * a01 - a21 * a00, a00 * a11 - a01 * a10],
+                   axis=-1).reshape(a.shape)
+    det = np.sum(a[..., 0, :] * adj[..., 0], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = adj / det[..., None, None]
     finite = np.isfinite(inv).all(axis=(-2, -1))

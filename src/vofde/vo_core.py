@@ -300,6 +300,7 @@ class ExpSumHistory:
         self._modes = np.vstack((y, np.append(-s, 0.0)))
         self._pairs = np.empty((0, 2))
         self._exponents = np.empty((0, y.size))
+        self._far = np.empty(y.size)  # far_sum's exponents
         # state * factor for far_sum and far_sums, and the size it was formed at
         self._scaled = np.zeros(y.size)
         self._scaled_size = 0
@@ -369,7 +370,7 @@ class ExpSumHistory:
         once per pushed mean. So a new order costs one exp over the modes
         and one dot, and no weight row.
         """
-        e = self.y * alpha
+        e = np.multiply(self.y, alpha, out=self._far)
         np.exp(e, out=e)
         scale, geometric = _far_factors(h, alpha)
         e[-1] /= geometric

@@ -24,7 +24,10 @@ before, to 1e-13 of each array's peak (the block solve sums the history
 in another order). direct_solve is the direct
 row stepper: that step or the package's implicit one in a node loop of its
 own, with the known history read from full weight rows (DirectHistory)
-instead of the sum of exponentials, O(N^2) in all.
+instead of the sum of exponentials, O(N^2) in all. stepwise_solve is the
+implicit solver's two node loops with every node stepped by the root
+solve's full step, solve_step_nonlinear or _root_solve on the block rows,
+which the loops' in-place accepted step must match bit for bit.
 node_residuals is discrete_residuals written as one loop over the nodes,
 the form the array version must match bit for bit. block_maps_by_unit_vectors
 builds the explicit stepper's block maps by state_from_q on whole unit
@@ -40,10 +43,14 @@ from scipy.integrate import quad, solve_ivp
 
 from vofde import coefficient_row, history_sums
 from vofde.errors import OrderDomainError, StepFailureError
-from vofde.explicit_solver import _BLOCK, _COND_LIMIT, _initial_trace, load_term, state_from_q
-from vofde.implicit_solver import _start, solve_step_nonlinear
-from vofde.model import StepState
+from vofde.explicit_solver import (
+    _BLOCK, _COND_LIMIT, _block_maps, _blocks, _initial_trace, _singular, _sound, load_term,
+    state_from_q,
+)
+from vofde.implicit_solver import _root_solve, _start, solve_step_nonlinear
+from vofde.model import AlphaKind, StepState
 from vofde.stability import amplification_from_matrices
+from vofde.vo_core import ExpSumHistory
 
 
 class ConvergenceError(RuntimeError):
@@ -229,6 +236,53 @@ def direct_solve(problem, implicit=False):
     trace.udot_mean[:] = 0.5 * (udot[:-1] + udot[1:])
     if implicit:
         trace.iterations = iters
+    return trace
+
+
+def stepwise_solve(problem):
+    """The implicit trace with each node stepped by the root solve's full step.
+
+    A state-dependent order steps node by node through
+    solve_step_nonlinear with the package's ExpSumHistory; a time-only
+    order through _root_solve on the rows of explicit_solver._blocks,
+    without f_nl raising at the first den that fails _sound once the
+    block's nodes before it are stepped. Every step starts from _start's
+    prediction. The trace carries its evaluation counts.
+    """
+    trace = _initial_trace(problem)
+    q, ud, u, alphas, means = trace.uddot, trace.udot, trace.u, trace.alpha_used, trace.udot_mean
+    iters = np.zeros(problem.grid.N, dtype=int)
+    prev = StepState(float(q[0]), float(ud[0]), float(u[0]))
+
+    def store(n, state):
+        q[n], ud[n], u[n] = state
+        means[n - 1] = 0.5 * (float(ud[n - 1]) + state.udot)
+        return state
+
+    if problem.alpha.kind is not AlphaKind.TIME_ONLY:
+        history = ExpSumHistory(problem.grid.N)
+        for n, coeffs in enumerate(problem.node_table[1:].tolist(), 1):
+            if n >= 3:
+                history.push(means[n - 3])
+            state, alphas[n], iters[n - 1] = solve_step_nonlinear(
+                n, problem, prev, (ud, history), coeffs, _start(q, n)
+            )
+            prev = store(n, state)
+        trace.iterations = iters
+        return trace
+    for s, coeffs, A, rhs, den, size, _ in _blocks(problem, trace, *_block_maps(problem.grid.h)):
+        rows = zip(coeffs.T.tolist(), A.diagonal().tolist(), size.tolist(), rhs.tolist())
+        for j, (coeffs_n, den_n, size_n, rhs_n) in enumerate(rows):
+            n = s + 1 + j
+            if problem.f_nl is None and not _sound(den[j], size[j]):
+                raise _singular(n, den[j], size[j])
+            fixed = (None, float(A[j, :j].dot(q[s + 1 : n])) - rhs_n, den_n, size_n)
+            with np.errstate(over="ignore"):
+                state, _, iters[n - 1] = _root_solve(
+                    n, problem, prev, coeffs_n, lambda *_: fixed, _start(q, n)
+                )
+            prev = store(n, state)
+    trace.iterations = iters
     return trace
 
 

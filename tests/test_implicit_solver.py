@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import history_of, node_coeffs, node_weights
-from oracles import step_residual
+from oracles import step_residual, stepwise_solve
 from vofde import (
     AlphaKind,
     AlphaSpec,
@@ -26,7 +26,17 @@ from vofde import implicit_solver
 from vofde.errors import DegenerateProblemError, OrderDomainError, StepFailureError
 from vofde.explicit_solver import load_term, state_from_q
 from vofde.implicit_solver import solve_step_nonlinear
-from vofde.reference import SCENARIO_NAMES, scenario
+from vofde.reference import SCENARIO_NAMES, default_horizon, scenario
+
+# the registry's scenarios that have an oscillator (ex1i and ex1ii have none)
+OSCILLATORS = [name for name in SCENARIO_NAMES if scenario(name, 1.0).problem is not None]
+
+
+def registry_problem(name, N):
+    """Scenario name on N steps of its default horizon; name:state re-declares its order."""
+    name, _, state = name.partition(":")
+    problem = scenario(name, default_horizon(name) / N).problem
+    return replace(problem, alpha=AlphaSpec.of_state(problem.alpha.eval)) if state else problem
 
 
 class TestStateFromQ:
@@ -359,6 +369,60 @@ class TestSolve:
         assert err.value.residual == math.inf
         assert str(err.value).startswith("residual inf at trial q ")
         assert str(err.value).endswith(" in step 217")
+
+    @pytest.mark.parametrize(
+        "order",
+        [AlphaSpec.constant(0.5), AlphaSpec.of_state(lambda t, u, udot: 0.5)],
+        ids=["time_only", "state"],
+    )
+    def test_singular_step_is_named_with_a_nonlinear_term(self, order):
+        # a2 = 0 and a1 + a3 h^2/4 = 0 from step 48 on lose q_n from the step
+        # equation, and f_nl = 0 u^3 has no slope to bring it back: the root
+        # solve gives up at step 48 and names it singular, as it is without f_nl
+        h = 0.01
+        prob = OscillatorProblem.build(
+            a1=1.0, a2=lambda t: 0.2 if t < 47.5 * h else 0.0,
+            a3=lambda t: 25.0 if t < 47.5 * h else -4.0 / h ** 2, p=0.0, alpha=order,
+            f_nl=lambda u, udot: 0.0 * u ** 3, u0=1.0, v0=10.0, T=1.5, h=h,
+        )
+        with pytest.raises(StepFailureError) as err:
+            solve_implicit(prob)
+        assert err.value.step == 48
+        assert str(err.value).startswith("step equation singular or ill-conditioned")
+
+    @pytest.mark.parametrize("name, N", [("ex3i", 500), ("ex3iii", 500), ("ex4", 500), ("ex4", 5000)])
+    def test_no_evaluation_is_repeated(self, name, N):
+        # each residual evaluation reads the order (a state-dependent order)
+        # or f_nl (ex4) once, and node 0 once more: the node loops hand their
+        # start's evaluation to the root solve instead of repeating it
+        calls = 0
+
+        def counted(fn):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return fn(*args)
+
+            return wrapper
+
+        problem = registry_problem(name, N)
+        if problem.f_nl is None:
+            problem = replace(problem, alpha=AlphaSpec.of_state(counted(problem.alpha.eval)))
+        else:
+            problem = replace(problem, f_nl=counted(problem.f_nl))
+        trace = solve_implicit(problem)
+        assert calls == int(trace.iterations.sum()) + 1
+
+    @pytest.mark.parametrize("N", [500, 5000])
+    @pytest.mark.parametrize("name", OSCILLATORS + ["ex2iii_d:state"])
+    def test_node_loops_take_the_root_solves_steps(self, name, N):
+        # the loops take a start within tolerance in place: bit for bit the
+        # root solve's full step, and so are the steps they hand on
+        problem = registry_problem(name, N)
+        loops, full = solve_implicit(problem), stepwise_solve(problem)
+        for key in ("u", "udot", "uddot", "alpha_used", "udot_mean", "iterations"):
+            a, b = getattr(loops, key), getattr(full, key)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
 
     def test_recorded_order_tracks_velocity(self):
         scn = scenario("ex3iii", 1e-2, T=1.0)
